@@ -26,7 +26,6 @@ from .constants import CGS, DEFAULT_GUARD, PhysicalConstants
 from .dispersion import DispersionResult, beyond_dipole_fraction, refractive_index
 from .dressed import (
     AtomEnsemble,
-    DressedParams,
     ProbeField,
     PumpField,
     SuperpositionState,
@@ -77,7 +76,6 @@ __all__ = [
     "DEFAULT_GUARD",
     "DegenerateDressing",
     "DispersionResult",
-    "DressedParams",
     "DressedProbeError",
     "FieldSample",
     "GridSpec",

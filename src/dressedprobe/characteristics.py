@@ -74,7 +74,7 @@ def derive_coefficients(
     """
     disp = refractive_index(ensemble, pump, state, probe.omega, guard)
     omega_prime = generalized_rabi(pump.detuning, pump.rabi)
-    brackets = sideband_brackets(pump, probe.omega, omega_prime, guard)
+    brackets = sideband_brackets(pump, probe.omega, guard)
     scale = k_scale(ensemble, pump, probe.omega)
     rate = omega_prime / CGS.c
     return RweCoefficients(

@@ -15,9 +15,10 @@ pulse-stats
 validate
     Run the invariant suite and exit non-zero on any failure.
 
-Rows that would hit a resonance pole are emitted with empty value cells
-and a POLE marker instead of aborting the sweep.  Floats are written with
-17 significant digits so files round-trip bit-exactly.
+Each sweep is one array call.  Rows that would hit a resonance pole are
+emitted with empty value cells and a POLE marker instead of aborting the
+sweep.  Floats are written with 17 significant digits so files round-trip
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from . import modulation as mod
 from . import pulsetrain as pt
 from .config import RunConfig, config_to_dict, load_config
 from .constants import CGS
-from .errors import ConfigError, DressedProbeError, ResonancePole
+from .dispersion import index_parts
+from .errors import ConfigError, DressedProbeError
 from .validation import run_all
 
 
@@ -80,31 +82,24 @@ def _load(args) -> RunConfig:
 
 def sweep_frequency_rows(config: RunConfig) -> list[tuple]:
     """(delta, Re G at arrival, Re G half a period later, pole marker)."""
-    ensemble = config.ensemble()
     pump = config.pump()
-    state = config.state()
     omega_prime = config.omega_prime()
-    z = config.z_fixed()
-    t_solid = math.pi / omega_prime
-    t_dashed = 2.0 * math.pi / omega_prime
-    rows = []
-    for delta in config.delta_grid.values():
-        probe_omega = pump.omega_p - delta
-        try:
-            g_solid = mod.exponent_grid(
-                ensemble,
-                pump,
-                state,
-                probe_omega,
-                np.array([z]),
-                np.array([t_solid, t_dashed]),
-                config.guard,
-            )[0]
-        except ResonancePole:
-            rows.append((delta, None, None, "POLE"))
-            continue
-        rows.append((delta, float(g_solid[0].real), float(g_solid[1].real), ""))
-    return rows
+    deltas = config.delta_grid.values()
+    g, pole = mod.exponent_sweep(
+        config.ensemble(),
+        pump,
+        config.state(),
+        pump.omega_p - np.array(deltas),
+        config.z_fixed(),
+        [math.pi / omega_prime, 2.0 * math.pi / omega_prime],
+        config.guard,
+    )
+    return [
+        (delta, None, None, "POLE") if at_pole else (delta, *re_g, "")
+        for delta, re_g, at_pole in zip(
+            deltas, g.real.tolist(), pole.tolist()
+        )
+    ]
 
 
 def evolve_series(config: RunConfig) -> tuple[pt.TimeSeries, dict]:
@@ -164,31 +159,16 @@ def evolve_series(config: RunConfig) -> tuple[pt.TimeSeries, dict]:
 
 def dispersion_rows(config: RunConfig) -> list[tuple]:
     """(omega, n0, dipole part, beyond-dipole part, pole marker)."""
-    from .dispersion import refractive_index
-
-    ensemble = config.ensemble()
     pump = config.pump()
-    state = config.state()
-    rows = []
-    for delta in config.delta_grid.values():
-        omega = pump.omega_p - delta
-        try:
-            result = refractive_index(
-                ensemble, pump, state, omega, config.guard
-            )
-        except ResonancePole:
-            rows.append((omega, None, None, None, "POLE"))
-            continue
-        rows.append(
-            (
-                omega,
-                result.n0,
-                result.dipole_part,
-                result.beyond_dipole_part,
-                "",
-            )
-        )
-    return rows
+    omega = pump.omega_p - np.array(config.delta_grid.values())
+    dipole, beyond, pole = index_parts(
+        config.ensemble(), pump, config.state(), omega, config.guard
+    )
+    values = np.column_stack((omega, 1.0 + dipole + beyond, dipole, beyond))
+    return [
+        (row[0], None, None, None, "POLE") if at_pole else (*row, "")
+        for row, at_pole in zip(values.tolist(), pole.tolist())
+    ]
 
 
 def _emit_table(
@@ -279,10 +259,12 @@ def read_evolve_csv(path: str | Path) -> pt.TimeSeries:
             raise ConfigError(f"{path}: malformed row {line!r}") from exc
     if len(times) < 2:
         raise ConfigError(f"{path} holds fewer than 2 samples")
+    dt = times[1] - times[0]
+    # The same 1e-9 relative tolerance as characteristics.residual_check.
+    if np.max(np.abs(np.diff(times) - dt)) > 1e-9 * abs(dt):
+        raise ConfigError(f"{path}: time column is not uniform")
     try:
-        return pt.TimeSeries(
-            z=0.0, t0=times[0], dt=times[1] - times[0], gains=tuple(gains)
-        )
+        return pt.TimeSeries(z=0.0, t0=times[0], dt=dt, gains=tuple(gains))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

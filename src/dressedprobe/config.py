@@ -9,6 +9,7 @@ frequency, probed 2e9 rad/s below the pump.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -73,6 +74,10 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
+        for name, (key, _) in _FIELDS.items():
+            value = getattr(self, name)
+            if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
         if (self.z_theta is None) == (self.z_cm is None):
             raise ConfigError("exactly one of z.theta / z.cm must be set")
         if self.guard < 0:
@@ -121,124 +126,115 @@ class RunConfig:
         return self.z_theta * CGS.c / self.omega_prime()
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(value, key: str) -> float:
+    if not _is_number(value):
+        raise ConfigError(f"{key} must be a number")
+    return float(value)
+
+
+def _count(value, key: str) -> int:
+    if not (_is_number(value) and float(value).is_integer()):
+        raise ConfigError(f"{key} must be a whole number")
+    return int(value)
+
+
 def _as_complex(value, key: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
     if (
         isinstance(value, (list, tuple))
         and len(value) == 2
-        and all(isinstance(x, (int, float)) for x in value)
+        and all(_is_number(x) for x in value)
     ):
         return complex(value[0], value[1])
     raise ConfigError(f"{key} must be a number or a [re, im] pair")
 
 
-def _number(section: dict, key: str, where: str) -> float:
-    if key not in section:
-        raise ConfigError(f"missing key {where}.{key}")
-    value = section[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{where}.{key} must be a number")
-    return float(value)
+def _grid(value: dict, key: str) -> GridSpec:
+    for part in ("start", "stop", "count"):
+        if part not in value:
+            raise ConfigError(f"missing key {key}.{part}")
+    return GridSpec(
+        start=_number(value["start"], f"{key}.start"),
+        stop=_number(value["stop"], f"{key}.stop"),
+        count=_count(value["count"], f"{key}.count"),
+    )
+
+
+def _string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string")
+    return value
+
+
+#: RunConfig field -> (its key in the config file, parser of the value).
+_FIELDS = {
+    "omega0": ("ensemble.omega0", _number),
+    "d_squared": ("ensemble.d_squared", _number),
+    "rho": ("ensemble.rho", _number),
+    "detuning": ("pump.detuning", _number),
+    "rabi": ("pump.rabi", _number),
+    "alpha": ("state.alpha", _as_complex),
+    "beta": ("state.beta", _as_complex),
+    "probe_delta": ("probe.delta", _number),
+    "a0": ("probe.a0", _number),
+    "z_theta": ("z.theta", _number),
+    "z_cm": ("z.cm", _number),
+    "delta_grid": ("grids.delta", _grid),
+    "t_periods": ("grids.t.periods", _number),
+    "t_samples_per_period": ("grids.t.samples_per_period", _count),
+    "guard": ("guard", _number),
+    "steps": ("steps", _count),
+    "out_dir": ("out_dir", _string),
+}
+
+#: Config-file keys whose value is an object of further keys.
+_SECTIONS = {
+    "ensemble", "pump", "state", "probe", "z", "grids", "grids.delta", "grids.t"
+}
+_KEYS = (
+    {key for key, _ in _FIELDS.values()}
+    | _SECTIONS
+    | {f"grids.delta.{part}" for part in ("start", "stop", "count")}
+)
+
+
+def _check_keys(raw: dict, where: str = "") -> None:
+    """Refuse unknown keys and sections that are not objects."""
+    for key, value in raw.items():
+        name = where + key
+        if "." in key or name not in _KEYS:
+            raise ConfigError(f"unknown key {name}")
+        if name in _SECTIONS:
+            if not isinstance(value, dict):
+                raise ConfigError(f"section {name} must be an object")
+            _check_keys(value, name + ".")
 
 
 def config_from_dict(raw: dict) -> RunConfig:
     """Build a RunConfig from parsed JSON, validating structure and values."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-
-    def section(name: str) -> dict:
-        value = raw.get(name, {})
-        if not isinstance(value, dict):
-            raise ConfigError(f"section {name} must be an object")
-        return value
-
-    defaults = RunConfig()
-    ens = section("ensemble")
-    pump = section("pump")
-    state = section("state")
-    probe = section("probe")
-    zsec = section("z")
-    grids = section("grids")
-
-    kwargs = dict(
-        omega0=(
-            _number(ens, "omega0", "ensemble")
-            if "omega0" in ens
-            else defaults.omega0
-        ),
-        d_squared=(
-            _number(ens, "d_squared", "ensemble")
-            if "d_squared" in ens
-            else defaults.d_squared
-        ),
-        rho=_number(ens, "rho", "ensemble") if "rho" in ens else defaults.rho,
-        detuning=(
-            _number(pump, "detuning", "pump")
-            if "detuning" in pump
-            else defaults.detuning
-        ),
-        rabi=_number(pump, "rabi", "pump") if "rabi" in pump else defaults.rabi,
-        alpha=(
-            _as_complex(state["alpha"], "state.alpha")
-            if "alpha" in state
-            else defaults.alpha
-        ),
-        beta=(
-            _as_complex(state["beta"], "state.beta")
-            if "beta" in state
-            else defaults.beta
-        ),
-        probe_delta=(
-            _number(probe, "delta", "probe")
-            if "delta" in probe
-            else defaults.probe_delta
-        ),
-        a0=_number(probe, "a0", "probe") if "a0" in probe else defaults.a0,
-        guard=(
-            _number(raw, "guard", "<root>")
-            if "guard" in raw
-            else defaults.guard
-        ),
-        steps=(
-            int(_number(raw, "steps", "<root>"))
-            if "steps" in raw
-            else defaults.steps
-        ),
-        out_dir=raw.get("out_dir", defaults.out_dir),
-    )
-
+    _check_keys(raw)
+    kwargs = {}
+    for name, (key, parse) in _FIELDS.items():
+        *sections, leaf = key.split(".")
+        section = raw
+        for head in sections:
+            section = section.get(head, {})
+        if leaf in section:
+            kwargs[name] = parse(section[leaf], key)
+    zsec = raw.get("z", {})
     if "theta" in zsec and "cm" in zsec:
         raise ConfigError("z must set exactly one of theta / cm")
     if "cm" in zsec:
         kwargs["z_theta"] = None
-        kwargs["z_cm"] = _number(zsec, "cm", "z")
     elif "theta" in zsec:
-        kwargs["z_theta"] = _number(zsec, "theta", "z")
         kwargs["z_cm"] = None
-
-    if "delta" in grids:
-        dg = grids["delta"]
-        if not isinstance(dg, dict):
-            raise ConfigError("grids.delta must be an object")
-        kwargs["delta_grid"] = GridSpec(
-            start=_number(dg, "start", "grids.delta"),
-            stop=_number(dg, "stop", "grids.delta"),
-            count=int(_number(dg, "count", "grids.delta")),
-        )
-    if "t" in grids:
-        tg = grids["t"]
-        if not isinstance(tg, dict):
-            raise ConfigError("grids.t must be an object")
-        if "periods" in tg:
-            kwargs["t_periods"] = _number(tg, "periods", "grids.t")
-        if "samples_per_period" in tg:
-            kwargs["t_samples_per_period"] = int(
-                _number(tg, "samples_per_period", "grids.t")
-            )
-
-    if not isinstance(kwargs["out_dir"], str):
-        raise ConfigError("out_dir must be a string")
     return RunConfig(**kwargs)
 
 
@@ -255,35 +251,18 @@ def load_config(path: str | Path) -> RunConfig:
 
 def config_to_dict(config: RunConfig) -> dict:
     """Round-trippable JSON form of a configuration."""
-
-    def pair(value: complex):
-        if value.imag == 0.0:
-            return value.real
-        return [value.real, value.imag]
-
-    out: dict = {
-        "ensemble": {
-            "omega0": config.omega0,
-            "d_squared": config.d_squared,
-            "rho": config.rho,
-        },
-        "pump": {"detuning": config.detuning, "rabi": config.rabi},
-        "state": {"alpha": pair(config.alpha), "beta": pair(config.beta)},
-        "probe": {"delta": config.probe_delta, "a0": config.a0},
-        "z": (
-            {"theta": config.z_theta}
-            if config.z_theta is not None
-            else {"cm": config.z_cm}
-        ),
-        "grids": {
-            "delta": asdict(config.delta_grid),
-            "t": {
-                "periods": config.t_periods,
-                "samples_per_period": config.t_samples_per_period,
-            },
-        },
-        "guard": config.guard,
-        "steps": config.steps,
-        "out_dir": config.out_dir,
-    }
+    out: dict = {}
+    for name, (key, _) in _FIELDS.items():
+        value = getattr(config, name)
+        if value is None:
+            continue
+        if isinstance(value, complex):
+            value = value.real if value.imag == 0.0 else [value.real, value.imag]
+        elif isinstance(value, GridSpec):
+            value = asdict(value)
+        *sections, leaf = key.split(".")
+        section = out
+        for head in sections:
+            section = section.setdefault(head, {})
+        section[leaf] = value
     return out

@@ -10,12 +10,18 @@ empty cell leaves the probe undispersed.
 The model is lossless: the index is purely real and diverges at the two
 sideband resonances.  Evaluation inside a configurable guard band around
 those poles is refused rather than regularized.
+
+``resonance_denominators`` owns the guard rule for these and the
+modulation's denominators; it and ``index_parts`` take arrays of probe
+frequencies and mark poles in a mask, which ``refractive_index`` raises.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .constants import CGS, DEFAULT_GUARD
 from .dressed import (
@@ -41,17 +47,74 @@ class DispersionResult:
     beyond_dipole_part: float
 
 
-def _guard_sideband_denominators(
-    delta_po: float, omega_prime: float, guard: float
-) -> tuple[float, float]:
-    """Return the two sideband denominators, refusing the guard band."""
-    den_plus = delta_po + omega_prime
-    den_minus = delta_po - omega_prime
-    if not abs(den_plus) > guard:
-        raise ResonancePole("omega_p - omega + omega_prime", den_plus, guard)
-    if not abs(den_minus) > guard:
-        raise ResonancePole("omega_p - omega - omega_prime", den_minus, guard)
-    return den_plus, den_minus
+def resonance_denominators(
+    pump: PumpField,
+    probe_omega,
+    guard: float = DEFAULT_GUARD,
+    *,
+    rayleigh: bool = True,
+    strict: bool = False,
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """omega_p - omega and omega_p - omega +- omega_prime, and the pole mask.
+
+    A guarded denominator is at a pole unless |den| > guard (NaN is a
+    pole); omega_p - omega is guarded only if ``rayleigh``.  ``strict``
+    raises ResonancePole for the first pole in the order of the result.
+    """
+    delta_po = pump.omega_p - np.asarray(probe_omega, dtype=float)
+    omega_prime = pump.omega_prime
+    named = (
+        ("omega_p - omega", delta_po),
+        ("omega_p - omega + omega_prime", delta_po + omega_prime),
+        ("omega_p - omega - omega_prime", delta_po - omega_prime),
+    )
+    pole = np.zeros(delta_po.shape, dtype=bool)
+    for name, den in named[0 if rayleigh else 1 :]:
+        inside = ~(np.abs(den) > guard)
+        if strict and inside.any():
+            raise ResonancePole(name, float(np.extract(inside, den)[0]), guard)
+        pole |= inside
+    return tuple(den for _, den in named), pole
+
+
+def index_parts(
+    ensemble: AtomEnsemble,
+    pump: PumpField,
+    state: SuperpositionState,
+    probe_omega,
+    guard: float = DEFAULT_GUARD,
+    *,
+    strict: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dipole and beyond-dipole parts of n0 - 1 at each probe frequency.
+
+    Also returns the pole mask; the parts are meaningless under it.
+    """
+    omega = np.asarray(probe_omega, dtype=float)
+    if np.any(omega <= 0):
+        raise ValueError("probe_omega must be strictly positive")
+    pump.require_match(ensemble)
+    (_, den_plus, den_minus), pole = resonance_denominators(
+        pump, omega, guard, rayleigh=False, strict=strict
+    )
+    omega_prime = pump.omega_prime
+    minus, plus = _split_offsets(pump.detuning, pump.rabi)
+    d2w2 = ensemble.d_squared * ensemble.omega0**2
+    dip_plus = d2w2 * minus * minus / (CGS.hbar * omega_prime**2)
+    dip_minus = d2w2 * plus * plus / (CGS.hbar * omega_prime**2)
+    beyond = (CGS.e**2 / CGS.m) * pump.rabi**2 / omega_prime
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # libm pow, which Python's float ** 2 uses; numpy's x**2 is x*x.
+        prefactor = (
+            math.pi
+            * ensemble.rho
+            / (2.0 * np.float_power(omega, 2.0))
+            * state.population_difference
+        )
+        dipole_part = prefactor * (dip_plus / den_plus - dip_minus / den_minus)
+        beyond_part = prefactor * beyond * (1.0 / den_plus - 1.0 / den_minus)
+    return dipole_part, beyond_part, pole
 
 
 def refractive_index(
@@ -76,33 +139,14 @@ def refractive_index(
         If a sideband denominator lies within the guard band; the message
         names the offending denominator.
     """
-    if probe_omega <= 0:
-        raise ValueError("probe_omega must be strictly positive")
-    pump.require_match(ensemble)
-    omega_prime = generalized_rabi(pump.detuning, pump.rabi)
-    minus, plus = _split_offsets(pump.detuning, pump.rabi)
-    delta_po = pump.omega_p - probe_omega
-    den_plus, den_minus = _guard_sideband_denominators(
-        delta_po, omega_prime, guard
+    dipole, beyond, _ = index_parts(
+        ensemble, pump, state, [probe_omega], guard, strict=True
     )
-
-    d2w2 = ensemble.d_squared * ensemble.omega0**2
-    dip_plus = d2w2 * minus * minus / (CGS.hbar * omega_prime**2)
-    dip_minus = d2w2 * plus * plus / (CGS.hbar * omega_prime**2)
-    beyond = (CGS.e**2 / CGS.m) * pump.rabi**2 / omega_prime
-
-    prefactor = (
-        math.pi
-        * ensemble.rho
-        / (2.0 * probe_omega**2)
-        * state.population_difference
-    )
-    dipole_part = prefactor * (dip_plus / den_plus - dip_minus / den_minus)
-    beyond_part = prefactor * beyond * (1.0 / den_plus - 1.0 / den_minus)
+    dipole, beyond = float(dipole[0]), float(beyond[0])
     return DispersionResult(
-        n0=1.0 + dipole_part + beyond_part,
-        dipole_part=dipole_part,
-        beyond_dipole_part=beyond_part,
+        n0=1.0 + dipole + beyond,
+        dipole_part=dipole,
+        beyond_dipole_part=beyond,
     )
 
 

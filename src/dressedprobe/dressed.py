@@ -173,32 +173,6 @@ class PumpField:
     def omega_prime(self) -> float:
         return generalized_rabi(self.detuning, self.rabi)
 
-    def dressed(self) -> "DressedParams":
-        return DressedParams.from_pump(self)
-
-
-@dataclass(frozen=True)
-class DressedParams:
-    """Derived dressed-state parameters of a pump field."""
-
-    omega_prime: float
-    lambda_plus: float
-    lambda_minus: float
-    n_plus: float
-    n_minus: float
-
-    @classmethod
-    def from_pump(cls, pump: PumpField) -> "DressedParams":
-        lam_plus, lam_minus = stark_shifts(pump.detuning, pump.rabi)
-        n_plus, n_minus = normalization_coeffs(pump.detuning, pump.rabi)
-        return cls(
-            omega_prime=generalized_rabi(pump.detuning, pump.rabi),
-            lambda_plus=lam_plus,
-            lambda_minus=lam_minus,
-            n_plus=n_plus,
-            n_minus=n_minus,
-        )
-
 
 @dataclass(frozen=True)
 class SuperpositionState:
@@ -225,19 +199,11 @@ class SuperpositionState:
 
 @dataclass(frozen=True)
 class ProbeField:
-    """Weak monochromatic probe entering the dressed gas.
-
-    The propagation problem only involves the coordinate along the probe
-    direction, so the direction vector is kept purely for bookkeeping.
-    """
+    """Weak monochromatic probe entering the dressed gas along z."""
 
     omega: float
     a0: float = 1.0
-    direction: tuple[float, float, float] = (0.0, 0.0, 1.0)
 
     def __post_init__(self) -> None:
         if self.omega <= 0:
             raise ValueError("probe omega must be strictly positive")
-        norm = math.sqrt(sum(x * x for x in self.direction))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"direction norm {norm!r} must be 1 within 1e-12")

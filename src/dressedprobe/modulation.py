@@ -16,6 +16,11 @@ time whose amplitude (the modulation depth) controls pulse contrast; Im G
 is pure phase modulation.  The exponent is proportional to the coherence
 alpha * beta, so a gas prepared in a single dressed state is not modulated
 at all.
+
+The probe frequency enters only through a1 = K conj(alpha) beta b1 and
+a2 = K alpha conj(beta) b2.  ``sideband_amplitudes`` and ``exponent_sweep``
+evaluate them and G for an array of probe frequencies and mark poles in a
+mask; the scalar functions wrap them and raise ResonancePole instead.
 """
 
 from __future__ import annotations
@@ -27,16 +32,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CGS, DEFAULT_GUARD
-from .dispersion import _guard_sideband_denominators, refractive_index
+from .dispersion import refractive_index, resonance_denominators
 from .dressed import (
     AtomEnsemble,
     ProbeField,
     PumpField,
     SuperpositionState,
     _split_offsets,
-    generalized_rabi,
 )
-from .errors import CausalityViolation, ResonancePole
+from .errors import CausalityViolation
 
 
 @dataclass(frozen=True)
@@ -77,38 +81,18 @@ class FieldSample:
     phase: float
 
 
-def sideband_brackets(
-    pump: PumpField,
-    probe_omega: float,
-    omega_prime: float,
-    guard: float = DEFAULT_GUARD,
-) -> SidebandBrackets:
-    """Evaluate the red- and blue-sideband resonance brackets.
-
-    b1 = (w'+detuning)/(wp-w) + (w'-detuning)/(wp-w+w'),
-    b2 = (w'-detuning)/(wp-w) + (w'+detuning)/(wp-w-w').
-
-    The three denominators mark Rayleigh scattering, one-photon
-    absorption/emission and the stimulated hypercombination resonance;
-    values inside the guard band raise ResonancePole naming the culprit.
-    """
-    delta_po = pump.omega_p - probe_omega
-    if not abs(delta_po) > guard:
-        raise ResonancePole("omega_p - omega", delta_po, guard)
-    den_plus, den_minus = _guard_sideband_denominators(
-        delta_po, omega_prime, guard
-    )
+def _brackets(pump: PumpField, dens) -> tuple:
+    """b1 and b2 from the three resonance denominators."""
+    delta_po, den_plus, den_minus = dens
     minus, plus = _split_offsets(pump.detuning, pump.rabi)
     b1 = plus / delta_po + minus / den_plus
     b2 = minus / delta_po + plus / den_minus
-    return SidebandBrackets(b1=b1, b2=b2)
+    return b1, b2
 
 
-def k_scale(
-    ensemble: AtomEnsemble, pump: PumpField, probe_omega: float
-) -> float:
-    """Dimensionless exponent scale K = 2 pi rho d^2 w0^2 rabi/(hbar w w'^3)."""
-    omega_prime = generalized_rabi(pump.detuning, pump.rabi)
+def k_scale(ensemble: AtomEnsemble, pump: PumpField, probe_omega):
+    """Exponent scale K = 2 pi rho d^2 w0^2 rabi/(hbar w w'^3); w may be an array."""
+    omega_prime = pump.omega_prime
     return (
         2.0
         * math.pi
@@ -120,25 +104,48 @@ def k_scale(
     )
 
 
-def _harmonic_coefficients(
+def sideband_amplitudes(
     ensemble: AtomEnsemble,
     pump: PumpField,
     state: SuperpositionState,
-    probe_omega: float,
-    z: float,
-    guard: float,
-) -> tuple[complex, complex, float]:
-    """Coefficients (c1, c2) of exp(+-i w' t) in G at coordinate z, plus K."""
+    probe_omega,
+    guard: float = DEFAULT_GUARD,
+    *,
+    strict: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """a1 = K conj(alpha) beta b1 and a2 = K alpha conj(beta) b2.
+
+    Also returns the pole mask of all three resonance denominators; the
+    amplitudes are meaningless under it, and ``strict`` raises instead.
+    """
     pump.require_match(ensemble)
-    omega_prime = generalized_rabi(pump.detuning, pump.rabi)
-    brackets = sideband_brackets(pump, probe_omega, omega_prime, guard)
-    scale = k_scale(ensemble, pump, probe_omega)
-    theta = omega_prime * z / CGS.c
-    ramp_red = 1.0 - cmath.exp(-1j * theta)
-    ramp_blue = 1.0 - cmath.exp(1j * theta)
-    c1 = scale * state.alpha.conjugate() * state.beta * ramp_red * brackets.b1
-    c2 = -scale * state.alpha * state.beta.conjugate() * ramp_blue * brackets.b2
-    return c1, c2, scale
+    omega = np.asarray(probe_omega, dtype=float)
+    dens, pole = resonance_denominators(pump, omega, guard, strict=strict)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        b1, b2 = _brackets(pump, dens)
+        scale = k_scale(ensemble, pump, omega)
+        a1 = scale * state.alpha.conjugate() * state.beta * b1
+        a2 = scale * state.alpha * state.beta.conjugate() * b2
+    return a1, a2, pole
+
+
+def sideband_brackets(
+    pump: PumpField,
+    probe_omega: float,
+    guard: float = DEFAULT_GUARD,
+) -> SidebandBrackets:
+    """Evaluate the red- and blue-sideband resonance brackets.
+
+    b1 = (w'+detuning)/(wp-w) + (w'-detuning)/(wp-w+w'),
+    b2 = (w'-detuning)/(wp-w) + (w'+detuning)/(wp-w-w').
+
+    The three denominators mark Rayleigh scattering, one-photon
+    absorption/emission and the stimulated hypercombination resonance;
+    values inside the guard band raise ResonancePole naming the culprit.
+    """
+    dens, _ = resonance_denominators(pump, [probe_omega], guard, strict=True)
+    b1, b2 = _brackets(pump, dens)
+    return SidebandBrackets(b1=float(b1[0]), b2=float(b2[0]))
 
 
 def exponent(
@@ -158,14 +165,17 @@ def exponent(
     """
     if z < 0:
         raise ValueError("z must be non-negative")
-    c1, c2, scale = _harmonic_coefficients(
-        ensemble, pump, state, probe.omega, z, guard
+    a1, a2, _ = sideband_amplitudes(
+        ensemble, pump, state, [probe.omega], guard, strict=True
     )
-    omega_prime = generalized_rabi(pump.detuning, pump.rabi)
-    w = cmath.exp(1j * omega_prime * t)
-    g = c1 * w + c2 * w.conjugate()
-    depth = abs(c1 + c2.conjugate())
-    return ModulationExponent(g=g, k_scale=scale, depth=depth)
+    g = _exponent(a1[0], a2[0], pump.omega_prime, [z], [t])[0, 0]
+    # |c1 + conj(c2)| = |1 - exp(-i w' z / c)| |a1 - conj(a2)|
+    ramp = 2.0 * abs(math.sin(0.5 * pump.omega_prime * z / CGS.c))
+    return ModulationExponent(
+        g=complex(g),
+        k_scale=k_scale(ensemble, pump, probe.omega),
+        depth=ramp * float(abs(a1[0] - np.conj(a2[0]))),
+    )
 
 
 def modulation_depth(
@@ -181,12 +191,7 @@ def modulation_depth(
     R controls the intensity contrast exp(+-2R) of the pulse train and is
     periodic in z with the spatial modulation period 2 pi c / w'.
     """
-    if z < 0:
-        raise ValueError("z must be non-negative")
-    c1, c2, _ = _harmonic_coefficients(
-        ensemble, pump, state, probe.omega, z, guard
-    )
-    return abs(c1 + c2.conjugate())
+    return exponent(ensemble, pump, state, probe, z, 0.0, guard).depth
 
 
 def field_sample(
@@ -231,6 +236,20 @@ def field_sample(
     )
 
 
+def _exponent(a1, a2, omega_prime: float, z, t) -> np.ndarray:
+    """G over the (len(z), len(t)) grid; a1 and a2 broadcast against z.
+
+    The operand shapes pick numpy's complex-multiply loop and with it
+    whether a fused multiply-add rounds, so every caller shares them.
+    """
+    theta = omega_prime * np.asarray(z, dtype=float) / CGS.c
+    ramp_red = (1.0 - np.exp(-1j * theta))[:, None]
+    ramp_blue = (1.0 - np.exp(1j * theta))[:, None]
+    wt = np.exp(1j * omega_prime * np.asarray(t, dtype=float))[None, :]
+    with np.errstate(invalid="ignore", over="ignore"):
+        return a1 * ramp_red * wt - a2 * ramp_blue * np.conj(wt)
+
+
 def exponent_grid(
     ensemble: AtomEnsemble,
     pump: PumpField,
@@ -242,22 +261,33 @@ def exponent_grid(
 ) -> np.ndarray:
     """Vectorized G over the outer product of z and t grids.
 
-    Returns a complex array of shape (len(z), len(t)).  Grid scans factor
-    through the same coefficients as the scalar path, so rows/columns can
-    be evaluated in one shot for sweeps and residual checks.
+    Returns a complex array of shape (len(z), len(t)) for one probe
+    frequency, for residual checks and time series.
     """
-    z = np.asarray(z, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if np.any(z < 0):
+    if np.any(np.asarray(z) < 0):
         raise ValueError("z must be non-negative")
-    pump.require_match(ensemble)
-    omega_prime = generalized_rabi(pump.detuning, pump.rabi)
-    brackets = sideband_brackets(pump, probe_omega, omega_prime, guard)
-    scale = k_scale(ensemble, pump, probe_omega)
-    theta = omega_prime * z / CGS.c
-    ramp_red = (1.0 - np.exp(-1j * theta))[:, None]
-    ramp_blue = (1.0 - np.exp(1j * theta))[:, None]
-    wt = np.exp(1j * omega_prime * t)[None, :]
-    a1 = scale * state.alpha.conjugate() * state.beta * brackets.b1
-    a2 = scale * state.alpha * state.beta.conjugate() * brackets.b2
-    return a1 * ramp_red * wt - a2 * ramp_blue * np.conj(wt)
+    a1, a2, _ = sideband_amplitudes(
+        ensemble, pump, state, [probe_omega], guard, strict=True
+    )
+    return _exponent(a1[0], a2[0], pump.omega_prime, z, t)
+
+
+def exponent_sweep(
+    ensemble: AtomEnsemble,
+    pump: PumpField,
+    state: SuperpositionState,
+    probe_omega: np.ndarray,
+    z: float,
+    t: np.ndarray,
+    guard: float = DEFAULT_GUARD,
+) -> tuple[np.ndarray, np.ndarray]:
+    """G at plane z, shape (len(probe_omega), len(t)), and the pole mask.
+
+    Row i equals ``exponent_grid`` at probe_omega[i]; rows under the mask
+    of ``sideband_amplitudes`` are meaningless.
+    """
+    if z < 0:
+        raise ValueError("z must be non-negative")
+    a1, a2, pole = sideband_amplitudes(ensemble, pump, state, probe_omega, guard)
+    g = _exponent(a1[:, None], a2[:, None], pump.omega_prime, [z], t)
+    return g, pole

@@ -388,9 +388,7 @@ def check_guard_behavior(config: RunConfig) -> CheckResult:
     # delta reconstructed from optical frequencies rounds at the ~0.1 rad/s
     # level, so a 1 rad/s guard stands in for an exact pole hit.
     try:
-        mod.sideband_brackets(
-            pump, pump.omega_p - omega_prime, omega_prime, guard=1.0
-        )
+        mod.sideband_brackets(pump, pump.omega_p - omega_prime, guard=1.0)
         ok = False
         details.append("pole at delta = omega_prime NOT caught")
     except ResonancePole as exc:

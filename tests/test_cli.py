@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from dressedprobe import CGS
+from dressedprobe import CGS, ConfigError, ProbeField, ResonancePole
 from dressedprobe.cli import main, read_evolve_csv
-from dressedprobe.config import RunConfig
+from dressedprobe.config import RunConfig, load_config
+from dressedprobe.dispersion import refractive_index
+from dressedprobe.modulation import exponent
 from dressedprobe.pulsetrain import analyze_train
 
 from conftest import FROZEN
@@ -200,6 +202,28 @@ class TestPulseStats:
             == 2
         )
 
+    def test_rejects_non_uniform_series(self, tmp_path):
+        series_path = tmp_path / "evolve.csv"
+        run_cli("evolve", "--config", TRAIN_CONFIG, "--out", series_path)
+        header, *rows = series_path.read_text().splitlines()
+        thinned = tmp_path / "thinned.csv"
+        kept = [row for i, row in enumerate(rows) if i % 7 != 6]
+        thinned.write_text("\n".join([header, *kept]) + "\n")
+        with pytest.raises(ConfigError, match="uniform"):
+            read_evolve_csv(thinned)
+        assert (
+            run_cli(
+                "pulse-stats",
+                "--config",
+                TRAIN_CONFIG,
+                "--series",
+                thinned,
+                "--out",
+                tmp_path / "stats.json",
+            )
+            == 2
+        )
+
     def test_rejects_malformed_rows(self, tmp_path):
         mangled = tmp_path / "mangled.csv"
         mangled.write_text("t_s,intensity_gain\n0.0,1.0\n1.0,not-a-number\n")
@@ -279,6 +303,131 @@ class TestValidate:
             )
             == 1
         )
+
+
+class TestBadConfigRefused:
+    def test_nan_density_refused(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"ensemble": {"rho": NaN}}')
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep-frequency", "--config", path, "--out", out) == 2
+        assert not out.exists()
+
+    def test_nan_guard_override_refused(self, tmp_path):
+        out = tmp_path / "disp.csv"
+        assert (
+            run_cli(
+                "dispersion-scan",
+                "--config",
+                DEFAULT_CONFIG,
+                "--guard",
+                "nan",
+                "--out",
+                out,
+            )
+            == 2
+        )
+        assert not out.exists()
+
+    def test_unknown_key_refused(self, tmp_path, capsys):
+        path = tmp_path / "typo.json"
+        path.write_text('{"ensemble": {"rhoo": 1}}')
+        out = tmp_path / "report.json"
+        assert run_cli("validate", "--config", path, "--out", out) == 2
+        assert "ensemble.rhoo" in capsys.readouterr().err
+
+
+def _guard_edge_config(tmp_path) -> Path:
+    """Default grid, guard equal to one row's +w' sideband |denominator|."""
+    config = RunConfig()
+    pump = config.pump()
+    delta = config.delta_grid.values()[100]  # -2e11, next to -w'
+    delta_po = pump.omega_p - (pump.omega_p - delta)
+    return write_config(
+        tmp_path, guard=abs(delta_po + config.omega_prime())
+    )
+
+
+def _table(path: Path) -> list[list[str]]:
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+@pytest.mark.parametrize(
+    "grid", ["default", "three_poles", "guard_edge", "complex_state"]
+)
+def test_array_rows_equal_scalar_wrappers(tmp_path, grid):
+    """Every value cell equals the scalar API with ==; POLE rows sit exactly
+    where the scalar API raises ResonancePole."""
+    omega_prime = RunConfig().omega_prime()
+    if grid == "default":
+        path = DEFAULT_CONFIG
+    elif grid == "three_poles":
+        path = write_config(
+            tmp_path,
+            **{
+                "grids.delta": {
+                    "start": -omega_prime,
+                    "stop": omega_prime,
+                    "count": 201,
+                }
+            },
+        )
+    elif grid == "guard_edge":
+        path = _guard_edge_config(tmp_path)
+    else:
+        # Complex alpha and beta: products where a fused multiply-add
+        # changes the last bit, so the two paths must share one algebra.
+        path = write_config(
+            tmp_path,
+            **{
+                "state.alpha": [0.6, 0.48],
+                "state.beta": [0.64 * math.cos(1.0), 0.64 * math.sin(1.0)],
+            },
+        )
+    config = load_config(path)
+    ensemble, pump, state = config.ensemble(), config.pump(), config.state()
+    z, guard = config.z_fixed(), config.guard
+    sweep, scan = tmp_path / "sweep.csv", tmp_path / "scan.csv"
+    assert run_cli("sweep-frequency", "--config", path, "--out", sweep) == 0
+    assert run_cli("dispersion-scan", "--config", path, "--out", scan) == 0
+
+    sweep_poles = set()
+    for i, (delta, solid, dashed, marker) in enumerate(_table(sweep)):
+        probe = ProbeField(omega=pump.omega_p - float(delta))
+        try:
+            expected = [
+                exponent(ensemble, pump, state, probe, z, t, guard).g.real
+                for t in (math.pi / omega_prime, 2.0 * math.pi / omega_prime)
+            ]
+        except ResonancePole:
+            assert (marker, solid, dashed) == ("POLE", "", "")
+            sweep_poles.add(i)
+            continue
+        assert marker == ""
+        assert [float(solid), float(dashed)] == expected
+
+    scan_poles = set()
+    for i, (omega, n0, dipole, beyond, marker) in enumerate(_table(scan)):
+        try:
+            result = refractive_index(ensemble, pump, state, float(omega), guard)
+        except ResonancePole:
+            assert (marker, n0, dipole, beyond) == ("POLE", "", "", "")
+            scan_poles.add(i)
+            continue
+        assert marker == ""
+        assert [float(n0), float(dipole), float(beyond)] == [
+            result.n0,
+            result.dipole_part,
+            result.beyond_dipole_part,
+        ]
+
+    # The sweep also guards omega_p - omega, so its poles include the scan's.
+    assert scan_poles <= sweep_poles
+    if grid == "three_poles":
+        assert {0, 100, 200} <= sweep_poles and {0, 200} <= scan_poles
+    if grid == "guard_edge":
+        assert 100 in scan_poles and 100 in sweep_poles
+        assert 99 not in scan_poles and 101 not in scan_poles
 
 
 def test_unknown_command_rejected():

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -89,3 +91,62 @@ def test_grid_values_inclusive_endpoints():
     grid = GridSpec(start=-1.0, stop=1.0, count=5)
     assert grid.values() == [-1.0, -0.5, 0.0, 0.5, 1.0]
     assert GridSpec(start=3.0, stop=3.0, count=1).values() == [3.0]
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "raw, fragment",
+    [
+        ({"ensemble": {"rho": NAN}}, "ensemble.rho"),
+        ({"ensemble": {"omega0": INF}}, "ensemble.omega0"),
+        ({"state": {"alpha": NAN}}, "state.alpha"),
+        ({"state": {"beta": [0.1, NAN]}}, "state.beta"),
+        ({"guard": NAN}, "guard"),
+        ({"z": {"cm": INF}}, "z.cm"),
+        ({"grids": {"t": {"periods": INF}}}, "grids.t.periods"),
+    ],
+)
+def test_non_finite_values_rejected(raw, fragment):
+    with pytest.raises(ConfigError, match=fragment.replace(".", r"\.")):
+        config_from_dict(raw)
+
+
+def test_non_finite_override_rejected():
+    # CLI overrides bypass the loader and land in RunConfig directly.
+    with pytest.raises(ConfigError, match="guard"):
+        dataclasses.replace(RunConfig(), guard=NAN)
+
+
+@pytest.mark.parametrize(
+    "raw, fragment",
+    [
+        ({"steps": 1.9}, "steps"),
+        ({"grids": {"delta": {"start": -1.0, "stop": 1.0, "count": 2.5}}}, "count"),
+        ({"grids": {"t": {"samples_per_period": 512.5}}}, "samples_per_period"),
+        ({"state": {"alpha": True}}, "state.alpha"),
+        ({"state": {"beta": [False, 0.1]}}, "state.beta"),
+    ],
+)
+def test_booleans_and_fractional_counts_rejected(raw, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "raw, name",
+    [
+        ({"ensemble": {"rhoo": 1.0}}, "ensemble.rhoo"),
+        ({"guardd": 1.0}, "guardd"),
+        ({"ensemble.rho": 1.0}, "ensemble.rho"),
+        ({"z": {"phase": 1.0}}, "z.phase"),
+        ({"grids": {"f": {}}}, "grids.f"),
+        ({"grids": {"delta": {"start": 0.0, "stop": 1.0, "count": 3, "n": 1}}}, "grids.delta.n"),
+        ({"grids": {"t": {"period": 3.0}}}, "grids.t.period"),
+    ],
+)
+def test_unknown_keys_rejected(raw, name):
+    with pytest.raises(ConfigError, match=f"unknown key {re.escape(name)}"):
+        config_from_dict(raw)

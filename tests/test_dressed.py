@@ -11,8 +11,6 @@ from dressedprobe import (
     AtomEnsemble,
     ConfigError,
     DegenerateDressing,
-    DressedParams,
-    ProbeField,
     PumpField,
     SuperpositionState,
     ZeroRabi,
@@ -164,23 +162,11 @@ class TestTypes:
         with pytest.raises(ConfigError):
             pump.require_match(ensemble_dense)
 
-    def test_dressed_params(self, pump):
-        params = DressedParams.from_pump(pump)
-        assert params.omega_prime == pytest.approx(
-            FROZEN["omega_prime"], rel=1e-12
-        )
-        assert params.n_plus < params.n_minus  # red detuning
-
     def test_state_normalization_enforced(self):
         with pytest.raises(ValueError):
             SuperpositionState(alpha=1.0, beta=0.1)
         state = SuperpositionState(alpha=math.sqrt(0.5), beta=1j * math.sqrt(0.5))
         assert state.population_difference == pytest.approx(0.0, abs=1e-15)
-
-    def test_probe_direction_must_be_unit(self):
-        with pytest.raises(ValueError):
-            ProbeField(omega=1e15, direction=(0.0, 0.0, 2.0))
-        ProbeField(omega=1e15, direction=(0.0, 1.0, 0.0))
 
     def test_types_frozen(self, pump, state):
         with pytest.raises(AttributeError):

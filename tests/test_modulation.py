@@ -57,13 +57,13 @@ class TestSidebandBrackets:
         rabi = 6.0e9
         pump = PumpField.for_ensemble(ensemble_dense, detuning=0.0, rabi=rabi)
         brackets = sideband_brackets(
-            pump, pump.omega_p - 2.0 * rabi, rabi, guard=0.0
+            pump, pump.omega_p - 2.0 * rabi, guard=0.0
         )
         assert brackets.b1 == pytest.approx(5.0 / 6.0, rel=1e-12)
         assert brackets.b2 == pytest.approx(3.0 / 2.0, rel=1e-12)
 
     def test_documented_values(self, pump, probe):
-        brackets = sideband_brackets(pump, probe.omega, pump.omega_prime)
+        brackets = sideband_brackets(pump, probe.omega)
         assert brackets.b1 == pytest.approx(FROZEN["b1"], rel=1e-12)
         assert brackets.b2 == pytest.approx(FROZEN["b2"], rel=1e-12)
         b1, b2 = oracles.sideband_brackets(DETUNING, RABI, PROBE_DELTA)
@@ -73,20 +73,18 @@ class TestSidebandBrackets:
     def test_pole_at_hypercombination_offset(self, pump):
         omega_prime = pump.omega_prime
         with pytest.raises(ResonancePole) as info:
-            sideband_brackets(
-                pump, pump.omega_p - omega_prime, omega_prime
-            )
+            sideband_brackets(pump, pump.omega_p - omega_prime)
         assert info.value.denominator == "omega_p - omega - omega_prime"
 
     def test_exact_pole_hit_with_zero_guard(self):
         # Small exact numbers: delta_po = omega_prime = 3 exactly.
         pump = PumpField(omega_p=10.0, rabi=3.0, detuning=0.0)
         with pytest.raises(ResonancePole):
-            sideband_brackets(pump, 7.0, 3.0, guard=0.0)
+            sideband_brackets(pump, 7.0, guard=0.0)
 
     def test_rayleigh_pole(self, pump):
         with pytest.raises(ResonancePole) as info:
-            sideband_brackets(pump, pump.omega_p, pump.omega_prime)
+            sideband_brackets(pump, pump.omega_p)
         assert info.value.denominator == "omega_p - omega"
 
 
@@ -239,7 +237,7 @@ class TestDepth:
     ):
         z = 0.18 * geometry["length"]
         theta = pump.omega_prime * z / CGS.c
-        brackets = sideband_brackets(pump, probe.omega, pump.omega_prime)
+        brackets = sideband_brackets(pump, probe.omega)
         scale = k_scale(ensemble_train, pump, probe.omega)
         expected = (
             scale
