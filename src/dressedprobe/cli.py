@@ -29,6 +29,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -42,19 +43,50 @@ from .errors import ConfigError, DressedProbeError
 from .validation import run_all
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return format(value, ".17g")
+#: Rows the CSV table writer formats with one ``%`` operation.
+_BLOCK_ROWS = 8192
 
 
-def _write_rows(path: Path, columns: list[str], rows: list[tuple]) -> None:
+def _write_table(
+    path: Path,
+    columns: list[str],
+    values: np.ndarray,
+    pole: np.ndarray | None = None,
+) -> None:
+    """Write a header and one ``%.17g`` row per row of the 2-d ``values``.
+
+    With a ``pole`` mask the last column is the marker: empty on ordinary
+    rows, ``POLE`` on masked rows, which keep only their first value.
+    ``'%.17g' % x`` is ``format(x, '.17g')`` for every float.
+    """
+    width = values.shape[1]
+    row = ",".join(["%.17g"] * width)
+    if pole is not None:
+        row += ","
+        keep = np.ones(values.shape, dtype=bool)
+        keep[pole, 1:] = False
+    templates = (row + "\n", "%.17g" + "," * width + "POLE\n")
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as out:
+        out.write(",".join(columns) + "\n")
+        for start in range(0, len(values), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            if pole is None:
+                cells = values[block].ravel()
+                text = templates[0] * (cells.size // width)
+            else:
+                cells = values[block][keep[block]]
+                text = "".join(templates[p] for p in pole[block].tolist())
+            out.write(text % tuple(cells.tolist()))
+
+
+def _json_rows(values: np.ndarray, pole: np.ndarray) -> list[list]:
+    """Table rows as JSON lists: a POLE row keeps only its first value."""
+    blank = [None] * (values.shape[1] - 1)
+    return [
+        [row[0], *blank, "POLE"] if at_pole else [*row, ""]
+        for row, at_pole in zip(values.tolist(), pole.tolist())
+    ]
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -80,26 +112,22 @@ def _load(args) -> RunConfig:
     return config
 
 
-def sweep_frequency_rows(config: RunConfig) -> list[tuple]:
-    """(delta, Re G at arrival, Re G half a period later, pole marker)."""
+def sweep_frequency_rows(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Columns (delta, Re G at arrival, Re G half a period later) and the
+    pole mask; the Re G cells of a pole row are meaningless."""
     pump = config.pump()
     omega_prime = config.omega_prime()
-    deltas = config.delta_grid.values()
+    deltas = np.array(config.delta_grid.values())
     g, pole = mod.exponent_sweep(
         config.ensemble(),
         pump,
         config.state(),
-        pump.omega_p - np.array(deltas),
+        pump.omega_p - deltas,
         config.z_fixed(),
         [math.pi / omega_prime, 2.0 * math.pi / omega_prime],
         config.guard,
     )
-    return [
-        (delta, None, None, "POLE") if at_pole else (delta, *re_g, "")
-        for delta, re_g, at_pole in zip(
-            deltas, g.real.tolist(), pole.tolist()
-        )
-    ]
+    return np.column_stack((deltas, g.real)), pole
 
 
 def evolve_series(config: RunConfig) -> tuple[pt.TimeSeries, dict]:
@@ -126,9 +154,7 @@ def evolve_series(config: RunConfig) -> tuple[pt.TimeSeries, dict]:
             "intensity gain exceeds double-precision range at these "
             "parameters; reduce rho, the coherence, or the plane depth"
         )
-    series = pt.TimeSeries(
-        z=z, t0=t0, dt=dt, gains=tuple(np.exp(2.0 * g.real))
-    )
+    series = pt.TimeSeries(z=z, t0=t0, dt=dt, gains=np.exp(2.0 * g.real))
     stats: dict = {
         "z_cm": z,
         "omega_prime_rad_per_s": omega_prime,
@@ -157,67 +183,65 @@ def evolve_series(config: RunConfig) -> tuple[pt.TimeSeries, dict]:
     return series, stats
 
 
-def dispersion_rows(config: RunConfig) -> list[tuple]:
-    """(omega, n0, dipole part, beyond-dipole part, pole marker)."""
+def dispersion_rows(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Columns (omega, n0, dipole part, beyond-dipole part) and the pole
+    mask; the index cells of a pole row are meaningless."""
     pump = config.pump()
     omega = pump.omega_p - np.array(config.delta_grid.values())
     dipole, beyond, pole = index_parts(
         config.ensemble(), pump, config.state(), omega, config.guard
     )
     values = np.column_stack((omega, 1.0 + dipole + beyond, dipole, beyond))
-    return [
-        (row[0], None, None, None, "POLE") if at_pole else (*row, "")
-        for row, at_pole in zip(values.tolist(), pole.tolist())
-    ]
+    return values, pole
 
 
 def _emit_table(
-    args, config: RunConfig, name: str, columns: list[str], rows: list[tuple]
+    args,
+    config: RunConfig,
+    name: str,
+    columns: list[str],
+    table: tuple[np.ndarray, np.ndarray],
 ) -> Path:
+    values, pole = table
     if args.format == "json":
         path = _out_path(args, config, f"{name}.json")
-        _write_json(
-            path,
-            {"columns": columns, "rows": [list(r) for r in rows]},
-        )
+        _write_json(path, {"columns": columns, "rows": _json_rows(values, pole)})
     else:
         path = _out_path(args, config, f"{name}.csv")
-        _write_rows(path, columns, rows)
+        _write_table(path, columns, values, pole)
+    print(f"wrote {len(values)} rows to {path}")
     return path
 
 
 def _cmd_sweep_frequency(args) -> int:
     config = _load(args)
-    rows = sweep_frequency_rows(config)
-    path = _emit_table(
+    _emit_table(
         args,
         config,
         "sweep_frequency",
         ["delta_rad_per_s", "re_g_solid", "re_g_dashed", "pole"],
-        rows,
+        sweep_frequency_rows(config),
     )
-    print(f"wrote {len(rows)} rows to {path}")
     return 0
 
 
 def _cmd_evolve(args) -> int:
     config = _load(args)
     series, stats = evolve_series(config)
-    rows = list(zip(series.times.tolist(), series.gains))
+    values = np.column_stack((series.times, series.gains))
     columns = ["t_s", "intensity_gain"]
     if args.format == "json":
         path = _out_path(args, config, "evolve.json")
         _write_json(
-            path,
-            {"columns": columns, "rows": [list(r) for r in rows], "stats": stats},
+            path, {"columns": columns, "rows": values.tolist(), "stats": stats}
         )
-        print(f"wrote {len(rows)} rows + stats to {path}")
+        print(f"wrote {len(values)} rows + stats to {path}")
     else:
         path = _out_path(args, config, "evolve.csv")
-        _write_rows(path, columns, rows)
+        _write_table(path, columns, values)
         stats_path = path.with_suffix(path.suffix + ".stats.json")
         _write_json(stats_path, stats)
-        print(f"wrote {len(rows)} rows to {path}, stats to {stats_path}")
+        print(f"wrote {len(values)} rows to {path}, stats to {stats_path}")
     if "error" in stats:
         print(f"stats: {stats['error']}: {stats['message']}")
     return 0
@@ -225,8 +249,7 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_dispersion_scan(args) -> int:
     config = _load(args)
-    rows = dispersion_rows(config)
-    path = _emit_table(
+    _emit_table(
         args,
         config,
         "dispersion_scan",
@@ -237,26 +260,37 @@ def _cmd_dispersion_scan(args) -> int:
             "beyond_dipole_part",
             "pole",
         ],
-        rows,
+        dispersion_rows(config),
     )
-    print(f"wrote {len(rows)} rows to {path}")
     return 0
 
 
 def read_evolve_csv(path: str | Path) -> pt.TimeSeries:
-    """Parse a CSV produced by the evolve subcommand back into a series."""
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0].split(",")[:2] != ["t_s", "intensity_gain"]:
-        raise ConfigError(f"{path} is not an evolve series CSV")
-    times = []
-    gains = []
-    for line in lines[1:]:
-        try:
-            t_text, gain_text = line.split(",")[:2]
-            times.append(float(t_text))
-            gains.append(float(gain_text))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: malformed row {line!r}") from exc
+    """Parse a CSV produced by the evolve subcommand back into a series.
+
+    Only the first two columns are read; blank lines are skipped.
+    """
+    try:
+        with open(path) as lines:
+            header = lines.readline()
+        if header.strip().split(",")[:2] != ["t_s", "intensity_gain"]:
+            raise ConfigError(f"{path} is not an evolve series CSV")
+        with warnings.catch_warnings():
+            # A header-only file is refused below, not warned about.
+            warnings.simplefilter("ignore", UserWarning)
+            body = np.loadtxt(
+                path,
+                delimiter=",",
+                skiprows=1,
+                usecols=(0, 1),
+                ndmin=2,
+                comments=None,
+            )
+    except OSError as exc:
+        raise ConfigError(f"cannot read series: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: malformed row: {exc}") from exc
+    times, gains = body[:, 0], body[:, 1]
     if len(times) < 2:
         raise ConfigError(f"{path} holds fewer than 2 samples")
     dt = times[1] - times[0]
@@ -264,7 +298,7 @@ def read_evolve_csv(path: str | Path) -> pt.TimeSeries:
     if np.max(np.abs(np.diff(times) - dt)) > 1e-9 * abs(dt):
         raise ConfigError(f"{path}: time column is not uniform")
     try:
-        return pt.TimeSeries(z=0.0, t0=times[0], dt=dt, gains=tuple(gains))
+        return pt.TimeSeries(z=0.0, t0=float(times[0]), dt=float(dt), gains=gains)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

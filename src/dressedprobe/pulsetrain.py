@@ -20,28 +20,33 @@ from .errors import NonCommensurate, ShallowModulation, UnderSampled
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
     """Uniformly sampled intensity-gain series at a fixed coordinate.
 
     The sample coordinate is normally time (seconds), but nothing below
     depends on that: a spatial cut works identically with dt meaning the
     grid spacing in cm and the rate argument rescaled to w'/c.
+
+    ``gains`` is stored as a read-only 1-d float64 copy of the argument.
+    Equality and hashing are by identity, so the array is never compared.
     """
 
     z: float
     t0: float
     dt: float
-    gains: tuple[float, ...]
+    gains: np.ndarray
 
     def __post_init__(self) -> None:
         if self.dt <= 0:
             raise ValueError("dt must be strictly positive")
-        gains = tuple(float(g) for g in self.gains)
+        gains = np.array(self.gains, dtype=np.float64)
+        gains.flags.writeable = False
         object.__setattr__(self, "gains", gains)
-        if len(gains) == 0:
-            raise ValueError("gains must be non-empty")
-        if any(g <= 0 or not math.isfinite(g) for g in gains):
+        if gains.ndim != 1 or gains.size == 0:
+            raise ValueError("gains must be a non-empty 1-d sequence")
+        # NaN fails both comparisons, inf the second.
+        if not np.all((gains > 0.0) & (gains < np.inf)):
             raise ValueError("all gains must be finite and strictly positive")
 
     @property
@@ -121,7 +126,7 @@ def analyze_train(series: TimeSeries, omega_prime: float) -> PulseTrainStats:
             f"series spans {n * series.dt / period_nominal:.2f} periods; "
             "need >= 2"
         )
-    ln = np.log(np.asarray(series.gains, dtype=float))
+    ln = np.log(series.gains)
 
     if ln.min() >= ln.max() - _LN2:
         raise ShallowModulation(

@@ -93,7 +93,7 @@ def check_modulation_periods(config: RunConfig) -> CheckResult:
         ensemble, pump, state, probe.omega, np.array([z_fixed]), t, config.guard
     )[0]
     series = pt.TimeSeries(
-        z=z_fixed, t0=t0, dt=period / spp, gains=tuple(np.exp(2.0 * g.real))
+        z=z_fixed, t0=t0, dt=period / spp, gains=np.exp(2.0 * g.real)
     )
     stats = pt.analyze_train(series, omega_prime)
     err_t = abs(stats.period - period) / period
@@ -104,7 +104,7 @@ def check_modulation_periods(config: RunConfig) -> CheckResult:
         ensemble, pump, state, probe.omega, z, np.array([t_fix]), config.guard
     )[:, 0]
     series_z = pt.TimeSeries(
-        z=0.0, t0=0.0, dt=length / spp, gains=tuple(np.exp(2.0 * gz.real))
+        z=0.0, t0=0.0, dt=length / spp, gains=np.exp(2.0 * gz.real)
     )
     stats_z = pt.analyze_train(series_z, omega_prime / CGS.c)
     err_z = abs(stats_z.period - length) / length
@@ -358,7 +358,7 @@ def check_train_stats(config: RunConfig) -> CheckResult:
         ensemble, pump, state, probe.omega, np.array([z_fixed]), t, config.guard
     )[0]
     series = pt.TimeSeries(
-        z=z_fixed, t0=t0, dt=period / spp, gains=tuple(np.exp(2.0 * g.real))
+        z=z_fixed, t0=t0, dt=period / spp, gains=np.exp(2.0 * g.real)
     )
     stats = pt.analyze_train(series, omega_prime)
     depth = mod.modulation_depth(

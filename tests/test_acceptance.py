@@ -94,11 +94,11 @@ def test_criterion_2_antiperiodicity_and_sweep_mirror(
     )
     worst = float(np.max(np.abs(g + g_shift) / (1.0 + np.abs(g))))
 
-    rows = sweep_frequency_rows(RunConfig())
+    values, pole = sweep_frequency_rows(RunConfig())
     mirror_worst = 0.0
     evaluated = 0
-    for _, solid, dashed, pole in rows:
-        if pole == "POLE":
+    for (_, solid, dashed), at_pole in zip(values.tolist(), pole.tolist()):
+        if at_pole:
             continue
         evaluated += 1
         mirror_worst = max(

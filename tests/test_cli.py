@@ -6,10 +6,17 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dressedprobe import CGS, ConfigError, ProbeField, ResonancePole
-from dressedprobe.cli import main, read_evolve_csv
+from dressedprobe import CGS, ConfigError, ProbeField, ResonancePole, cli
+from dressedprobe.cli import (
+    dispersion_rows,
+    evolve_series,
+    main,
+    read_evolve_csv,
+    sweep_frequency_rows,
+)
 from dressedprobe.config import RunConfig, load_config
 from dressedprobe.dispersion import refractive_index
 from dressedprobe.modulation import exponent
@@ -240,6 +247,206 @@ class TestPulseStats:
             == 2
         )
 
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_refuses_unreadable_series(self, tmp_path, capsys, target):
+        series = tmp_path / "nope.csv"
+        if target == "directory":
+            series.mkdir()
+        out = tmp_path / "stats.json"
+        assert (
+            run_cli(
+                "pulse-stats",
+                "--config",
+                TRAIN_CONFIG,
+                "--series",
+                series,
+                "--out",
+                out,
+            )
+            == 2
+        )
+        assert "ConfigError" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _reference_csv(columns: list[str], rows) -> bytes:
+    """The per-cell CSV writer the table writer must reproduce byte for
+    byte: format(v, '.17g') per float, '' for None, strings verbatim."""
+
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, str):
+            return value
+        return format(value, ".17g")
+
+    lines = [",".join(columns)]
+    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _reference_rows(values: np.ndarray, pole: np.ndarray) -> list[tuple]:
+    width = values.shape[1]
+    return [
+        (row[0], *[None] * (width - 1), "POLE") if at_pole else (*row, "")
+        for row, at_pole in zip(values.tolist(), pole.tolist())
+    ]
+
+
+def _three_poles_config(tmp_path) -> Path:
+    """A 201-row grid on -w'..w' that hits all three poles."""
+    omega_prime = RunConfig().omega_prime()
+    return write_config(
+        tmp_path,
+        **{
+            "grids.delta": {
+                "start": -omega_prime,
+                "stop": omega_prime,
+                "count": 201,
+            }
+        },
+    )
+
+
+class TestTableWriter:
+    def test_evolve_csv_equals_per_cell_writer(self, tmp_path):
+        out = tmp_path / "evolve.csv"
+        assert run_cli("evolve", "--config", TRAIN_CONFIG, "--out", out) == 0
+        series, _ = evolve_series(load_config(TRAIN_CONFIG))
+        rows = zip(series.times.tolist(), series.gains.tolist())
+        assert out.read_bytes() == _reference_csv(
+            ["t_s", "intensity_gain"], rows
+        )
+
+    def test_pole_tables_equal_per_cell_writer(self, tmp_path):
+        path = _three_poles_config(tmp_path)
+        config = load_config(path)
+        for command, rows_of, columns in (
+            (
+                "sweep-frequency",
+                sweep_frequency_rows,
+                ["delta_rad_per_s", "re_g_solid", "re_g_dashed", "pole"],
+            ),
+            (
+                "dispersion-scan",
+                dispersion_rows,
+                [
+                    "omega_rad_per_s",
+                    "n0",
+                    "dipole_part",
+                    "beyond_dipole_part",
+                    "pole",
+                ],
+            ),
+        ):
+            values, pole = rows_of(config)
+            assert pole.sum() >= 2
+            out = tmp_path / f"{command}.csv"
+            assert run_cli(command, "--config", path, "--out", out) == 0
+            assert out.read_bytes() == _reference_csv(
+                columns, _reference_rows(values, pole)
+            )
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 8192])
+    def test_edge_values_across_blocks(self, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+        edges = [
+            -0.0,
+            5e-324,
+            2.2250738585072014e-308,
+            1e16,
+            1.7976931348623157e308,
+            0.1,
+            1.0 / 3.0,
+            -2.5e-11,
+            math.inf,
+            -math.inf,
+            math.nan,
+        ]
+        values = np.array([edges, edges[::-1], edges[3:] + edges[:3]]).T
+        plain = tmp_path / "plain.csv"
+        cli._write_table(plain, ["a", "b", "c"], values)
+        assert plain.read_bytes() == _reference_csv(
+            ["a", "b", "c"], values.tolist()
+        )
+        pole = np.arange(len(values)) % 3 == 1
+        marked = tmp_path / "marked.csv"
+        cli._write_table(marked, ["a", "b", "c", "pole"], values, pole)
+        assert marked.read_bytes() == _reference_csv(
+            ["a", "b", "c", "pole"], _reference_rows(values, pole)
+        )
+
+    def test_empty_table_is_header_only(self, tmp_path):
+        out = tmp_path / "empty.csv"
+        cli._write_table(out, ["a", "pole"], np.empty((0, 1)), np.zeros(0, bool))
+        assert out.read_bytes() == b"a,pole\n"
+
+
+class TestSeriesReader:
+    def test_values_bit_equal_to_float(self, tmp_path):
+        out = tmp_path / "evolve.csv"
+        run_cli("evolve", "--config", TRAIN_CONFIG, "--out", out)
+        cells = [
+            line.split(",")
+            for line in out.read_text().splitlines()[1:]
+        ]
+        times = [float(t) for t, _ in cells]
+        gains = np.array([float(g) for _, g in cells])
+        series = read_evolve_csv(out)
+        assert series.gains.tobytes() == gains.tobytes()
+        assert series.t0 == times[0]
+        assert series.dt == times[1] - times[0]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "t_s,intensity_gain\n0.0,1.0\n1.0,not-a-number\n",
+            "t_s,intensity_gain\n0.0,1.0\n1.0\n2.0,1.0\n",
+            "t_s,intensity_gain\n",
+            "t_s,intensity_gain\n0.0,1.0\n",
+            "",
+            "time,gain\n0.0,1.0\n1.0,2.0\n",
+            "t_s,intensity_gain\n0.0,1.0\n1.0,0.0\n2.0,1.0\n",
+            "t_s,intensity_gain\n0.0,1.0\n1.0,nan\n2.0,1.0\n",
+        ],
+        ids=[
+            "malformed_cell",
+            "one_column_row",
+            "header_only",
+            "one_sample",
+            "empty_file",
+            "foreign_header",
+            "zero_gain",
+            "nan_gain",
+        ],
+    )
+    def test_refused_with_exit_2(self, tmp_path, text):
+        series = tmp_path / "series.csv"
+        series.write_text(text)
+        with pytest.raises(ConfigError):
+            read_evolve_csv(series)
+        assert (
+            run_cli(
+                "pulse-stats",
+                "--config",
+                TRAIN_CONFIG,
+                "--series",
+                series,
+                "--out",
+                tmp_path / "stats.json",
+            )
+            == 2
+        )
+
+    def test_extra_columns_and_blank_lines_accepted(self, tmp_path):
+        series = tmp_path / "series.csv"
+        series.write_text(
+            "t_s,intensity_gain,note\n0.0,1.0,a\n\n1.0,2.0,b,c\n2.0,1.5\n\n"
+        )
+        parsed = read_evolve_csv(series)
+        assert (parsed.t0, parsed.dt) == (0.0, 1.0)
+        assert parsed.gains.tolist() == [1.0, 2.0, 1.5]
+
 
 class TestDispersionScan:
     def test_rows_and_split(self, tmp_path):
@@ -362,16 +569,7 @@ def test_array_rows_equal_scalar_wrappers(tmp_path, grid):
     if grid == "default":
         path = DEFAULT_CONFIG
     elif grid == "three_poles":
-        path = write_config(
-            tmp_path,
-            **{
-                "grids.delta": {
-                    "start": -omega_prime,
-                    "stop": omega_prime,
-                    "count": 201,
-                }
-            },
-        )
+        path = _three_poles_config(tmp_path)
     elif grid == "guard_edge":
         path = _guard_edge_config(tmp_path)
     else:

@@ -98,6 +98,28 @@ class TestAnalyzeTrain:
         with pytest.raises(ValueError):
             TimeSeries(z=0.0, t0=0.0, dt=1.0, gains=(1.0, math.inf))
 
+    def test_nan_gain_rejected(self):
+        with pytest.raises(ValueError):
+            TimeSeries(z=0.0, t0=0.0, dt=1.0, gains=(1.0, math.nan))
+
+    def test_two_dimensional_gains_rejected(self):
+        with pytest.raises(ValueError):
+            TimeSeries(z=0.0, t0=0.0, dt=1.0, gains=[[1.0, 2.0], [2.0, 1.0]])
+
+    def test_gains_are_a_read_only_copy(self):
+        source = np.array([1.0, 2.0, 1.0])
+        series = TimeSeries(z=0.0, t0=0.0, dt=1.0, gains=source)
+        assert series.gains.dtype == np.float64
+        with pytest.raises(ValueError):
+            series.gains[0] = 5.0
+        source[0] = 5.0
+        assert series.gains[0] == 1.0
+        # Equality and hash by identity: the array is never compared or
+        # hashed element-wise.
+        twin = TimeSeries(z=0.0, t0=0.0, dt=1.0, gains=series.gains)
+        assert series != twin and series == series
+        assert len({series, twin}) == 2
+
 
 class TestClosedFormFwhm:
     def test_ln2_depth(self):
