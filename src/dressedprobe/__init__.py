@@ -34,12 +34,10 @@ from .dressed import (
     stark_shifts,
 )
 from .errors import (
-    CausalityViolation,
     ConfigError,
     DegenerateDressing,
     DressedProbeError,
     GridTooCoarse,
-    NonCommensurate,
     ResonancePole,
     ShallowModulation,
     StepTooCoarse,
@@ -48,12 +46,10 @@ from .errors import (
     ZeroRabi,
 )
 from .modulation import (
-    FieldSample,
     ModulationExponent,
     SidebandBrackets,
     exponent,
     exponent_grid,
-    field_sample,
     k_scale,
     modulation_depth,
     sideband_brackets,
@@ -63,7 +59,6 @@ from .pulsetrain import (
     TimeSeries,
     analyze_train,
     fwhm_closed_form,
-    spectrum,
 )
 
 __version__ = "0.1.0"
@@ -71,17 +66,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AtomEnsemble",
     "CGS",
-    "CausalityViolation",
     "ConfigError",
     "DEFAULT_GUARD",
     "DegenerateDressing",
     "DispersionResult",
     "DressedProbeError",
-    "FieldSample",
     "GridSpec",
     "GridTooCoarse",
     "ModulationExponent",
-    "NonCommensurate",
     "PhysicalConstants",
     "ProbeField",
     "PulseTrainStats",
@@ -104,7 +96,6 @@ __all__ = [
     "derive_coefficients",
     "exponent",
     "exponent_grid",
-    "field_sample",
     "fwhm_closed_form",
     "generalized_rabi",
     "integrate_characteristic",
@@ -116,6 +107,5 @@ __all__ = [
     "refractive_index",
     "residual_check",
     "sideband_brackets",
-    "spectrum",
     "stark_shifts",
 ]

@@ -149,12 +149,7 @@ def evolve_series(config: RunConfig) -> tuple[pt.TimeSeries, dict]:
     g = mod.exponent_grid(
         ensemble, pump, state, probe.omega, np.array([z]), t, config.guard
     )[0]
-    if float(np.max(np.abs(2.0 * g.real))) > 709.0:
-        raise ConfigError(
-            "intensity gain exceeds double-precision range at these "
-            "parameters; reduce rho, the coherence, or the plane depth"
-        )
-    series = pt.TimeSeries(z=z, t0=t0, dt=dt, gains=np.exp(2.0 * g.real))
+    series = pt.TimeSeries(t0=t0, dt=dt, gains=mod.intensity_gain(g))
     stats: dict = {
         "z_cm": z,
         "omega_prime_rad_per_s": omega_prime,
@@ -298,7 +293,7 @@ def read_evolve_csv(path: str | Path) -> pt.TimeSeries:
     if np.max(np.abs(np.diff(times) - dt)) > 1e-9 * abs(dt):
         raise ConfigError(f"{path}: time column is not uniform")
     try:
-        return pt.TimeSeries(z=0.0, t0=float(times[0]), dt=float(dt), gains=gains)
+        return pt.TimeSeries(t0=float(times[0]), dt=float(dt), gains=gains)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

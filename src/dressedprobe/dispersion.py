@@ -29,7 +29,6 @@ from .dressed import (
     PumpField,
     SuperpositionState,
     _split_offsets,
-    generalized_rabi,
 )
 from .errors import ResonancePole, ZeroDipole
 
@@ -77,6 +76,18 @@ def resonance_denominators(
     return tuple(den for _, den in named), pole
 
 
+def _numerators(ensemble: AtomEnsemble, pump: PumpField) -> tuple:
+    """Dipole numerators of the red and blue sideband terms, then the
+    beyond-dipole numerator (e^2/m)(rabi^2/omega_prime)."""
+    omega_prime = pump.omega_prime
+    minus, plus = _split_offsets(pump.detuning, pump.rabi)
+    d2w2 = ensemble.d_squared * ensemble.omega0**2
+    dip_plus = d2w2 * minus * minus / (CGS.hbar * omega_prime**2)
+    dip_minus = d2w2 * plus * plus / (CGS.hbar * omega_prime**2)
+    beyond = (CGS.e**2 / CGS.m) * pump.rabi**2 / omega_prime
+    return dip_plus, dip_minus, beyond
+
+
 def index_parts(
     ensemble: AtomEnsemble,
     pump: PumpField,
@@ -97,13 +108,7 @@ def index_parts(
     (_, den_plus, den_minus), pole = resonance_denominators(
         pump, omega, guard, rayleigh=False, strict=strict
     )
-    omega_prime = pump.omega_prime
-    minus, plus = _split_offsets(pump.detuning, pump.rabi)
-    d2w2 = ensemble.d_squared * ensemble.omega0**2
-    dip_plus = d2w2 * minus * minus / (CGS.hbar * omega_prime**2)
-    dip_minus = d2w2 * plus * plus / (CGS.hbar * omega_prime**2)
-    beyond = (CGS.e**2 / CGS.m) * pump.rabi**2 / omega_prime
-
+    dip_plus, dip_minus, beyond = _numerators(ensemble, pump)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # libm pow, which Python's float ** 2 uses; numpy's x**2 is x*x.
         prefactor = (
@@ -167,14 +172,5 @@ def beyond_dipole_fraction(ensemble: AtomEnsemble, pump: PumpField) -> float:
         raise ZeroDipole("dipole matrix element is zero")
     if pump.rabi == 0:
         return 0.0
-    omega_prime = generalized_rabi(pump.detuning, pump.rabi)
-    minus, _ = _split_offsets(pump.detuning, pump.rabi)
-    numerator = (CGS.e**2 / CGS.m) * pump.rabi**2 / omega_prime
-    denominator = (
-        ensemble.d_squared
-        * ensemble.omega0**2
-        * minus
-        * minus
-        / (CGS.hbar * omega_prime**2)
-    )
-    return numerator / denominator
+    dip_plus, _, beyond = _numerators(ensemble, pump)
+    return beyond / dip_plus

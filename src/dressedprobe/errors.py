@@ -32,20 +32,12 @@ class ResonancePole(DressedProbeError):
         )
 
 
-class CausalityViolation(DressedProbeError):
-    """Sample requested ahead of the wavefront (t < z/c)."""
-
-
 class ShallowModulation(DressedProbeError):
     """Modulation too shallow for the requested pulse measure."""
 
 
 class UnderSampled(DressedProbeError):
     """Series does not meet the span or sampling-density preconditions."""
-
-
-class NonCommensurate(DressedProbeError):
-    """Window does not hold an integer number of modulation periods."""
 
 
 class StepTooCoarse(DressedProbeError):

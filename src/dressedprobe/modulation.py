@@ -21,18 +21,18 @@ The probe frequency enters only through a1 = K conj(alpha) beta b1 and
 a2 = K alpha conj(beta) b2.  ``sideband_amplitudes`` and ``exponent_sweep``
 evaluate them and G for an array of probe frequencies and mark poles in a
 mask; the scalar functions wrap them and raise ResonancePole instead.
+``intensity_gain`` turns G into the observable exp(2 Re G).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import CGS, DEFAULT_GUARD
-from .dispersion import refractive_index, resonance_denominators
+from .dispersion import resonance_denominators
 from .dressed import (
     AtomEnsemble,
     ProbeField,
@@ -40,7 +40,7 @@ from .dressed import (
     SuperpositionState,
     _split_offsets,
 )
-from .errors import CausalityViolation
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -68,17 +68,6 @@ class ModulationExponent:
     g: complex
     k_scale: float
     depth: float
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """Probe field evaluated at one (z, t) point behind the wavefront."""
-
-    z: float
-    t: float
-    amplitude: complex
-    intensity_gain: float
-    phase: float
 
 
 def _brackets(pump: PumpField, dens) -> tuple:
@@ -194,48 +183,6 @@ def modulation_depth(
     return exponent(ensemble, pump, state, probe, z, 0.0, guard).depth
 
 
-def field_sample(
-    ensemble: AtomEnsemble,
-    pump: PumpField,
-    state: SuperpositionState,
-    probe: ProbeField,
-    z: float,
-    t: float,
-    guard: float = DEFAULT_GUARD,
-) -> FieldSample:
-    """Sample the probe envelope at (z, t), z in cm along the probe.
-
-    The solution is only valid behind the wavefront, t >= z/c.  The
-    returned phase is the slowly varying one: Im G plus the dispersive
-    advance omega (n0 - 1) z / c.
-
-    Raises
-    ------
-    CausalityViolation
-        If the sample point is ahead of the wavefront.
-    """
-    wavefront = z / CGS.c
-    slack = 1e-12 * max(abs(t), wavefront)
-    if t + slack < wavefront:
-        raise CausalityViolation(
-            f"t = {t!r} s is ahead of the wavefront z/c = {wavefront!r} s"
-        )
-    mod = exponent(ensemble, pump, state, probe, z, t, guard)
-    disp = refractive_index(ensemble, pump, state, probe.omega, guard)
-    try:
-        amplitude = probe.a0 * cmath.exp(mod.g)
-    except OverflowError:
-        amplitude = probe.a0 * cmath.rect(math.inf, mod.g.imag)
-    try:
-        gain = math.exp(2.0 * mod.g.real)
-    except OverflowError:
-        gain = math.inf
-    phase = mod.g.imag + probe.omega * (disp.n0 - 1.0) * z / CGS.c
-    return FieldSample(
-        z=z, t=t, amplitude=amplitude, intensity_gain=gain, phase=phase
-    )
-
-
 def _exponent(a1, a2, omega_prime: float, z, t) -> np.ndarray:
     """G over the (len(z), len(t)) grid; a1 and a2 broadcast against z.
 
@@ -291,3 +238,20 @@ def exponent_sweep(
     a1, a2, pole = sideband_amplitudes(ensemble, pump, state, probe_omega, guard)
     g = _exponent(a1[:, None], a2[:, None], pump.omega_prime, [z], t)
     return g, pole
+
+
+def intensity_gain(g: np.ndarray) -> np.ndarray:
+    """Probe intensity gain exp(2 Re G) of an array of exponents.
+
+    Raises
+    ------
+    ConfigError
+        If some |2 Re G| is too large for exp in double precision.
+    """
+    twice_re = 2.0 * g.real
+    if float(np.max(np.abs(twice_re))) > 709.0:
+        raise ConfigError(
+            "intensity gain exceeds double-precision range at these "
+            "parameters; reduce rho, the coherence, or the plane depth"
+        )
+    return np.exp(twice_re)

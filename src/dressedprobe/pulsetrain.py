@@ -15,24 +15,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonCommensurate, ShallowModulation, UnderSampled
+from .errors import ShallowModulation, UnderSampled
 
 _LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """Uniformly sampled intensity-gain series at a fixed coordinate.
+    """Uniformly sampled intensity-gain series along one coordinate.
 
-    The sample coordinate is normally time (seconds), but nothing below
-    depends on that: a spatial cut works identically with dt meaning the
-    grid spacing in cm and the rate argument rescaled to w'/c.
+    The coordinate is normally time (seconds) at a fixed plane, but
+    nothing below depends on that: a spatial cut works identically with dt
+    meaning the grid spacing in cm and the rate argument rescaled to w'/c.
 
     ``gains`` is stored as a read-only 1-d float64 copy of the argument.
     Equality and hashing are by identity, so the array is never compared.
     """
 
-    z: float
     t0: float
     dt: float
     gains: np.ndarray
@@ -197,48 +196,3 @@ def fwhm_closed_form(depth: float, omega_prime: float) -> float:
             f"depth {depth:.3g} <= ln2/4; pulses are not separated"
         )
     return (2.0 / omega_prime) * math.acos(1.0 - _LN2 / (2.0 * depth))
-
-
-def spectrum(
-    amplitudes: np.ndarray, dt: float, omega_prime: float
-) -> list[tuple[int, float]]:
-    """Sideband power spectrum of a complex envelope series.
-
-    The window must hold an integer number of modulation periods (within
-    half a sample) so that every sideband falls on an exact transform bin;
-    a rectangular window then keeps the lines exact.  Returns
-    (offset m, relative power) pairs for the envelope component at
-    frequency offset m * omega_prime, with powers normalized to the total
-    time-domain mean power (their sum is 1 for a periodic envelope).
-
-    Raises
-    ------
-    NonCommensurate
-        If the series length is not an integer number of periods.
-    """
-    a = np.asarray(amplitudes, dtype=complex)
-    if a.ndim != 1 or len(a) < 2:
-        raise ValueError("amplitudes must be a 1-d array with >= 2 samples")
-    if dt <= 0:
-        raise ValueError("dt must be strictly positive")
-    if omega_prime <= 0:
-        raise ValueError("omega_prime must be strictly positive")
-    n = len(a)
-    period = 2.0 * math.pi / omega_prime
-    span = n * dt
-    periods = round(span / period)
-    if periods < 1 or abs(span - periods * period) > 0.5 * dt:
-        raise NonCommensurate(
-            f"window of {span / period:.6g} periods is not an integer "
-            "number of periods within half a sample"
-        )
-    total = float(np.mean(np.abs(a) ** 2))
-    if total == 0.0:
-        raise ValueError("series has zero power")
-    coeffs = np.fft.fft(a) / n
-    per_period = n // periods
-    lines = []
-    for m in range(-(per_period // 2), (per_period + 1) // 2):
-        k = (m * periods) % n
-        lines.append((m, float(np.abs(coeffs[k]) ** 2) / total))
-    return lines

@@ -92,9 +92,7 @@ def check_modulation_periods(config: RunConfig) -> CheckResult:
     g = mod.exponent_grid(
         ensemble, pump, state, probe.omega, np.array([z_fixed]), t, config.guard
     )[0]
-    series = pt.TimeSeries(
-        z=z_fixed, t0=t0, dt=period / spp, gains=np.exp(2.0 * g.real)
-    )
+    series = pt.TimeSeries(t0=t0, dt=period / spp, gains=mod.intensity_gain(g))
     stats = pt.analyze_train(series, omega_prime)
     err_t = abs(stats.period - period) / period
 
@@ -103,9 +101,7 @@ def check_modulation_periods(config: RunConfig) -> CheckResult:
     gz = mod.exponent_grid(
         ensemble, pump, state, probe.omega, z, np.array([t_fix]), config.guard
     )[:, 0]
-    series_z = pt.TimeSeries(
-        z=0.0, t0=0.0, dt=length / spp, gains=np.exp(2.0 * gz.real)
-    )
+    series_z = pt.TimeSeries(t0=0.0, dt=length / spp, gains=mod.intensity_gain(gz))
     stats_z = pt.analyze_train(series_z, omega_prime / CGS.c)
     err_z = abs(stats_z.period - length) / length
 
@@ -133,9 +129,8 @@ def check_zero_mean_jensen(config: RunConfig) -> CheckResult:
         t,
         config.guard,
     )[0]
-    re = g.real
-    mean_re = abs(float(np.mean(re)))
-    gains = np.exp(2.0 * re)
+    mean_re = abs(float(np.mean(g.real)))
+    gains = mod.intensity_gain(g)
     mean_gain = float(np.mean(gains))
     geo = float(np.max(gains) * np.min(gains))
     ok = mean_re < 1e-9 and mean_gain >= 1.0 and abs(geo - 1.0) < 1e-6
@@ -357,9 +352,7 @@ def check_train_stats(config: RunConfig) -> CheckResult:
     g = mod.exponent_grid(
         ensemble, pump, state, probe.omega, np.array([z_fixed]), t, config.guard
     )[0]
-    series = pt.TimeSeries(
-        z=z_fixed, t0=t0, dt=period / spp, gains=np.exp(2.0 * g.real)
-    )
+    series = pt.TimeSeries(t0=t0, dt=period / spp, gains=mod.intensity_gain(g))
     stats = pt.analyze_train(series, omega_prime)
     depth = mod.modulation_depth(
         ensemble, pump, state, probe, z_fixed, config.guard

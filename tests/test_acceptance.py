@@ -126,7 +126,7 @@ def test_criterion_3_modulation_periods(ensemble_dense, pump, state, probe):
         ensemble_dense, pump, state, probe.omega, np.array([Z_HALF]), t
     )[0]
     series = TimeSeries(
-        z=Z_HALF, t0=t0, dt=PERIOD / spp, gains=tuple(np.exp(2.0 * g.real))
+        t0=t0, dt=PERIOD / spp, gains=tuple(np.exp(2.0 * g.real))
     )
     stats = analyze_train(series, OMEGA_PRIME)
     err_t = abs(stats.period - FROZEN["t_mod"]) / FROZEN["t_mod"]
@@ -141,7 +141,7 @@ def test_criterion_3_modulation_periods(ensemble_dense, pump, state, probe):
         np.array([math.pi / OMEGA_PRIME]),
     )[:, 0]
     series_z = TimeSeries(
-        z=0.0, t0=0.0, dt=LENGTH / spp, gains=tuple(np.exp(2.0 * gz.real))
+        t0=0.0, dt=LENGTH / spp, gains=tuple(np.exp(2.0 * gz.real))
     )
     stats_z = analyze_train(series_z, OMEGA_PRIME / CGS.c)
     err_z = abs(stats_z.period - FROZEN["l_mod"]) / FROZEN["l_mod"]
@@ -257,7 +257,7 @@ def test_criterion_6_pulse_train_fidelity(ensemble_train, pump, state, probe):
         ensemble_train, pump, state, probe.omega, np.array([Z_HALF]), t
     )[0]
     series = TimeSeries(
-        z=Z_HALF, t0=t0, dt=PERIOD / spp, gains=tuple(np.exp(2.0 * g.real))
+        t0=t0, dt=PERIOD / spp, gains=tuple(np.exp(2.0 * g.real))
     )
     stats = analyze_train(series, OMEGA_PRIME)
     depth = modulation_depth(ensemble_train, pump, state, probe, Z_HALF)

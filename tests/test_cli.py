@@ -511,6 +511,21 @@ class TestValidate:
             == 1
         )
 
+    def test_overflowing_gain_fails_cleanly(self, tmp_path):
+        # Twice the default density: 2 Re G exceeds the double range.
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"ensemble": {"rho": 4e15}}))
+        out = tmp_path / "report.json"
+        assert run_cli("validate", "--config", config, "--out", out) == 1
+        checks = json.loads(out.read_text())["checks"]
+        failed = [c for c in checks if not c["passed"]]
+        assert len(checks) == 12 and len(failed) == 3
+        for check in failed:
+            assert check["name"].startswith(
+                ("modulation_periods", "zero_mean_jensen", "train_stats")
+            )
+            assert check["detail"].startswith("ConfigError: ")
+
 
 class TestBadConfigRefused:
     def test_nan_density_refused(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Envelope exponent and field samples: oracle values and exact symmetries."""
+"""Envelope exponent and intensity gain: oracle values and exact symmetries."""
 
 from __future__ import annotations
 
@@ -12,18 +12,18 @@ from hypothesis import given, settings, strategies as st
 from dressedprobe import (
     CGS,
     AtomEnsemble,
-    CausalityViolation,
+    ConfigError,
     ProbeField,
     PumpField,
     ResonancePole,
     SuperpositionState,
     exponent,
     exponent_grid,
-    field_sample,
     k_scale,
     modulation_depth,
     sideband_brackets,
 )
+from dressedprobe.modulation import intensity_gain
 
 import oracles
 from conftest import (
@@ -269,53 +269,6 @@ class TestDepth:
         assert float(np.max(g.real)) == pytest.approx(depth, rel=1e-6)
         assert float(np.min(g.real)) == pytest.approx(-depth, rel=1e-6)
 
-
-class TestFieldSample:
-    def test_entry_face(self, ensemble_dense, pump, state, probe):
-        sample = field_sample(ensemble_dense, pump, state, probe, 0.0, 0.0)
-        assert sample.amplitude == probe.a0
-        assert sample.intensity_gain == 1.0
-
-    def test_causality(self, ensemble_dense, pump, state, probe, geometry):
-        z = geometry["z_half"]
-        with pytest.raises(CausalityViolation):
-            field_sample(
-                ensemble_dense, pump, state, probe, z, 0.5 * z / CGS.c
-            )
-        # Arrival exactly at the wavefront is allowed.
-        field_sample(ensemble_dense, pump, state, probe, z, z / CGS.c)
-
-    def test_pure_state_keeps_unit_gain_but_advances_phase(
-        self, ensemble_dense, pump, probe, geometry
-    ):
-        pure = SuperpositionState(alpha=0.0, beta=1.0)
-        z = geometry["z_half"]
-        sample = field_sample(
-            ensemble_dense, pump, pure, probe, z, 2.0 * z / CGS.c
-        )
-        assert sample.intensity_gain == 1.0
-        from dressedprobe import refractive_index
-
-        disp = refractive_index(ensemble_dense, pump, pure, probe.omega)
-        assert disp.n0 != 1.0
-        assert sample.phase == pytest.approx(
-            probe.omega * (disp.n0 - 1.0) * z / CGS.c, rel=1e-12
-        )
-
-    def test_gain_identity_and_documented_point(
-        self, ensemble_dense, pump, state, probe, geometry
-    ):
-        z, t = geometry["z_half"], geometry["t_half"]
-        mod = exponent(ensemble_dense, pump, state, probe, z, t)
-        sample = field_sample(ensemble_dense, pump, state, probe, z, t)
-        assert sample.intensity_gain == math.exp(2.0 * mod.g.real)
-        assert sample.intensity_gain == pytest.approx(
-            math.exp(2.0 * FROZEN["re_g_dense"]), rel=1e-9
-        )
-        assert abs(sample.amplitude) == pytest.approx(
-            probe.a0 * math.exp(mod.g.real), rel=1e-12
-        )
-
     def test_jensen_and_geometric_mean(
         self, ensemble_train, pump, state, probe, geometry
     ):
@@ -331,10 +284,21 @@ class TestFieldSample:
             1.0, rel=1e-9
         )
 
-    def test_overflowing_gain_saturates_to_inf(self, pump, state, probe, geometry):
-        huge = AtomEnsemble(
-            omega0=OMEGA0, d=math.sqrt(D_SQUARED), rho=100.0 * RHO_DENSE
-        )
-        z, t = geometry["z_half"], geometry["t_half"]
-        sample = field_sample(huge, pump, state, probe, z, t)
-        assert sample.intensity_gain == math.inf
+
+class TestIntensityGain:
+    def test_equals_exp_of_twice_re_g(
+        self, ensemble_train, pump, state, probe, geometry
+    ):
+        t = np.linspace(0.0, geometry["period"], 256, endpoint=False)
+        z = np.array([0.0, geometry["z_half"]])
+        g = exponent_grid(ensemble_train, pump, state, probe.omega, z, t)
+        assert np.array_equal(intensity_gain(g), np.exp(2.0 * g.real))
+
+    @pytest.mark.parametrize("re_g", [354.6, -354.6])
+    def test_beyond_double_range_refused(self, re_g):
+        with pytest.raises(ConfigError, match="double-precision range"):
+            intensity_gain(np.array([0.0, complex(re_g, 1.0)]))
+
+    def test_limit_is_inclusive(self):
+        gains = intensity_gain(np.array([354.5 + 2j, -354.5 + 0j]))
+        assert gains.tolist() == [math.exp(709.0), math.exp(-709.0)]

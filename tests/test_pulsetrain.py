@@ -1,4 +1,4 @@
-"""Pulse-train statistics and the sideband spectrum."""
+"""Pulse-train statistics of sampled and module-generated gain series."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 
 from dressedprobe import (
     CGS,
-    NonCommensurate,
     ShallowModulation,
     TimeSeries,
     UnderSampled,
@@ -17,7 +16,6 @@ from dressedprobe import (
     exponent_grid,
     fwhm_closed_form,
     modulation_depth,
-    spectrum,
 )
 
 from conftest import FROZEN
@@ -31,7 +29,7 @@ def synthetic_series(depth, samples_per_period=512, periods=3, phase=0.0):
     dt = PERIOD / samples_per_period
     t = dt * np.arange(round(periods * samples_per_period))
     gains = np.exp(2.0 * depth * np.cos(OMEGA_PRIME * t + phase))
-    return TimeSeries(z=0.0, t0=0.0, dt=dt, gains=tuple(gains))
+    return TimeSeries(t0=0.0, dt=dt, gains=tuple(gains))
 
 
 class TestAnalyzeTrain:
@@ -83,32 +81,32 @@ class TestAnalyzeTrain:
 
     def test_flat_series_rejected(self):
         flat = TimeSeries(
-            z=0.0, t0=0.0, dt=PERIOD / 128, gains=(1.0,) * 512
+            t0=0.0, dt=PERIOD / 128, gains=(1.0,) * 512
         )
         with pytest.raises(ShallowModulation):
             analyze_train(flat, OMEGA_PRIME)
 
     def test_series_validation(self):
         with pytest.raises(ValueError):
-            TimeSeries(z=0.0, t0=0.0, dt=-1.0, gains=(1.0,))
+            TimeSeries(t0=0.0, dt=-1.0, gains=(1.0,))
         with pytest.raises(ValueError):
-            TimeSeries(z=0.0, t0=0.0, dt=1.0, gains=())
+            TimeSeries(t0=0.0, dt=1.0, gains=())
         with pytest.raises(ValueError):
-            TimeSeries(z=0.0, t0=0.0, dt=1.0, gains=(1.0, 0.0))
+            TimeSeries(t0=0.0, dt=1.0, gains=(1.0, 0.0))
         with pytest.raises(ValueError):
-            TimeSeries(z=0.0, t0=0.0, dt=1.0, gains=(1.0, math.inf))
+            TimeSeries(t0=0.0, dt=1.0, gains=(1.0, math.inf))
 
     def test_nan_gain_rejected(self):
         with pytest.raises(ValueError):
-            TimeSeries(z=0.0, t0=0.0, dt=1.0, gains=(1.0, math.nan))
+            TimeSeries(t0=0.0, dt=1.0, gains=(1.0, math.nan))
 
     def test_two_dimensional_gains_rejected(self):
         with pytest.raises(ValueError):
-            TimeSeries(z=0.0, t0=0.0, dt=1.0, gains=[[1.0, 2.0], [2.0, 1.0]])
+            TimeSeries(t0=0.0, dt=1.0, gains=[[1.0, 2.0], [2.0, 1.0]])
 
     def test_gains_are_a_read_only_copy(self):
         source = np.array([1.0, 2.0, 1.0])
-        series = TimeSeries(z=0.0, t0=0.0, dt=1.0, gains=source)
+        series = TimeSeries(t0=0.0, dt=1.0, gains=source)
         assert series.gains.dtype == np.float64
         with pytest.raises(ValueError):
             series.gains[0] = 5.0
@@ -116,7 +114,7 @@ class TestAnalyzeTrain:
         assert series.gains[0] == 1.0
         # Equality and hash by identity: the array is never compared or
         # hashed element-wise.
-        twin = TimeSeries(z=0.0, t0=0.0, dt=1.0, gains=series.gains)
+        twin = TimeSeries(t0=0.0, dt=1.0, gains=series.gains)
         assert series != twin and series == series
         assert len({series, twin}) == 2
 
@@ -159,7 +157,7 @@ def train_stats(ensemble_train, pump, state, probe):
         ensemble_train, pump, state, probe.omega, np.array([z]), t
     )[0]
     series = TimeSeries(
-        z=z, t0=t0, dt=period / spp, gains=tuple(np.exp(2.0 * g.real))
+        t0=t0, dt=period / spp, gains=tuple(np.exp(2.0 * g.real))
     )
     depth = modulation_depth(ensemble_train, pump, state, probe, z)
     return analyze_train(series, omega_prime), depth
@@ -189,59 +187,3 @@ class TestClosedLoop:
         assert stats.peak_gain * stats.min_gain == pytest.approx(
             1.0, rel=1e-6
         )
-
-
-class TestSpectrum:
-    def test_unmodulated_carrier(self):
-        lines = dict(spectrum(np.ones(256, complex), PERIOD / 256, OMEGA_PRIME))
-        assert lines[0] == pytest.approx(1.0, rel=1e-12)
-        assert all(p == 0.0 for m, p in lines.items() if m != 0)
-
-    def test_parseval(self, ensemble_train, pump, state, probe):
-        omega_prime = pump.omega_prime
-        z = math.pi * CGS.c / omega_prime
-        n = 1024
-        dt = PERIOD / 512
-        t = dt * np.arange(n)
-        g = exponent_grid(
-            ensemble_train, pump, state, probe.omega, np.array([z]), t
-        )[0]
-        amps = np.exp(g)
-        lines = spectrum(amps, dt, omega_prime)
-        assert sum(p for _, p in lines) == pytest.approx(1.0, rel=1e-9)
-
-    def test_single_sideband_lands_on_its_bin(self):
-        n = 512
-        dt = PERIOD / 256
-        t = dt * np.arange(n)
-        amps = np.exp(1j * 3.0 * OMEGA_PRIME * t)
-        lines = dict(spectrum(amps, dt, OMEGA_PRIME))
-        assert lines[3] == pytest.approx(1.0, rel=1e-9)
-        assert sum(p for m, p in lines.items() if m != 3) < 1e-12
-
-    def test_pulse_train_spreads_over_many_sidebands(
-        self, ensemble_train, pump, state, probe
-    ):
-        omega_prime = pump.omega_prime
-        z = math.pi * CGS.c / omega_prime
-        n = 1024
-        dt = PERIOD / n
-        t = dt * np.arange(n)
-        g = exponent_grid(
-            ensemble_train, pump, state, probe.omega, np.array([z]), t
-        )[0]
-        lines = spectrum(np.exp(g), dt, omega_prime)
-        strong = [m for m, p in lines if p > 1e-6]
-        assert len(strong) >= 50
-        # Content reaches offsets of the order of the modulation depth.
-        assert max(abs(m) for m in strong) >= 50
-
-    def test_non_commensurate_window_rejected(self):
-        n = 300
-        dt = PERIOD / 256
-        with pytest.raises(NonCommensurate):
-            spectrum(np.ones(n, complex), dt, OMEGA_PRIME)
-
-    def test_zero_series_rejected(self):
-        with pytest.raises(ValueError):
-            spectrum(np.zeros(256, complex), PERIOD / 256, OMEGA_PRIME)
