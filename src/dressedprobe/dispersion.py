@@ -37,7 +37,7 @@ from .errors import ResonancePole, ZeroDipole
 class DispersionResult:
     """Refractive index split into its two physical contributions.
 
-    ``n0 - 1 == dipole_part + beyond_dipole_part`` exactly; the split lets
+    n0 is ``1.0 + dipole_part + beyond_dipole_part`` rounded; the split lets
     the non-saturating beyond-dipole term be explored parametrically.
     """
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from dressedprobe import (
     SuperpositionState,
     closed_form_log_amplitude,
     derive_coefficients,
+    exponent,
     integrate_characteristic,
     log_amplitude_grid,
     refractive_index,
@@ -130,25 +132,27 @@ class TestIntegrateCharacteristic:
         assert abs(numeric - closed) / (1.0 + abs(closed)) < 1e-6
 
     def test_fourth_order_convergence(self, ensemble_train, pump, state, probe):
-        # Measured over an incommensurate fraction of the spatial period;
+        # The sideband part alone (D is integrated exactly and only adds
+        # rounding), over an incommensurate fraction of the spatial period:
         # over a whole period the truncation terms cancel spectrally.
-        coefs = derive_coefficients(ensemble_train, pump, state, probe)
-        z_end = 0.37 * LENGTH
-        closed = closed_form_log_amplitude(
-            ensemble_train, pump, state, probe, z_end, z_end / CGS.c
+        coefs = replace(
+            derive_coefficients(ensemble_train, pump, state, probe), d_coef=0.0
         )
+        z_end = 0.37 * LENGTH
+        closed = exponent(
+            ensemble_train, pump, state, probe, z_end, z_end / CGS.c
+        ).g
+        steps = [math.ceil(0.37 * n) for n in (1000, 1414, 2000)]
         errors = [
-            abs(
-                integrate_characteristic(
-                    coefs, z_end, 0.0, math.ceil(0.37 * per_period)
-                )
-                - closed
-            )
-            for per_period in (1000, 2000, 4000)
+            abs(integrate_characteristic(coefs, z_end, 0.0, n) - closed)
+            for n in steps
         ]
-        ratios = [errors[0] / errors[1], errors[1] / errors[2]]
-        for ratio in ratios:
-            assert 8.0 < ratio < 32.0, f"expected ~16x per halving: {ratios}"
+        orders = [
+            math.log(errors[i] / errors[i + 1]) / math.log(steps[i + 1] / steps[i])
+            for i in range(2)
+        ]
+        for order in orders:
+            assert 3.5 < order < 4.5, f"expected fourth order: {orders}"
 
 
 @pytest.fixture(scope="module")
