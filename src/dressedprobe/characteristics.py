@@ -22,6 +22,7 @@ independent in their propagation, not in their inputs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +39,10 @@ MIN_STEPS_PER_PERIOD = 1000
 
 #: Default minimum grid points per modulation period for residual checks.
 MIN_GRID_PER_PERIOD = 128
+
+#: Quadrature nodes evaluated at once, which bounds the memory of one
+#: integration at any step count.
+_CHUNK_NODES = 2**16
 
 
 @dataclass(frozen=True)
@@ -95,8 +100,9 @@ def integrate_characteristic(
     for a ray entering the medium at time t_entry, which equals classical
     fourth-order Runge-Kutta because the right-hand side does not depend
     on ln A.  The weighted right-hand sides at the 2 steps + 1 nodes are
-    summed exactly.  Returns ln A(z_end); the initial log-amplitude is
-    zero.
+    evaluated ``_CHUNK_NODES`` at a time and summed exactly, so the result
+    does not depend on the chunking.  Returns ln A(z_end); the initial
+    log-amplitude is zero.
 
     Raises
     ------
@@ -118,11 +124,26 @@ def integrate_characteristic(
         )
 
     h = z_end / steps
-    weights = np.tile([2.0, 4.0], steps + 1)[: 2 * steps + 1]
-    weights[0] = weights[-1] = 1.0
-    z = np.arange(2 * steps + 1) * (0.5 * h)
-    terms = (h / 6.0) * weights * _rhs(coefs, t_entry + z / CGS.c)
-    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+    nodes = 2 * steps + 1
+
+    def chunks(part):
+        for start in range(0, nodes, _CHUNK_NODES):
+            stop = min(start + _CHUNK_NODES, nodes)
+            weights = np.full(stop - start, 2.0)
+            weights[(start + 1) % 2 :: 2] = 4.0
+            if start == 0:
+                weights[0] = 1.0
+            if stop == nodes:
+                weights[-1] = 1.0
+            z = np.arange(start, stop) * (0.5 * h)
+            terms = (h / 6.0) * weights * _rhs(coefs, t_entry + z / CGS.c)
+            yield memoryview(part(terms))
+
+    real, imag = (
+        math.fsum(itertools.chain.from_iterable(chunks(part)))
+        for part in (np.real, np.imag)
+    )
+    return complex(real, imag)
 
 
 def closed_form_log_amplitude(

@@ -268,7 +268,10 @@ def check_rk4_convergence(config: RunConfig) -> tuple[bool, str]:
 
 @_check("fd_residual_convergence")
 def check_fd_residual(config: RunConfig) -> tuple[bool, str]:
-    """Centered-difference residual converges at second order."""
+    """Centered-difference residual converges at second order.
+
+    Without a sideband part the residual is rounding only and has no order.
+    """
     ensemble, pump, state, probe = _objects(config)
     omega_prime = config.omega_prime()
     period = 2.0 * math.pi / omega_prime
@@ -276,6 +279,8 @@ def check_fd_residual(config: RunConfig) -> tuple[bool, str]:
     coefs = chars.derive_coefficients(
         ensemble, pump, state, probe, config.guard
     )
+    if coefs.ls == 0 and coefs.rs == 0:
+        return False, "no sideband part: the residual is rounding only, no order"
     residuals = []
     for n in (64, 128, 256):
         z = np.linspace(0.0, length, n + 1)

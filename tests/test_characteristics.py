@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import dressedprobe.characteristics as chars
 from dressedprobe import (
     CGS,
     AtomEnsemble,
@@ -95,6 +97,29 @@ class TestIntegrateCharacteristic:
         with pytest.raises(StepTooCoarse):
             integrate_characteristic(coefs, 0.25 * LENGTH, 0.0, 249)
         integrate_characteristic(coefs, 0.25 * LENGTH, 0.0, 250)
+
+    def test_memory_bounded_at_many_steps(
+        self, ensemble_train, pump, state, probe
+    ):
+        # All 2e6 + 1 nodes at once took a 160 MB peak.
+        coefs = derive_coefficients(ensemble_train, pump, state, probe)
+        tracemalloc.start()
+        try:
+            integrate_characteristic(coefs, LENGTH, 0.0, 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
+    def test_chunking_leaves_the_sum_unchanged(
+        self, ensemble_train, pump, state, probe, monkeypatch
+    ):
+        coefs = derive_coefficients(ensemble_train, pump, state, probe)
+        args = (coefs, 1.3 * LENGTH, 0.4 * PERIOD, 1300)
+        whole = integrate_characteristic(*args)
+        for nodes in (3, 1000):
+            monkeypatch.setattr(chars, "_CHUNK_NODES", nodes)
+            assert integrate_characteristic(*args) == whole
 
     def test_negative_span_rejected(self, ensemble_train, pump, state, probe):
         coefs = derive_coefficients(ensemble_train, pump, state, probe)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -375,6 +376,61 @@ class TestTableWriter:
         assert marked.read_bytes() == _reference_csv(
             ["a", "b", "c", "pole"], _reference_rows(values, pole)
         )
+
+    @staticmethod
+    def _assert_as_reference(tmp_path, values, pole=None):
+        columns = [f"c{i}" for i in range(values.shape[1])]
+        rows = values.tolist()
+        if pole is not None:
+            columns.append("pole")
+            rows = _reference_rows(values, pole)
+        out = tmp_path / "table.csv"
+        cli._write_table(out, columns, values, pole)
+        assert out.read_bytes() == _reference_csv(columns, rows)
+
+    def test_random_bit_patterns(self, tmp_path):
+        bits = np.random.default_rng(9).integers(
+            0, 2**64, size=2 * 10**5, dtype=np.uint64
+        )
+        # Both signs and all 2048 exponents: subnormals, inf and nan too.
+        assert np.unique(bits >> np.uint64(52)).size == 4096
+        self._assert_as_reference(tmp_path, bits.view(np.float64).reshape(-1, 4))
+
+    def test_powers_of_ten_and_notation_switches(self, tmp_path):
+        # Fixed notation runs from exponent -4 to 16 after rounding.
+        switches = [1e-5, 9.9999999999999995e-5, 1e16, 1e17]
+        centres = np.array([float(f"1e{k}") for k in range(-323, 309)] + switches)
+        values = np.column_stack(
+            (
+                np.nextafter(centres, 0.0),
+                centres,
+                np.nextafter(centres, np.inf),
+                -centres,
+            )
+        )
+        self._assert_as_reference(tmp_path, values)
+
+    def test_every_cell_through_percent(self, tmp_path, monkeypatch):
+        # The path of a long double no wider than a double: its tie margin
+        # exceeds 0.5, so no significand is certain.
+        monkeypatch.setattr(cli, "_TIE_MARGIN", 1.0)
+        bits = np.random.default_rng(10).integers(
+            0, 2**64, size=2 * 10**4, dtype=np.uint64
+        )
+        values = bits.view(np.float64).reshape(-1, 4)
+        values[:3, 1:] = [[1.0, 1e16, 1e17], [0.0, -0.0, np.inf], [0.5, 1e-5, 7.0]]
+        self._assert_as_reference(tmp_path, values)
+        self._assert_as_reference(tmp_path, values, np.arange(len(values)) % 4 == 1)
+
+    def test_power_table_correctly_rounded(self):
+        powers, _ = cli._layout()
+        for k, power in zip(range(cli._POWERS_FROM, 341), powers):
+            if not np.isfinite(power):
+                continue
+            above = np.nextafter(power, np.longdouble(np.inf))
+            ulp = Fraction(*(above - power).as_integer_ratio())
+            error = Fraction(*power.as_integer_ratio()) - Fraction(10) ** k
+            assert abs(error) <= ulp / 2, k
 
     def test_empty_table_is_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"

@@ -34,9 +34,11 @@ def test_every_check_passes(name):
 
 def test_pure_state_fails_cleanly():
     # A gas in one dressed state has no sideband part, so there is no
-    # integration error whose order could be measured.
+    # integration error, and no finite-difference residual above rounding,
+    # whose order could be measured.
     results = run_all(config_from_dict({"state": {"alpha": 1.0, "beta": 0.0}}))
     assert len(results) == 12
-    order = next(r for r in results if r.name == "rk4_convergence_order")
-    assert not order.passed
-    assert "no sideband part" in order.detail
+    for name in ("rk4_convergence_order", "fd_residual_convergence"):
+        check = next(r for r in results if r.name == name)
+        assert not check.passed
+        assert "no sideband part" in check.detail
