@@ -22,6 +22,7 @@ independent in their propagation, not in their inputs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -125,23 +126,31 @@ def integrate_characteristic(
 
     h = z_end / steps
     nodes = 2 * steps + 1
+    starts = range(0, nodes, _CHUNK_NODES)
 
-    def chunks(part):
-        for start in range(0, nodes, _CHUNK_NODES):
-            stop = min(start + _CHUNK_NODES, nodes)
-            weights = np.full(stop - start, 2.0)
-            weights[(start + 1) % 2 :: 2] = 4.0
-            if start == 0:
-                weights[0] = 1.0
-            if stop == nodes:
-                weights[-1] = 1.0
-            z = np.arange(start, stop) * (0.5 * h)
-            terms = (h / 6.0) * weights * _rhs(coefs, t_entry + z / CGS.c)
-            yield memoryview(part(terms))
+    # The last chunk is kept, and the imaginary pass runs backwards from it,
+    # so a single-chunk call evaluates the right-hand side once.
+    @functools.lru_cache(maxsize=1)
+    def terms(start):
+        stop = min(start + _CHUNK_NODES, nodes)
+        weights = np.full(stop - start, 2.0)
+        weights[(start + 1) % 2 :: 2] = 4.0
+        if start == 0:
+            weights[0] = 1.0
+        if stop == nodes:
+            weights[-1] = 1.0
+        z = np.arange(start, stop) * (0.5 * h)
+        return (h / 6.0) * weights * _rhs(coefs, t_entry + z / CGS.c)
 
-    real, imag = (
-        math.fsum(itertools.chain.from_iterable(chunks(part)))
-        for part in (np.real, np.imag)
+    real = math.fsum(
+        itertools.chain.from_iterable(
+            memoryview(terms(start).real) for start in starts
+        )
+    )
+    imag = math.fsum(
+        itertools.chain.from_iterable(
+            memoryview(terms(start).imag) for start in reversed(starts)
+        )
     )
     return complex(real, imag)
 

@@ -8,9 +8,12 @@ asserted against the double-precision implementation at 1e-12 relative.
 from __future__ import annotations
 
 import math
+import os
+from pathlib import Path
 
 import pytest
 
+import dressedprobe
 from dressedprobe import (
     AtomEnsemble,
     ProbeField,
@@ -48,6 +51,17 @@ FROZEN = {
     "beyond_dipole_fraction": 6.6770815385428077442e-7,
     "rs_over_ls": 81.035808906482648628,
 }
+
+
+def child_env() -> dict:
+    """The parent's environment, with the imported package's root first on
+    PYTHONPATH, so a child run from another directory imports the same
+    code whether the package is installed or loaded from a checkout."""
+    env = dict(os.environ)
+    root = str(Path(dressedprobe.__file__).resolve().parents[1])
+    paths = [root] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env["PYTHONPATH"] = os.pathsep.join(paths)
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -10,16 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import dressedprobe
 from dressedprobe import (
     CGS,
     AtomEnsemble,
@@ -54,6 +51,7 @@ from conftest import (
     RABI,
     RHO_DENSE,
     RHO_TRAIN,
+    child_env,
 )
 
 OMEGA_PRIME = FROZEN["omega_prime"]
@@ -361,17 +359,6 @@ def test_criterion_8_beyond_dipole_non_saturating(ensemble_dense, pump):
     )
 
 
-def _child_env() -> dict:
-    """The parent's environment, with the imported package's root first on
-    PYTHONPATH, so a child run from another directory imports the same
-    code whether the package is installed or loaded from a checkout."""
-    env = dict(os.environ)
-    root = str(Path(dressedprobe.__file__).resolve().parents[1])
-    paths = [root] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env["PYTHONPATH"] = os.pathsep.join(paths)
-    return env
-
-
 def test_criterion_9_validate_end_to_end(tmp_path):
     started = time.perf_counter()
     out = tmp_path / "report.json"
@@ -387,7 +374,7 @@ def test_criterion_9_validate_end_to_end(tmp_path):
         capture_output=True,
         text=True,
         cwd=tmp_path,
-        env=_child_env(),
+        env=child_env(),
     )
     elapsed = time.perf_counter() - started
     report = json.loads(out.read_text()) if out.exists() else {}

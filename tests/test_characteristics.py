@@ -121,6 +121,21 @@ class TestIntegrateCharacteristic:
             monkeypatch.setattr(chars, "_CHUNK_NODES", nodes)
             assert integrate_characteristic(*args) == whole
 
+    def test_one_rhs_evaluation_per_single_chunk(
+        self, ensemble_train, pump, state, probe, monkeypatch
+    ):
+        coefs = derive_coefficients(ensemble_train, pump, state, probe)
+        rhs = chars._rhs
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return rhs(*args)
+
+        monkeypatch.setattr(chars, "_rhs", counted)
+        integrate_characteristic(coefs, LENGTH, 0.0, 4000)
+        assert len(calls) == 1
+
     def test_negative_span_rejected(self, ensemble_train, pump, state, probe):
         coefs = derive_coefficients(ensemble_train, pump, state, probe)
         with pytest.raises(ValueError):
