@@ -24,7 +24,7 @@ import numpy as np
 from dressedprobe import (
     CGS,
     derive_coefficients,
-    exponent,
+    exponent_grid,
     integrate_characteristic,
     load_config,
     log_amplitude_grid,
@@ -49,7 +49,11 @@ def run(out: Path) -> None:
     # the oscillatory truncation terms cancel spectrally.
     sidebands = replace(coefs, d_coef=0.0)
     z_end = 0.37 * length
-    closed = exponent(ensemble, pump, state, probe, z_end, z_end / CGS.c).g
+    closed = complex(
+        exponent_grid(
+            ensemble, pump, state, probe.omega, [z_end], [z_end / CGS.c]
+        )[0, 0]
+    )
     for per_period in (1000, 1414, 2000):
         steps = math.ceil(0.37 * per_period)
         numeric = integrate_characteristic(sidebands, z_end, 0.0, steps)

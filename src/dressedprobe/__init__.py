@@ -10,12 +10,16 @@ refractive index including the beyond-dipole term, pulse-train statistics,
 and an independent characteristic-integration oracle for the reduced wave
 equation.
 
+The envelope is evaluated on arrays: ``exponent_grid`` gives G and
+``log_amplitude_grid`` ln A over a (z, t) grid, a single value being the
+[0, 0] cell of a one-point grid; ``modulation_depth`` and
+``refractive_index`` give the depth and index at one plane and frequency.
+
 Units are Gaussian-CGS; every frequency is angular (rad/s).
 """
 
 from .characteristics import (
     RweCoefficients,
-    closed_form_log_amplitude,
     derive_coefficients,
     integrate_characteristic,
     log_amplitude_grid,
@@ -46,13 +50,9 @@ from .errors import (
     ZeroRabi,
 )
 from .modulation import (
-    ModulationExponent,
-    SidebandBrackets,
-    exponent,
     exponent_grid,
     k_scale,
     modulation_depth,
-    sideband_brackets,
 )
 from .pulsetrain import (
     PulseTrainStats,
@@ -73,7 +73,6 @@ __all__ = [
     "DressedProbeError",
     "GridSpec",
     "GridTooCoarse",
-    "ModulationExponent",
     "PhysicalConstants",
     "ProbeField",
     "PulseTrainStats",
@@ -82,7 +81,6 @@ __all__ = [
     "RunConfig",
     "RweCoefficients",
     "ShallowModulation",
-    "SidebandBrackets",
     "StepTooCoarse",
     "SuperpositionState",
     "TimeSeries",
@@ -91,10 +89,8 @@ __all__ = [
     "ZeroRabi",
     "analyze_train",
     "beyond_dipole_fraction",
-    "closed_form_log_amplitude",
     "config_from_dict",
     "derive_coefficients",
-    "exponent",
     "exponent_grid",
     "fwhm_closed_form",
     "generalized_rabi",
@@ -106,6 +102,5 @@ __all__ = [
     "normalization_coeffs",
     "refractive_index",
     "residual_check",
-    "sideband_brackets",
     "stark_shifts",
 ]

@@ -18,6 +18,10 @@ Simpson, which is classical Runge-Kutta for this ln A-free right-hand side;
 its fourth order is measured on the sideband part over 1000-2000 steps per
 period) and the finite-difference residual provide checks that are
 independent in their propagation, not in their inputs.
+
+``log_amplitude_grid`` gives the closed-form ln A over a (z, t) grid;
+``derive_coefficients``, ``integrate_characteristic`` and ``residual_check``
+are the oracle side.
 """
 
 from __future__ import annotations
@@ -153,20 +157,6 @@ def integrate_characteristic(
         )
     )
     return complex(real, imag)
-
-
-def closed_form_log_amplitude(
-    ensemble: AtomEnsemble,
-    pump: PumpField,
-    state: SuperpositionState,
-    probe: ProbeField,
-    z: float,
-    t: float,
-    guard: float = DEFAULT_GUARD,
-) -> complex:
-    """ln A from the closed form: G(z, t) + i omega (n0 - 1) z / c."""
-    grid = log_amplitude_grid(ensemble, pump, state, probe, [z], [t], guard)
-    return complex(grid[0, 0])
 
 
 def log_amplitude_grid(

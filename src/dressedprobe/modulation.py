@@ -18,16 +18,17 @@ alpha * beta, so a gas prepared in a single dressed state is not modulated
 at all.
 
 The probe frequency enters only through a1 = K conj(alpha) beta b1 and
-a2 = K alpha conj(beta) b2.  ``sideband_amplitudes`` and ``exponent_sweep``
-evaluate them and G for an array of probe frequencies and mark poles in a
-mask; the scalar functions wrap them and raise ResonancePole instead.
-``intensity_gain`` turns G into the observable exp(2 Re G).
+a2 = K alpha conj(beta) b2.  ``sideband_amplitudes`` evaluates them for an
+array of probe frequencies and marks poles in a mask (``strict`` raises
+ResonancePole instead).  ``exponent_grid`` gives G over a (z, t) grid and
+``exponent_sweep`` over probe frequencies and t; a single value is the
+[0, 0] cell of a one-point grid.  ``modulation_depth`` is the closed-form
+amplitude of Re G and ``intensity_gain`` turns G into exp(2 Re G).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,35 +44,10 @@ from .dressed import (
 from .errors import ConfigError
 
 
-@dataclass(frozen=True)
-class SidebandBrackets:
-    """Resonance factors of the red (b1) and blue (b2) sideband terms."""
-
-    b1: float
-    b2: float
-
-
-@dataclass(frozen=True)
-class ModulationExponent:
-    """Complex exponent G(z, t) together with its analysis quantities.
-
-    Attributes
-    ----------
-    g : complex
-        Exponent value; the envelope prefactor is exp(g).
-    k_scale : float
-        Dimensionless strength K multiplying both sideband terms.
-    depth : float
-        Amplitude R(z) of the zero-mean sinusoid Re G(z, t) at this z.
-    """
-
-    g: complex
-    k_scale: float
-    depth: float
-
-
 def _brackets(pump: PumpField, dens) -> tuple:
-    """b1 and b2 from the three resonance denominators."""
+    """b1 = (w'+detuning)/(wp-w) + (w'-detuning)/(wp-w+w') and
+    b2 = (w'-detuning)/(wp-w) + (w'+detuning)/(wp-w-w') from the three
+    resonance denominators."""
     delta_po, den_plus, den_minus = dens
     minus, plus = _split_offsets(pump.detuning, pump.rabi)
     b1 = plus / delta_po + minus / den_plus
@@ -118,55 +94,6 @@ def sideband_amplitudes(
     return a1, a2, pole
 
 
-def sideband_brackets(
-    pump: PumpField,
-    probe_omega: float,
-    guard: float = DEFAULT_GUARD,
-) -> SidebandBrackets:
-    """Evaluate the red- and blue-sideband resonance brackets.
-
-    b1 = (w'+detuning)/(wp-w) + (w'-detuning)/(wp-w+w'),
-    b2 = (w'-detuning)/(wp-w) + (w'+detuning)/(wp-w-w').
-
-    The three denominators mark Rayleigh scattering, one-photon
-    absorption/emission and the stimulated hypercombination resonance;
-    values inside the guard band raise ResonancePole naming the culprit.
-    """
-    dens, _ = resonance_denominators(pump, [probe_omega], guard, strict=True)
-    b1, b2 = _brackets(pump, dens)
-    return SidebandBrackets(b1=float(b1[0]), b2=float(b2[0]))
-
-
-def exponent(
-    ensemble: AtomEnsemble,
-    pump: PumpField,
-    state: SuperpositionState,
-    probe: ProbeField,
-    z: float,
-    t: float,
-    guard: float = DEFAULT_GUARD,
-) -> ModulationExponent:
-    """Evaluate the complex envelope exponent G(z, t).
-
-    G vanishes identically at the entry face z = 0 and whenever either
-    superposition amplitude is zero, and flips sign under a half-period
-    shift t -> t + pi/w'.
-    """
-    if z < 0:
-        raise ValueError("z must be non-negative")
-    a1, a2, _ = sideband_amplitudes(
-        ensemble, pump, state, [probe.omega], guard, strict=True
-    )
-    g = _exponent(a1[0], a2[0], pump.omega_prime, [z], [t])[0, 0]
-    # |c1 + conj(c2)| = |1 - exp(-i w' z / c)| |a1 - conj(a2)|
-    ramp = 2.0 * abs(math.sin(0.5 * pump.omega_prime * z / CGS.c))
-    return ModulationExponent(
-        g=complex(g),
-        k_scale=k_scale(ensemble, pump, probe.omega),
-        depth=ramp * float(abs(a1[0] - np.conj(a2[0]))),
-    )
-
-
 def modulation_depth(
     ensemble: AtomEnsemble,
     pump: PumpField,
@@ -180,7 +107,14 @@ def modulation_depth(
     R controls the intensity contrast exp(+-2R) of the pulse train and is
     periodic in z with the spatial modulation period 2 pi c / w'.
     """
-    return exponent(ensemble, pump, state, probe, z, 0.0, guard).depth
+    if z < 0:
+        raise ValueError("z must be non-negative")
+    a1, a2, _ = sideband_amplitudes(
+        ensemble, pump, state, [probe.omega], guard, strict=True
+    )
+    # |c1 + conj(c2)| = |1 - exp(-i w' z / c)| |a1 - conj(a2)|
+    ramp = 2.0 * abs(math.sin(0.5 * pump.omega_prime * z / CGS.c))
+    return ramp * float(abs(a1[0] - np.conj(a2[0])))
 
 
 def _exponent(a1, a2, omega_prime: float, z, t) -> np.ndarray:

@@ -48,7 +48,7 @@ def refractive_index_offset(
     return dipole, beyond_part
 
 
-def sideband_brackets(detuning, rabi, delta_po):
+def resonance_brackets(detuning, rabi, delta_po):
     detuning = mp.mpf(detuning)
     rabi = mp.mpf(rabi)
     delta_po = mp.mpf(delta_po)

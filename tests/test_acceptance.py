@@ -26,7 +26,6 @@ from dressedprobe import (
     TimeSeries,
     analyze_train,
     beyond_dipole_fraction,
-    closed_form_log_amplitude,
     derive_coefficients,
     exponent_grid,
     fwhm_closed_form,
@@ -190,9 +189,9 @@ def test_criterion_5_oracle_agreement(ensemble_train, pump, state, probe):
             numeric = integrate_characteristic(
                 coefs, z_end, t_entry, math.ceil(1000 * frac)
             )
-            closed = closed_form_log_amplitude(
-                ensemble, pump, state, probe, z_end, t_entry + z_end / CGS.c
-            )
+            closed = log_amplitude_grid(
+                ensemble, pump, state, probe, [z_end], [t_entry + z_end / CGS.c]
+            )[0, 0]
             worst = max(worst, abs(numeric - closed) / (1.0 + abs(closed)))
         return worst
 

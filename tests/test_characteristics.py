@@ -19,9 +19,8 @@ from dressedprobe import (
     RweCoefficients,
     StepTooCoarse,
     SuperpositionState,
-    closed_form_log_amplitude,
     derive_coefficients,
-    exponent,
+    exponent_grid,
     integrate_characteristic,
     log_amplitude_grid,
     refractive_index,
@@ -151,9 +150,9 @@ class TestIntegrateCharacteristic:
             numeric = integrate_characteristic(
                 coefs, z_end, t_entry, math.ceil(1000 * frac)
             )
-            closed = closed_form_log_amplitude(
-                ensemble_train, pump, state, probe, z_end, t_entry + z_end / CGS.c
-            )
+            closed = log_amplitude_grid(
+                ensemble_train, pump, state, probe, [z_end], [t_entry + z_end / CGS.c]
+            )[0, 0]
             assert abs(numeric - closed) / (1.0 + abs(closed)) < 1e-6
 
     def test_agreement_with_complex_amplitudes(self, ensemble_train, pump, probe):
@@ -166,9 +165,9 @@ class TestIntegrateCharacteristic:
         numeric = integrate_characteristic(
             coefs, z_end, t_entry, math.ceil(1000 * 0.62)
         )
-        closed = closed_form_log_amplitude(
-            ensemble_train, pump, state, probe, z_end, t_entry + z_end / CGS.c
-        )
+        closed = log_amplitude_grid(
+            ensemble_train, pump, state, probe, [z_end], [t_entry + z_end / CGS.c]
+        )[0, 0]
         assert abs(numeric - closed) / (1.0 + abs(closed)) < 1e-6
 
     def test_fourth_order_convergence(self, ensemble_train, pump, state, probe):
@@ -179,9 +178,11 @@ class TestIntegrateCharacteristic:
             derive_coefficients(ensemble_train, pump, state, probe), d_coef=0.0
         )
         z_end = 0.37 * LENGTH
-        closed = exponent(
-            ensemble_train, pump, state, probe, z_end, z_end / CGS.c
-        ).g
+        closed = complex(
+            exponent_grid(
+                ensemble_train, pump, state, probe.omega, [z_end], [z_end / CGS.c]
+            )[0, 0]
+        )
         steps = [math.ceil(0.37 * n) for n in (1000, 1414, 2000)]
         errors = [
             abs(integrate_characteristic(coefs, z_end, 0.0, n) - closed)
@@ -288,9 +289,9 @@ class TestRandomizedOracle:
                 numeric = integrate_characteristic(
                     coefs, z_end, t_entry, math.ceil(1000 * frac)
                 )
-                closed = closed_form_log_amplitude(
-                    ensemble, pump, state, probe, z_end, t_entry + z_end / CGS.c
-                )
+                closed = log_amplitude_grid(
+                    ensemble, pump, state, probe, [z_end], [t_entry + z_end / CGS.c]
+                )[0, 0]
                 worst = max(
                     worst, abs(numeric - closed) / (1.0 + abs(closed))
                 )

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dressedprobe import CGS, ConfigError, ProbeField, ResonancePole, cli
+from dressedprobe import CGS, ConfigError, ResonancePole, cli
 from dressedprobe.cli import (
     dispersion_rows,
     evolve_series,
@@ -20,7 +20,7 @@ from dressedprobe.cli import (
 )
 from dressedprobe.config import RunConfig, load_config
 from dressedprobe.dispersion import refractive_index
-from dressedprobe.modulation import exponent
+from dressedprobe.modulation import exponent_grid
 from dressedprobe.pulsetrain import analyze_train
 
 from conftest import FROZEN
@@ -637,8 +637,9 @@ def _table(path: Path) -> list[list[str]]:
     "grid", ["default", "three_poles", "guard_edge", "complex_state"]
 )
 def test_array_rows_equal_scalar_wrappers(tmp_path, grid):
-    """Every value cell equals the scalar API with ==; POLE rows sit exactly
-    where the scalar API raises ResonancePole."""
+    """Every value cell equals a one-frequency ``exponent_grid`` or
+    ``refractive_index`` call with ==; POLE rows sit exactly where that call
+    raises ResonancePole."""
     omega_prime = RunConfig().omega_prime()
     if grid == "default":
         path = DEFAULT_CONFIG
@@ -665,12 +666,16 @@ def test_array_rows_equal_scalar_wrappers(tmp_path, grid):
 
     sweep_poles = set()
     for i, (delta, solid, dashed, marker) in enumerate(_table(sweep)):
-        probe = ProbeField(omega=pump.omega_p - float(delta))
         try:
-            expected = [
-                exponent(ensemble, pump, state, probe, z, t, guard).g.real
-                for t in (math.pi / omega_prime, 2.0 * math.pi / omega_prime)
-            ]
+            expected = exponent_grid(
+                ensemble,
+                pump,
+                state,
+                pump.omega_p - float(delta),
+                [z],
+                [math.pi / omega_prime, 2.0 * math.pi / omega_prime],
+                guard,
+            )[0].real.tolist()
         except ResonancePole:
             assert (marker, solid, dashed) == ("POLE", "", "")
             sweep_poles.add(i)

@@ -53,6 +53,23 @@ def test_pure_state_fails_cleanly():
         assert "no sideband part" in check.detail
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"state": {"alpha": math.sqrt(0.5), "beta": math.sqrt(0.5)}},
+        {"ensemble": {"rho": 0.0}},
+    ],
+    ids=["balanced_state", "empty_cell"],
+)
+def test_undispersed_configs_report(override):
+    # n0 = 1 exactly here, so the rho-linearity offsets are both 0; the
+    # suite reports instead of raising ZeroDivisionError.
+    results = run_all(config_from_dict(override))
+    assert len(results) == 12
+    check = next(r for r in results if r.name == "dispersion_identities")
+    assert check.passed, check.detail
+
+
 def test_oracle_sets_are_the_seeded_draw():
     # The randomized oracle has always checked these draws; freezing them
     # keeps numpy.random out of validate without re-choosing a single set.
@@ -88,7 +105,7 @@ def test_validate_does_not_import_numpy_random(tmp_path):
 
 
 def _reference_oracle_error(ensemble, pump, state, probe, guard, steps_per_period):
-    """One closed_form_log_amplitude and one integration per plane."""
+    """One one-point log_amplitude_grid and one integration per plane."""
     length = 2.0 * math.pi * CGS.c / pump.omega_prime
     coefs = chars.derive_coefficients(ensemble, pump, state, probe, guard)
     t_entry = 0.37 * 2.0 * math.pi / pump.omega_prime
@@ -98,8 +115,10 @@ def _reference_oracle_error(ensemble, pump, state, probe, guard, steps_per_perio
         t = t_entry + z_end / CGS.c
         steps = max(1, math.ceil(steps_per_period * frac))
         numeric = chars.integrate_characteristic(coefs, z_end, t_entry, steps)
-        closed = chars.closed_form_log_amplitude(
-            ensemble, pump, state, probe, z_end, t, guard
+        closed = complex(
+            chars.log_amplitude_grid(
+                ensemble, pump, state, probe, [z_end], [t], guard
+            )[0, 0]
         )
         worst = max(worst, abs(numeric - closed) / (1.0 + abs(closed)))
     return worst
