@@ -21,7 +21,8 @@ independent in their propagation, not in their inputs.
 
 ``log_amplitude_grid`` gives the closed-form ln A over a (z, t) grid;
 ``derive_coefficients``, ``integrate_characteristic`` and ``residual_check``
-are the oracle side.
+are the oracle side.  The residual needs a uniform grid of at least 64
+intervals per modulation period in z and t, its coarsest order-study grid.
 """
 
 from __future__ import annotations
@@ -38,12 +39,13 @@ from .dispersion import refractive_index
 from .dressed import AtomEnsemble, ProbeField, PumpField, SuperpositionState
 from .modulation import exponent_grid, sideband_amplitudes
 from .errors import GridTooCoarse, StepTooCoarse
+from .pulsetrain import is_uniform
 
 #: Minimum integration steps per spatial modulation period traversed.
 MIN_STEPS_PER_PERIOD = 1000
 
-#: Default minimum grid points per modulation period for residual checks.
-MIN_GRID_PER_PERIOD = 128
+#: Minimum grid intervals per modulation period for residual checks.
+MIN_GRID_PER_PERIOD = 64
 
 #: Quadrature nodes evaluated at once, which bounds the memory of one
 #: integration at any step count.
@@ -181,7 +183,6 @@ def residual_check(
     z: np.ndarray,
     t: np.ndarray,
     coefs: RweCoefficients,
-    min_points_per_period: int = MIN_GRID_PER_PERIOD,
 ) -> float:
     """Finite-difference residual of the reduced wave equation.
 
@@ -195,8 +196,9 @@ def residual_check(
     Raises
     ------
     GridTooCoarse
-        If either grid direction has fewer than ``min_points_per_period``
-        points per modulation period, or the grid is non-uniform.
+        If either grid direction has fewer than ``MIN_GRID_PER_PERIOD`` (64)
+        intervals per modulation period, or is not uniform (``is_uniform``;
+        a NaN coordinate is not).
     """
     a = np.asarray(log_amplitude, dtype=complex)
     z = np.asarray(z, dtype=float)
@@ -209,18 +211,15 @@ def residual_check(
     dt = float(t[1] - t[0])
     if dz <= 0 or dt <= 0:
         raise ValueError("grids must be strictly increasing")
-    if (
-        np.max(np.abs(np.diff(z) - dz)) > 1e-9 * dz
-        or np.max(np.abs(np.diff(t) - dt)) > 1e-9 * dt
-    ):
+    if not (is_uniform(z) and is_uniform(t)):
         raise GridTooCoarse("grids must be uniform")
     period_t = 2.0 * math.pi / coefs.omega_prime
     period_z = period_t * CGS.c
-    floor = min_points_per_period * (1.0 - 1e-9)
+    floor = MIN_GRID_PER_PERIOD * (1.0 - 1e-9)
     if period_z / dz < floor or period_t / dt < floor:
         raise GridTooCoarse(
             f"grid has {period_z / dz:.1f} x {period_t / dt:.1f} points per "
-            f"modulation period; need >= {min_points_per_period} in each"
+            f"modulation period; need >= {MIN_GRID_PER_PERIOD} in each"
         )
 
     lhs = (a[2:, 1:-1] - a[:-2, 1:-1]) / (2.0 * dz) + (

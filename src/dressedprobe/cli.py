@@ -259,13 +259,9 @@ def _out_path(args, config: RunConfig, default_name: str) -> Path:
 
 def _load(args) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
-    overrides = {}
-    if args.guard is not None:
-        overrides["guard"] = args.guard
-    if args.steps is not None:
-        overrides["steps"] = args.steps
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+    for key in ("guard", "steps"):
+        if getattr(args, key, None) is not None:
+            config = dataclasses.replace(config, **{key: getattr(args, key)})
     return config
 
 
@@ -285,6 +281,24 @@ def sweep_frequency_rows(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
         config.guard,
     )
     return np.column_stack((deltas, g.real)), pole
+
+
+def _measure_train(series: pt.TimeSeries, omega_prime: float, stats: dict):
+    """Add the train statistics of ``series`` to ``stats`` and return them,
+    or add the domain error that refused them and return None."""
+    try:
+        measured = pt.analyze_train(series, omega_prime)
+    except DressedProbeError as exc:
+        stats.update(error=type(exc).__name__, message=str(exc))
+        return None
+    stats.update(
+        period_s=measured.period,
+        fwhm_s=measured.fwhm,
+        peak_gain=measured.peak_gain,
+        min_gain=measured.min_gain,
+        depth=measured.depth,
+    )
+    return measured
 
 
 def evolve_series(config: RunConfig) -> tuple[pt.TimeSeries, dict]:
@@ -312,11 +326,8 @@ def evolve_series(config: RunConfig) -> tuple[pt.TimeSeries, dict]:
         "omega_prime_rad_per_s": omega_prime,
         "nominal_period_s": period,
     }
-    try:
-        measured = pt.analyze_train(series, omega_prime)
-    except DressedProbeError as exc:
-        stats["error"] = type(exc).__name__
-        stats["message"] = str(exc)
+    measured = _measure_train(series, omega_prime, stats)
+    if measured is None:
         return series, stats
     if abs(measured.period - period) > 1e-6 * period:
         raise ConfigError(
@@ -324,11 +335,6 @@ def evolve_series(config: RunConfig) -> tuple[pt.TimeSeries, dict]:
             f"= {period!r} by more than 1e-6 relative"
         )
     stats.update(
-        period_s=measured.period,
-        fwhm_s=measured.fwhm,
-        peak_gain=measured.peak_gain,
-        min_gain=measured.min_gain,
-        depth=measured.depth,
         fwhm_closed_form_s=pt.fwhm_closed_form(measured.depth, omega_prime),
         fwhm_over_250fs=measured.fwhm / 250e-15,
     )
@@ -446,8 +452,8 @@ def read_evolve_csv(path: str | Path) -> pt.TimeSeries:
     if len(times) < 2:
         raise ConfigError(f"{path} holds fewer than 2 samples")
     dt = times[1] - times[0]
-    # The same 1e-9 relative tolerance as characteristics.residual_check.
-    if np.max(np.abs(np.diff(times) - dt)) > 1e-9 * abs(dt):
+    # The same rule as characteristics.residual_check; it refuses NaN times.
+    if not pt.is_uniform(times):
         raise ConfigError(f"{path}: time column is not uniform")
     try:
         return pt.TimeSeries(t0=float(times[0]), dt=float(dt), gains=gains)
@@ -460,18 +466,7 @@ def _cmd_pulse_stats(args) -> int:
     series = read_evolve_csv(args.series)
     omega_prime = config.omega_prime()
     stats: dict = {"omega_prime_rad_per_s": omega_prime, "source": str(args.series)}
-    try:
-        measured = pt.analyze_train(series, omega_prime)
-        stats.update(
-            period_s=measured.period,
-            fwhm_s=measured.fwhm,
-            peak_gain=measured.peak_gain,
-            min_gain=measured.min_gain,
-            depth=measured.depth,
-        )
-    except DressedProbeError as exc:
-        stats["error"] = type(exc).__name__
-        stats["message"] = str(exc)
+    _measure_train(series, omega_prime, stats)
     path = _out_path(args, config, "pulse_stats.json")
     _write_json(path, stats)
     print(f"wrote stats to {path}")
@@ -510,16 +505,16 @@ def build_parser() -> argparse.ArgumentParser:
             "atoms (Gaussian-CGS units, angular frequencies in rad/s)"
         ),
     )
+    # Each subcommand takes only the flags it reads.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run configuration")
     common.add_argument("--out", help="output file path")
-    common.add_argument(
+    guarded = argparse.ArgumentParser(add_help=False, parents=[common])
+    guarded.add_argument(
         "--guard", type=float, help="pole guard half-width, rad/s"
     )
-    common.add_argument(
-        "--steps", type=int, help="characteristic integration steps"
-    )
-    common.add_argument(
+    table = argparse.ArgumentParser(add_help=False, parents=[guarded])
+    table.add_argument(
         "--format", choices=("csv", "json"), default="csv",
         help="table output format",
     )
@@ -527,19 +522,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep-frequency",
-        parents=[common],
+        parents=[table],
         help="Re G versus probe-pump frequency difference",
     )
     sweep.set_defaults(func=_cmd_sweep_frequency)
 
     evolve = sub.add_parser(
-        "evolve", parents=[common], help="gain versus time plus train stats"
+        "evolve", parents=[table], help="gain versus time plus train stats"
     )
     evolve.set_defaults(func=_cmd_evolve)
 
     scan = sub.add_parser(
         "dispersion-scan",
-        parents=[common],
+        parents=[table],
         help="refractive index versus probe frequency",
     )
     scan.set_defaults(func=_cmd_dispersion_scan)
@@ -551,7 +546,10 @@ def build_parser() -> argparse.ArgumentParser:
     stats.set_defaults(func=_cmd_pulse_stats)
 
     validate = sub.add_parser(
-        "validate", parents=[common], help="run the invariant suite"
+        "validate", parents=[guarded], help="run the invariant suite"
+    )
+    validate.add_argument(
+        "--steps", type=int, help="characteristic integration steps"
     )
     validate.set_defaults(func=_cmd_validate)
     return parser

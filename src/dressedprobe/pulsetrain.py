@@ -37,8 +37,8 @@ class TimeSeries:
     gains: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError("dt must be strictly positive")
+        if not (math.isfinite(self.t0) and 0 < self.dt < math.inf):
+            raise ValueError("t0 must be finite, dt finite and strictly positive")
         gains = np.array(self.gains, dtype=np.float64)
         gains.flags.writeable = False
         object.__setattr__(self, "gains", gains)
@@ -51,6 +51,13 @@ class TimeSeries:
     @property
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(len(self.gains))
+
+
+def is_uniform(x: np.ndarray) -> bool:
+    """Whether every step of the samples ``x`` lies within 1e-9 relative of
+    the first one; never for a NaN sample, which fails every comparison."""
+    step = x[1] - x[0]
+    return bool(np.all(np.abs(np.diff(x) - step) <= 1e-9 * abs(step)))
 
 
 @dataclass(frozen=True)

@@ -231,9 +231,7 @@ def test_criterion_5_oracle_agreement(ensemble_train, pump, state, probe):
         z = np.linspace(0.0, LENGTH, n + 1)
         t = np.linspace(0.0, PERIOD, n + 1)
         grid = log_amplitude_grid(ensemble_train, pump, state, probe, z, t)
-        residuals.append(
-            residual_check(grid, z, t, coefs, min_points_per_period=64)
-        )
+        residuals.append(residual_check(grid, z, t, coefs))
     ratios = [residuals[0] / residuals[1], residuals[1] / residuals[2]]
     elapsed = time.perf_counter() - started
     _report(

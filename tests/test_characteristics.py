@@ -220,9 +220,7 @@ class TestResidualCheck:
         residuals = []
         for n in (64, 128, 256):
             z, t, grid = self.grid(ensemble_train, pump, state, probe, n)
-            residuals.append(
-                residual_check(grid, z, t, coefs, min_points_per_period=64)
-            )
+            residuals.append(residual_check(grid, z, t, coefs))
         ratios = [residuals[0] / residuals[1], residuals[1] / residuals[2]]
         for ratio in ratios:
             assert 3.4 < ratio < 4.6, f"expected ~4x per halving: {ratios}"
@@ -241,7 +239,27 @@ class TestResidualCheck:
         with pytest.raises(GridTooCoarse):
             residual_check(grid, z, t, coefs)
         with pytest.raises(GridTooCoarse):
-            residual_check(grid, z, t, coefs, min_points_per_period=64)
+            residual_check(grid, z, t, coefs)
+
+    def test_floor_is_64_intervals_per_period(
+        self, ensemble_train, pump, state, probe, coefs
+    ):
+        z, t, grid = self.grid(ensemble_train, pump, state, probe, 63)
+        with pytest.raises(GridTooCoarse, match="need >= 64"):
+            residual_check(grid, z, t, coefs)
+        z, t, grid = self.grid(ensemble_train, pump, state, probe, 64)
+        assert residual_check(grid, z, t, coefs) > 0.0
+
+    @pytest.mark.parametrize("index", [0, 1, 10])
+    def test_nan_coordinate_rejected(
+        self, ensemble_train, pump, state, probe, coefs, index
+    ):
+        z, t, grid = self.grid(ensemble_train, pump, state, probe, 128)
+        z[index] = math.nan
+        with pytest.raises(GridTooCoarse, match="uniform"):
+            residual_check(grid, z, t, coefs)
+        with pytest.raises(GridTooCoarse, match="uniform"):
+            residual_check(grid.T, t, z, coefs)
 
     def test_non_uniform_grid_rejected(
         self, ensemble_train, pump, state, probe, coefs

@@ -270,6 +270,32 @@ class TestPulseStats:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("row", [1, 700], ids=["second_row", "interior"])
+    def test_refuses_nan_time(self, tmp_path, capsys, row):
+        series = tmp_path / "evolve.csv"
+        run_cli("evolve", "--config", TRAIN_CONFIG, "--out", series)
+        lines = series.read_text().splitlines()
+        lines[1 + row] = "nan," + lines[1 + row].split(",")[1]
+        series.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match="not uniform"):
+            read_evolve_csv(series)
+        out = tmp_path / "stats.json"
+        assert (
+            run_cli(
+                "pulse-stats",
+                "--config",
+                TRAIN_CONFIG,
+                "--series",
+                series,
+                "--out",
+                out,
+            )
+            == 2
+        )
+        assert "ConfigError" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def _reference_csv(columns: list[str], rows) -> bytes:
     """The per-cell CSV writer the table writer must reproduce byte for
     byte: format(v, '.17g') per float, '' for None, strings verbatim."""
@@ -705,6 +731,34 @@ def test_array_rows_equal_scalar_wrappers(tmp_path, grid):
     if grid == "guard_edge":
         assert 100 in scan_poles and 100 in sweep_poles
         assert 99 not in scan_poles and 101 not in scan_poles
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--format", "json"],
+        ["evolve", "--steps", "10"],
+        ["pulse-stats", "--series", "evolve.csv", "--guard", "1"],
+    ],
+)
+def test_flag_the_subcommand_does_not_read_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exited:
+        run_cli(*argv)
+    assert exited.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-frequency", "--format", "json", "--guard", "1e6"],
+        ["validate", "--guard", "1e6", "--steps", "4000"],
+    ],
+)
+def test_flags_the_subcommand_reads_accepted(tmp_path, argv):
+    out = tmp_path / "out.json"
+    assert run_cli(*argv, "--config", DEFAULT_CONFIG, "--out", out) == 0
+    assert json.loads(out.read_text())
 
 
 def test_unknown_command_rejected():

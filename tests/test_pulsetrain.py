@@ -96,6 +96,14 @@ class TestAnalyzeTrain:
         with pytest.raises(ValueError):
             TimeSeries(t0=0.0, dt=1.0, gains=(1.0, math.inf))
 
+    @pytest.mark.parametrize(
+        "t0, dt",
+        [(0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0)],
+    )
+    def test_non_finite_axis_rejected(self, t0, dt):
+        with pytest.raises(ValueError, match="finite"):
+            TimeSeries(t0=t0, dt=dt, gains=(1.0, 2.0))
+
     def test_nan_gain_rejected(self):
         with pytest.raises(ValueError):
             TimeSeries(t0=0.0, dt=1.0, gains=(1.0, math.nan))

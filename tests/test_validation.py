@@ -53,6 +53,14 @@ def test_pure_state_fails_cleanly():
         assert "no sideband part" in check.detail
 
 
+def test_convergence_orders_of_a_power_law():
+    points = [370, 524, 740, 1024]
+    errors = [n**-4.0 for n in points]
+    assert validation.convergence_orders(points, errors) == pytest.approx(
+        [4.0] * 3, rel=0, abs=1e-12
+    )
+
+
 @pytest.mark.parametrize(
     "override",
     [
