@@ -26,11 +26,10 @@ from .characteristics import (
     residual_check,
 )
 from .config import GridSpec, RunConfig, config_from_dict, load_config
-from .constants import CGS, DEFAULT_GUARD, PhysicalConstants
+from .constants import CGS, DEFAULT_GUARD
 from .dispersion import DispersionResult, beyond_dipole_fraction, refractive_index
 from .dressed import (
     AtomEnsemble,
-    ProbeField,
     PumpField,
     SuperpositionState,
     generalized_rabi,
@@ -73,8 +72,6 @@ __all__ = [
     "DressedProbeError",
     "GridSpec",
     "GridTooCoarse",
-    "PhysicalConstants",
-    "ProbeField",
     "PulseTrainStats",
     "PumpField",
     "ResonancePole",

@@ -36,7 +36,7 @@ import numpy as np
 
 from .constants import CGS, DEFAULT_GUARD
 from .dispersion import refractive_index
-from .dressed import AtomEnsemble, ProbeField, PumpField, SuperpositionState
+from .dressed import AtomEnsemble, PumpField, SuperpositionState
 from .modulation import exponent_grid, sideband_amplitudes
 from .errors import GridTooCoarse, StepTooCoarse
 from .pulsetrain import is_uniform
@@ -70,22 +70,23 @@ def derive_coefficients(
     ensemble: AtomEnsemble,
     pump: PumpField,
     state: SuperpositionState,
-    probe: ProbeField,
+    probe_omega: float,
     guard: float = DEFAULT_GUARD,
 ) -> RweCoefficients:
-    """Assemble the constant coefficients of the reduced wave equation.
+    """Assemble the constant coefficients of the reduced wave equation at
+    the probe angular frequency ``probe_omega`` in rad/s.
 
     The direct term vanishes for a balanced superposition and the sideband
     terms vanish for a pure dressed state, mirroring which part of the
     atomic response each one represents.
     """
-    disp = refractive_index(ensemble, pump, state, probe.omega, guard)
+    disp = refractive_index(ensemble, pump, state, probe_omega, guard)
     a1, a2, _ = sideband_amplitudes(
-        ensemble, pump, state, [probe.omega], guard, strict=True
+        ensemble, pump, state, [probe_omega], guard, strict=True
     )
     rate = pump.omega_prime / CGS.c
     return RweCoefficients(
-        d_coef=probe.omega * (disp.n0 - 1.0) / CGS.c,
+        d_coef=probe_omega * (disp.n0 - 1.0) / CGS.c,
         ls=complex(rate * a1[0]),
         rs=complex(rate * a2[0]),
         omega_prime=pump.omega_prime,
@@ -165,16 +166,17 @@ def log_amplitude_grid(
     ensemble: AtomEnsemble,
     pump: PumpField,
     state: SuperpositionState,
-    probe: ProbeField,
+    probe_omega: float,
     z: np.ndarray,
     t: np.ndarray,
     guard: float = DEFAULT_GUARD,
 ) -> np.ndarray:
-    """Closed-form ln A over the outer product of z and t grids."""
+    """Closed-form ln A over the outer product of z and t grids at the
+    probe angular frequency ``probe_omega`` in rad/s."""
     z = np.asarray(z, dtype=float)
-    grid = exponent_grid(ensemble, pump, state, probe.omega, z, t, guard)
-    disp = refractive_index(ensemble, pump, state, probe.omega, guard)
-    phase = 1j * probe.omega * (disp.n0 - 1.0) * z / CGS.c
+    grid = exponent_grid(ensemble, pump, state, probe_omega, z, t, guard)
+    disp = refractive_index(ensemble, pump, state, probe_omega, guard)
+    phase = 1j * probe_omega * (disp.n0 - 1.0) * z / CGS.c
     return grid + phase[:, None]
 
 

@@ -41,10 +41,9 @@ import numpy as np
 from . import modulation as mod
 from . import pulsetrain as pt
 from .config import RunConfig, config_to_dict, load_config
-from .constants import CGS
 from .dispersion import index_parts
 from .errors import ConfigError, DressedProbeError
-from .validation import run_all
+from .validation import gain_series, run_all
 
 
 #: Rows the CSV table writer formats and writes per block.  A block takes
@@ -305,24 +304,11 @@ def evolve_series(config: RunConfig) -> tuple[pt.TimeSeries, dict]:
     """Gain series at the fixed plane plus its stats block."""
     if config.t_periods < 3.0:
         raise ConfigError("evolve needs a time span of >= 3 periods")
-    ensemble = config.ensemble()
-    pump = config.pump()
-    state = config.state()
-    probe = config.probe()
+    series = gain_series(config, config.t_periods, config.t_samples_per_period)
     omega_prime = config.omega_prime()
     period = 2.0 * math.pi / omega_prime
-    z = config.z_fixed()
-    spp = config.t_samples_per_period
-    n = round(config.t_periods * spp)
-    t0 = z / CGS.c
-    dt = period / spp
-    t = t0 + dt * np.arange(n)
-    g = mod.exponent_grid(
-        ensemble, pump, state, probe.omega, np.array([z]), t, config.guard
-    )[0]
-    series = pt.TimeSeries(t0=t0, dt=dt, gains=mod.intensity_gain(g))
     stats: dict = {
-        "z_cm": z,
+        "z_cm": config.z_fixed(),
         "omega_prime_rad_per_s": omega_prime,
         "nominal_period_s": period,
     }

@@ -18,7 +18,6 @@ from pathlib import Path
 from .constants import CGS, DEFAULT_GUARD
 from .dressed import (
     AtomEnsemble,
-    ProbeField,
     PumpField,
     SuperpositionState,
     generalized_rabi,
@@ -80,6 +79,9 @@ class RunConfig:
                 raise ConfigError(f"{key} must be finite, got {value!r}")
         if (self.z_theta is None) == (self.z_cm is None):
             raise ConfigError("exactly one of z.theta / z.cm must be set")
+        for key, z in (("z.theta", self.z_theta), ("z.cm", self.z_cm)):
+            if z is not None and z < 0:
+                raise ConfigError(f"{key} must be non-negative, got {z!r}")
         if self.guard < 0:
             raise ConfigError("guard must be non-negative")
         if self.steps < 1:
@@ -90,7 +92,8 @@ class RunConfig:
             self.ensemble()
             self.pump()
             self.state()
-            self.probe()
+            if self.probe_omega() <= 0:
+                raise ValueError("probe omega must be strictly positive")
         except (ValueError, DressedProbeError) as exc:
             raise ConfigError(f"invalid physical parameters: {exc}") from exc
         if self.pump().omega_p - self.delta_grid.stop <= 0:
@@ -111,10 +114,9 @@ class RunConfig:
     def state(self) -> SuperpositionState:
         return SuperpositionState(alpha=self.alpha, beta=self.beta)
 
-    def probe(self) -> ProbeField:
-        return ProbeField(
-            omega=self.pump().omega_p - self.probe_delta, a0=self.a0
-        )
+    def probe_omega(self) -> float:
+        """Probe angular frequency in rad/s, probe.delta below the pump."""
+        return self.pump().omega_p - self.probe_delta
 
     def omega_prime(self) -> float:
         return generalized_rabi(self.detuning, self.rabi)

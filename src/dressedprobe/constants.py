@@ -1,39 +1,24 @@
-"""Gaussian-CGS constants shared by every formula in the package."""
+"""Gaussian-CGS constants shared by every formula in the package.
+
+``CGS`` is a plain namespace of four class attributes, read as ``CGS.c``
+and so on; it is never instantiated or configured.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
+class CGS:
     """Fundamental constants in Gaussian-CGS units.
 
-    Attributes
-    ----------
-    c : float
-        Speed of light, cm/s.
-    hbar : float
-        Reduced Planck constant, erg*s.
-    e : float
-        Elementary charge, esu.
-    m : float
-        Electron mass, g.
+    c is the speed of light (cm/s), hbar the reduced Planck constant
+    (erg*s), e the elementary charge (esu) and m the electron mass (g).
     """
 
-    c: float = 2.99792458e10
-    hbar: float = 1.054571817e-27
-    e: float = 4.80320471257e-10
-    m: float = 9.1093837015e-28
+    c = 2.99792458e10
+    hbar = 1.054571817e-27
+    e = 4.80320471257e-10
+    m = 9.1093837015e-28
 
-    def __post_init__(self) -> None:
-        for name in ("c", "hbar", "e", "m"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
-
-
-#: Shared constants instance; every module evaluates formulas against this.
-CGS = PhysicalConstants()
 
 #: Default half-width (rad/s) of the exclusion band around resonance poles.
 #: The model is lossless, so denominators are left unregularized and

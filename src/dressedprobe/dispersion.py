@@ -12,8 +12,9 @@ sideband resonances.  Evaluation inside a configurable guard band around
 those poles is refused rather than regularized.
 
 ``resonance_denominators`` owns the guard rule for these and the
-modulation's denominators; it and ``index_parts`` take arrays of probe
-frequencies and mark poles in a mask, which ``refractive_index`` raises.
+modulation's denominators, and refuses a non-positive probe frequency;
+it and ``index_parts`` take arrays of probe frequencies and mark poles
+in a mask, which ``refractive_index`` raises.
 """
 
 from __future__ import annotations
@@ -59,8 +60,13 @@ def resonance_denominators(
     A guarded denominator is at a pole unless |den| > guard (NaN is a
     pole); omega_p - omega is guarded only if ``rayleigh``.  ``strict``
     raises ResonancePole for the first pole in the order of the result.
+    A probe frequency that is not strictly positive raises ValueError;
+    every closed-form evaluation passes through here.
     """
-    delta_po = pump.omega_p - np.asarray(probe_omega, dtype=float)
+    omega = np.asarray(probe_omega, dtype=float)
+    if np.any(omega <= 0):
+        raise ValueError("probe_omega must be strictly positive")
+    delta_po = pump.omega_p - omega
     omega_prime = pump.omega_prime
     named = (
         ("omega_p - omega", delta_po),
@@ -102,8 +108,6 @@ def index_parts(
     Also returns the pole mask; the parts are meaningless under it.
     """
     omega = np.asarray(probe_omega, dtype=float)
-    if np.any(omega <= 0):
-        raise ValueError("probe_omega must be strictly positive")
     pump.require_match(ensemble)
     (_, den_plus, den_minus), pole = resonance_denominators(
         pump, omega, guard, rayleigh=False, strict=strict

@@ -195,15 +195,3 @@ class SuperpositionState:
     @property
     def population_difference(self) -> float:
         return abs(self.alpha) ** 2 - abs(self.beta) ** 2
-
-
-@dataclass(frozen=True)
-class ProbeField:
-    """Weak monochromatic probe entering the dressed gas along z."""
-
-    omega: float
-    a0: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.omega <= 0:
-            raise ValueError("probe omega must be strictly positive")

@@ -36,7 +36,6 @@ from .constants import CGS, DEFAULT_GUARD
 from .dispersion import resonance_denominators
 from .dressed import (
     AtomEnsemble,
-    ProbeField,
     PumpField,
     SuperpositionState,
     _split_offsets,
@@ -98,11 +97,12 @@ def modulation_depth(
     ensemble: AtomEnsemble,
     pump: PumpField,
     state: SuperpositionState,
-    probe: ProbeField,
+    probe_omega: float,
     z: float,
     guard: float = DEFAULT_GUARD,
 ) -> float:
-    """Amplitude R(z) of the sinusoid Re G(z, t) = R cos(w' t + psi).
+    """Amplitude R(z) of the sinusoid Re G(z, t) = R cos(w' t + psi) for
+    the probe angular frequency ``probe_omega`` in rad/s.
 
     R controls the intensity contrast exp(+-2R) of the pulse train and is
     periodic in z with the spatial modulation period 2 pi c / w'.
@@ -110,7 +110,7 @@ def modulation_depth(
     if z < 0:
         raise ValueError("z must be non-negative")
     a1, a2, _ = sideband_amplitudes(
-        ensemble, pump, state, [probe.omega], guard, strict=True
+        ensemble, pump, state, [probe_omega], guard, strict=True
     )
     # |c1 + conj(c2)| = |1 - exp(-i w' z / c)| |a1 - conj(a2)|
     ramp = 2.0 * abs(math.sin(0.5 * pump.omega_prime * z / CGS.c))

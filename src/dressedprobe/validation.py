@@ -23,7 +23,7 @@ from . import modulation as mod
 from . import pulsetrain as pt
 from .config import RunConfig
 from .constants import CGS
-from .dressed import ProbeField, PumpField, SuperpositionState
+from .dressed import PumpField, SuperpositionState
 from .errors import DressedProbeError, ResonancePole, StepTooCoarse
 
 
@@ -56,18 +56,34 @@ def _objects(config: RunConfig):
         config.ensemble(),
         config.pump(),
         config.state(),
-        config.probe(),
+        config.probe_omega(),
     )
+
+
+def gain_series(
+    config: RunConfig, periods: float, samples_per_period: int
+) -> pt.TimeSeries:
+    """Intensity gain at the fixed plane from the arrival time z / c, over
+    ``periods`` modulation periods of ``samples_per_period`` samples."""
+    ensemble, pump, state, probe_omega = _objects(config)
+    z = config.z_fixed()
+    t0 = z / CGS.c
+    dt = 2.0 * math.pi / config.omega_prime() / samples_per_period
+    t = t0 + dt * np.arange(round(periods * samples_per_period))
+    g = mod.exponent_grid(
+        ensemble, pump, state, probe_omega, [z], t, config.guard
+    )[0]
+    return pt.TimeSeries(t0=t0, dt=dt, gains=mod.intensity_gain(g))
 
 
 @_check("boundary_identity")
 def check_boundary_identity(config: RunConfig) -> tuple[bool, str]:
     """|exp(G(0, t)) - 1| stays below 1e-12 over 1024 samples."""
-    ensemble, pump, state, probe = _objects(config)
+    ensemble, pump, state, probe_omega = _objects(config)
     period = 2.0 * math.pi / config.omega_prime()
     t = np.linspace(0.0, period, 1024, endpoint=False)
     g = mod.exponent_grid(
-        ensemble, pump, state, probe.omega, np.array([0.0]), t, config.guard
+        ensemble, pump, state, probe_omega, np.array([0.0]), t, config.guard
     )
     worst = float(np.max(np.abs(np.exp(g) - 1.0)))
     return worst < 1e-12, f"max |F(0,t)-1| = {worst:.3e}"
@@ -76,15 +92,15 @@ def check_boundary_identity(config: RunConfig) -> tuple[bool, str]:
 @_check("antiperiodicity")
 def check_antiperiodicity(config: RunConfig) -> tuple[bool, str]:
     """G(z, t + half period) = -G(z, t) on a 64 x 64 grid."""
-    ensemble, pump, state, probe = _objects(config)
+    ensemble, pump, state, probe_omega = _objects(config)
     omega_prime = config.omega_prime()
     period = 2.0 * math.pi / omega_prime
     length = period * CGS.c
     z = np.linspace(0.0, length, 64, endpoint=False)
     t = np.linspace(0.0, period, 64, endpoint=False)
-    g = mod.exponent_grid(ensemble, pump, state, probe.omega, z, t, config.guard)
+    g = mod.exponent_grid(ensemble, pump, state, probe_omega, z, t, config.guard)
     g_shift = mod.exponent_grid(
-        ensemble, pump, state, probe.omega, z, t + 0.5 * period, config.guard
+        ensemble, pump, state, probe_omega, z, t + 0.5 * period, config.guard
     )
     worst = float(np.max(np.abs(g + g_shift) / (1.0 + np.abs(g))))
     return worst < 1e-9, f"max |G(t+T/2)+G|/(1+|G|) = {worst:.3e}"
@@ -93,26 +109,19 @@ def check_antiperiodicity(config: RunConfig) -> tuple[bool, str]:
 @_check("modulation_periods")
 def check_modulation_periods(config: RunConfig) -> tuple[bool, str]:
     """Measured repetition periods in t and z match 2 pi / w' and 2 pi c / w'."""
-    ensemble, pump, state, probe = _objects(config)
+    ensemble, pump, state, probe_omega = _objects(config)
     omega_prime = config.omega_prime()
     period = 2.0 * math.pi / omega_prime
     length = period * CGS.c
-    z_fixed = config.z_fixed()
 
     spp = 512
-    t0 = z_fixed / CGS.c
-    t = t0 + np.arange(3 * spp) * (period / spp)
-    g = mod.exponent_grid(
-        ensemble, pump, state, probe.omega, np.array([z_fixed]), t, config.guard
-    )[0]
-    series = pt.TimeSeries(t0=t0, dt=period / spp, gains=mod.intensity_gain(g))
-    stats = pt.analyze_train(series, omega_prime)
+    stats = pt.analyze_train(gain_series(config, 3, spp), omega_prime)
     err_t = abs(stats.period - period) / period
 
     z = np.arange(3 * spp) * (length / spp)
     t_fix = math.pi / omega_prime
     gz = mod.exponent_grid(
-        ensemble, pump, state, probe.omega, z, np.array([t_fix]), config.guard
+        ensemble, pump, state, probe_omega, z, np.array([t_fix]), config.guard
     )[:, 0]
     series_z = pt.TimeSeries(t0=0.0, dt=length / spp, gains=mod.intensity_gain(gz))
     stats_z = pt.analyze_train(series_z, omega_prime / CGS.c)
@@ -129,18 +138,11 @@ def check_modulation_periods(config: RunConfig) -> tuple[bool, str]:
 @_check("zero_mean_jensen_geometric")
 def check_zero_mean_jensen(config: RunConfig) -> tuple[bool, str]:
     """Time-mean Re G vanishes; mean gain >= 1; peak*min gain = 1."""
-    ensemble, pump, state, probe = _objects(config)
-    omega_prime = config.omega_prime()
-    period = 2.0 * math.pi / omega_prime
+    ensemble, pump, state, probe_omega = _objects(config)
+    period = 2.0 * math.pi / config.omega_prime()
     t = np.linspace(0.0, period, 4096, endpoint=False)
     g = mod.exponent_grid(
-        ensemble,
-        pump,
-        state,
-        probe.omega,
-        np.array([config.z_fixed()]),
-        t,
-        config.guard,
+        ensemble, pump, state, probe_omega, [config.z_fixed()], t, config.guard
     )[0]
     mean_re = abs(float(np.mean(g.real)))
     gains = mod.intensity_gain(g)
@@ -155,18 +157,18 @@ def check_zero_mean_jensen(config: RunConfig) -> tuple[bool, str]:
 
 
 def _oracle_error(
-    ensemble, pump, state, probe, guard: float, steps_per_period: int
+    ensemble, pump, state, probe_omega, guard: float, steps_per_period: int
 ) -> float:
     """Worst oracle-vs-closed-form error over z in {L/4, L/2, L}."""
     omega_prime = pump.omega_prime
     length = 2.0 * math.pi * CGS.c / omega_prime
-    coefs = chars.derive_coefficients(ensemble, pump, state, probe, guard)
+    coefs = chars.derive_coefficients(ensemble, pump, state, probe_omega, guard)
     t_entry = 0.37 * 2.0 * math.pi / omega_prime
     fracs = (0.25, 0.5, 1.0)
     z_ends = [frac * length for frac in fracs]
     t_ends = [t_entry + z_end / CGS.c for z_end in z_ends]
     closed = chars.log_amplitude_grid(
-        ensemble, pump, state, probe, z_ends, t_ends, guard
+        ensemble, pump, state, probe_omega, z_ends, t_ends, guard
     ).diagonal()
     worst = 0.0
     for frac, z_end, closed_end in zip(fracs, z_ends, closed.tolist()):
@@ -180,10 +182,7 @@ def _oracle_error(
 @_check("oracle_agreement")
 def check_oracle_agreement(config: RunConfig) -> tuple[bool, str]:
     """Characteristic integration matches the closed form to 1e-6."""
-    ensemble, pump, state, probe = _objects(config)
-    worst = _oracle_error(
-        ensemble, pump, state, probe, config.guard, config.steps
-    )
+    worst = _oracle_error(*_objects(config), config.guard, config.steps)
     return (
         worst < 1e-6,
         f"max rel log-amplitude error = {worst:.3e} at z in L/4, L/2, L",
@@ -226,13 +225,13 @@ def check_oracle_randomized(config: RunConfig) -> tuple[bool, str]:
     ensemble = config.ensemble()
     for detuning, rabi, offset, b, phase, rho in _ORACLE_SETS:
         pump = PumpField.for_ensemble(ensemble, detuning=detuning, rabi=rabi)
-        probe = ProbeField(omega=pump.omega_p - offset * pump.omega_prime)
         state = SuperpositionState(
             alpha=math.sqrt(1.0 - b * b),
             beta=b * complex(math.cos(phase), math.sin(phase)),
         )
         dense = replace(ensemble, rho=rho)
-        err = _oracle_error(dense, pump, state, probe, config.guard, 1000)
+        probe_omega = pump.omega_p - offset * pump.omega_prime
+        err = _oracle_error(dense, pump, state, probe_omega, config.guard, 1000)
         worst = max(worst, err)
     return (
         worst < 1e-6,
@@ -250,16 +249,16 @@ def integration_errors(config: RunConfig) -> tuple[list[int], list[float]]:
     terms cancel spectrally; at 1000-2000 steps per period truncation stays
     far above the rounding floor.
     """
-    ensemble, pump, state, probe = _objects(config)
+    ensemble, pump, state, probe_omega = _objects(config)
     length = 2.0 * math.pi * CGS.c / config.omega_prime()
     z_end = 0.37 * length
     coefs = replace(
-        chars.derive_coefficients(ensemble, pump, state, probe, config.guard),
+        chars.derive_coefficients(ensemble, pump, state, probe_omega, config.guard),
         d_coef=0.0,
     )
     closed = complex(
         mod.exponent_grid(
-            ensemble, pump, state, probe.omega, [z_end], [z_end / CGS.c], config.guard
+            ensemble, pump, state, probe_omega, [z_end], [z_end / CGS.c], config.guard
         )[0, 0]
     )
     steps = [math.ceil(0.37 * per_period) for per_period in (1000, 1414, 2000)]
@@ -274,10 +273,12 @@ def fd_residuals(config: RunConfig, points) -> list[float]:
     """``residual_check`` of the closed-form ln A over one period in z and t
     at each count of grid intervals in ``points``.  Empty without a sideband
     part, where the residual is rounding only and has no order."""
-    ensemble, pump, state, probe = _objects(config)
+    ensemble, pump, state, probe_omega = _objects(config)
     period = 2.0 * math.pi / config.omega_prime()
     length = period * CGS.c
-    coefs = chars.derive_coefficients(ensemble, pump, state, probe, config.guard)
+    coefs = chars.derive_coefficients(
+        ensemble, pump, state, probe_omega, config.guard
+    )
     if coefs.ls == 0 and coefs.rs == 0:
         return []
     residuals = []
@@ -285,7 +286,7 @@ def fd_residuals(config: RunConfig, points) -> list[float]:
         z = np.linspace(0.0, length, n + 1)
         t = np.linspace(0.0, period, n + 1)
         grid = chars.log_amplitude_grid(
-            ensemble, pump, state, probe, z, t, config.guard
+            ensemble, pump, state, probe_omega, z, t, config.guard
         )
         residuals.append(chars.residual_check(grid, z, t, coefs))
     return residuals
@@ -334,23 +335,23 @@ def check_dispersion_identities(config: RunConfig) -> tuple[bool, str]:
     """n0 = 1 for balanced states and empty cells; n0 - 1 linear in rho,
     measured on dipole_part + beyond_dipole_part since n0 - 1.0 carries the
     rounding of n0 (eps / |n0 - 1| relative); n0 is exactly their sum + 1."""
-    ensemble, pump, state, probe = _objects(config)
+    ensemble, pump, state, probe_omega = _objects(config)
     balanced = SuperpositionState(
         alpha=math.sqrt(0.5), beta=math.sqrt(0.5)
     )
     n_balanced = disp.refractive_index(
-        ensemble, pump, balanced, probe.omega, config.guard
+        ensemble, pump, balanced, probe_omega, config.guard
     ).n0
     empty = replace(ensemble, rho=0.0)
     n_empty = disp.refractive_index(
-        empty, pump, state, probe.omega, config.guard
+        empty, pump, state, probe_omega, config.guard
     ).n0
-    base = disp.refractive_index(ensemble, pump, state, probe.omega, config.guard)
+    base = disp.refractive_index(ensemble, pump, state, probe_omega, config.guard)
     doubled = disp.refractive_index(
         replace(ensemble, rho=2.0 * ensemble.rho),
         pump,
         state,
-        probe.omega,
+        probe_omega,
         config.guard,
     )
     offset = base.dipole_part + base.beyond_dipole_part
@@ -401,20 +402,11 @@ def check_train_stats(config: RunConfig) -> tuple[bool, str]:
     Also reports that the measured width is on the picosecond scale for
     the default parameters, i.e. it does not reproduce a 250 fs pulse.
     """
-    ensemble, pump, state, probe = _objects(config)
     omega_prime = config.omega_prime()
-    period = 2.0 * math.pi / omega_prime
-    z_fixed = config.z_fixed()
-    spp = max(config.t_samples_per_period, 512)
-    t0 = z_fixed / CGS.c
-    t = t0 + np.arange(4 * spp) * (period / spp)
-    g = mod.exponent_grid(
-        ensemble, pump, state, probe.omega, np.array([z_fixed]), t, config.guard
-    )[0]
-    series = pt.TimeSeries(t0=t0, dt=period / spp, gains=mod.intensity_gain(g))
+    series = gain_series(config, 4, max(config.t_samples_per_period, 512))
     stats = pt.analyze_train(series, omega_prime)
     depth = mod.modulation_depth(
-        ensemble, pump, state, probe, z_fixed, config.guard
+        *_objects(config), config.z_fixed(), config.guard
     )
     fwhm_ref = pt.fwhm_closed_form(depth, omega_prime)
     depth_err = abs(stats.depth - depth) / depth
@@ -432,7 +424,7 @@ def check_train_stats(config: RunConfig) -> tuple[bool, str]:
 @_check("guard_behavior")
 def check_guard_behavior(config: RunConfig) -> tuple[bool, str]:
     """Pole and step guards refuse degenerate requests with clear errors."""
-    ensemble, pump, state, probe = _objects(config)
+    ensemble, pump, state, probe_omega = _objects(config)
     omega_prime = config.omega_prime()
     details = []
     ok = True
@@ -448,7 +440,9 @@ def check_guard_behavior(config: RunConfig) -> tuple[bool, str]:
     except ResonancePole as exc:
         details.append(f"pole caught ({exc.denominator})")
 
-    coefs = chars.derive_coefficients(ensemble, pump, state, probe, config.guard)
+    coefs = chars.derive_coefficients(
+        ensemble, pump, state, probe_omega, config.guard
+    )
     length = 2.0 * math.pi * CGS.c / omega_prime
     try:
         chars.integrate_characteristic(coefs, length, 0.0, steps=10)

@@ -16,7 +16,6 @@ import pytest
 import dressedprobe
 from dressedprobe import (
     AtomEnsemble,
-    ProbeField,
     PumpField,
     SuperpositionState,
 )
@@ -87,5 +86,5 @@ def state() -> SuperpositionState:
 
 
 @pytest.fixture(scope="session")
-def probe(pump) -> ProbeField:
-    return ProbeField(omega=pump.omega_p - PROBE_DELTA)
+def probe(pump) -> float:
+    return pump.omega_p - PROBE_DELTA

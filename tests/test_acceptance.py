@@ -20,7 +20,6 @@ import pytest
 from dressedprobe import (
     CGS,
     AtomEnsemble,
-    ProbeField,
     PumpField,
     SuperpositionState,
     TimeSeries,
@@ -68,7 +67,7 @@ def test_criterion_1_boundary_identity(ensemble_dense, pump, state, probe):
     started = time.perf_counter()
     t = np.linspace(0.0, PERIOD, 1024, endpoint=False)
     g = exponent_grid(
-        ensemble_dense, pump, state, probe.omega, np.array([0.0]), t
+        ensemble_dense, pump, state, probe, np.array([0.0]), t
     )
     worst = float(np.max(np.abs(np.exp(g) - 1.0)))
     elapsed = time.perf_counter() - started
@@ -85,9 +84,9 @@ def test_criterion_2_antiperiodicity_and_sweep_mirror(
     started = time.perf_counter()
     z = np.linspace(0.0, LENGTH, 64, endpoint=False)
     t = np.linspace(0.0, PERIOD, 64, endpoint=False)
-    g = exponent_grid(ensemble_dense, pump, state, probe.omega, z, t)
+    g = exponent_grid(ensemble_dense, pump, state, probe, z, t)
     g_shift = exponent_grid(
-        ensemble_dense, pump, state, probe.omega, z, t + 0.5 * PERIOD
+        ensemble_dense, pump, state, probe, z, t + 0.5 * PERIOD
     )
     worst = float(np.max(np.abs(g + g_shift) / (1.0 + np.abs(g))))
 
@@ -120,7 +119,7 @@ def test_criterion_3_modulation_periods(ensemble_dense, pump, state, probe):
     t0 = Z_HALF / CGS.c
     t = t0 + (PERIOD / spp) * np.arange(3 * spp)
     g = exponent_grid(
-        ensemble_dense, pump, state, probe.omega, np.array([Z_HALF]), t
+        ensemble_dense, pump, state, probe, np.array([Z_HALF]), t
     )[0]
     series = TimeSeries(
         t0=t0, dt=PERIOD / spp, gains=tuple(np.exp(2.0 * g.real))
@@ -133,7 +132,7 @@ def test_criterion_3_modulation_periods(ensemble_dense, pump, state, probe):
         ensemble_dense,
         pump,
         state,
-        probe.omega,
+        probe,
         z,
         np.array([math.pi / OMEGA_PRIME]),
     )[:, 0]
@@ -159,7 +158,7 @@ def test_criterion_4_zero_mean_jensen_geometric(
     jensen_ok = True
     for z in (0.2 * LENGTH, Z_HALF, 0.8 * LENGTH):
         g = exponent_grid(
-            ensemble_dense, pump, state, probe.omega, np.array([z]), t
+            ensemble_dense, pump, state, probe, np.array([z]), t
         )[0]
         worst_mean = max(worst_mean, abs(float(np.mean(g.real))))
         gains = np.exp(2.0 * g.real)
@@ -214,7 +213,7 @@ def test_criterion_5_oracle_agreement(ensemble_train, pump, state, probe):
             * rng.uniform(0.01, 0.8)
             * rand_pump.omega_prime
         )
-        rand_probe = ProbeField(omega=rand_pump.omega_p - delta)
+        rand_probe = rand_pump.omega_p - delta
         beta_mag = rng.uniform(0.05, 0.7)
         phase = rng.uniform(0.0, 2.0 * math.pi)
         rand_state = SuperpositionState(
@@ -249,7 +248,7 @@ def test_criterion_6_pulse_train_fidelity(ensemble_train, pump, state, probe):
     t0 = Z_HALF / CGS.c
     t = t0 + (PERIOD / spp) * np.arange(4 * spp)
     g = exponent_grid(
-        ensemble_train, pump, state, probe.omega, np.array([Z_HALF]), t
+        ensemble_train, pump, state, probe, np.array([Z_HALF]), t
     )[0]
     series = TimeSeries(
         t0=t0, dt=PERIOD / spp, gains=tuple(np.exp(2.0 * g.real))
@@ -284,16 +283,16 @@ def test_criterion_6_pulse_train_fidelity(ensemble_train, pump, state, probe):
 def test_criterion_7_dispersion(ensemble_dense, pump, state, probe):
     balanced = SuperpositionState(alpha=math.sqrt(0.5), beta=math.sqrt(0.5))
     n_balanced = refractive_index(
-        ensemble_dense, pump, balanced, probe.omega
+        ensemble_dense, pump, balanced, probe
     ).n0
     vacuum = refractive_index(
         AtomEnsemble(omega0=OMEGA0, d=math.sqrt(D_SQUARED), rho=0.0),
         pump,
         state,
-        probe.omega,
+        probe,
     ).n0
 
-    result = refractive_index(ensemble_dense, pump, state, probe.omega)
+    result = refractive_index(ensemble_dense, pump, state, probe)
     dipole, beyond = oracles.refractive_index_offset(
         OMEGA0,
         D_SQUARED,
@@ -301,7 +300,7 @@ def test_criterion_7_dispersion(ensemble_dense, pump, state, probe):
         DETUNING,
         RABI,
         state.population_difference,
-        probe.omega,
+        probe,
     )
     oracle_offset = float(dipole + beyond)
     oracle_ok = (
@@ -314,7 +313,7 @@ def test_criterion_7_dispersion(ensemble_dense, pump, state, probe):
         AtomEnsemble(omega0=OMEGA0, d=math.sqrt(D_SQUARED), rho=2 * RHO_DENSE),
         pump,
         state,
-        probe.omega,
+        probe,
     )
     linear_err = abs(doubled.n0 - 1.0 - 2.0 * (result.n0 - 1.0)) / abs(
         doubled.n0 - 1.0

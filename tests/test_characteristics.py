@@ -14,7 +14,6 @@ from dressedprobe import (
     CGS,
     AtomEnsemble,
     GridTooCoarse,
-    ProbeField,
     PumpField,
     RweCoefficients,
     StepTooCoarse,
@@ -40,9 +39,9 @@ class TestDeriveCoefficients:
         coefs = derive_coefficients(ensemble_dense, pump, pure, probe)
         assert coefs.ls == 0.0
         assert coefs.rs == 0.0
-        disp = refractive_index(ensemble_dense, pump, pure, probe.omega)
+        disp = refractive_index(ensemble_dense, pump, pure, probe)
         assert coefs.d_coef == pytest.approx(
-            probe.omega * (disp.n0 - 1.0) / CGS.c, rel=1e-12
+            probe * (disp.n0 - 1.0) / CGS.c, rel=1e-12
         )
 
     def test_balanced_state_has_no_direct_term(
@@ -180,7 +179,7 @@ class TestIntegrateCharacteristic:
         z_end = 0.37 * LENGTH
         closed = complex(
             exponent_grid(
-                ensemble_train, pump, state, probe.omega, [z_end], [z_end / CGS.c]
+                ensemble_train, pump, state, probe, [z_end], [z_end / CGS.c]
             )[0, 0]
         )
         steps = [math.ceil(0.37 * n) for n in (1000, 1414, 2000)]
@@ -292,7 +291,7 @@ class TestRandomizedOracle:
             delta = float(
                 rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 0.8) * omega_prime
             )
-            probe = ProbeField(omega=pump.omega_p - delta)
+            probe = pump.omega_p - delta
             beta_mag = rng.uniform(0.05, 0.7)
             phase = rng.uniform(0.0, 2.0 * math.pi)
             state = SuperpositionState(

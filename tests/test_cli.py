@@ -636,6 +636,16 @@ class TestBadConfigRefused:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["z.cm", "z.theta"])
+    @pytest.mark.parametrize("command", ["validate", "sweep-frequency"])
+    def test_negative_plane_refused(self, tmp_path, capsys, key, command):
+        path = tmp_path / "negative_z.json"
+        path.write_text(json.dumps({"z": {key.split(".")[1]: -1.0}}))
+        out = tmp_path / "out.json"
+        assert run_cli(command, "--config", path, "--out", out) == 2
+        assert not out.exists()
+        assert f"{key} must be non-negative" in capsys.readouterr().err
+
     def test_unknown_key_refused(self, tmp_path, capsys):
         path = tmp_path / "typo.json"
         path.write_text('{"ensemble": {"rhoo": 1}}')

@@ -71,6 +71,9 @@ def test_complex_amplitudes_as_pairs():
             {"grids": {"delta": {"start": 0.0, "stop": 2e15, "count": 2}}},
             "non-positive probe",
         ),
+        ({"probe": {"delta": 2e15}}, "probe omega must be strictly positive"),
+        ({"z": {"cm": -1.0}}, "z.cm must be non-negative"),
+        ({"z": {"theta": -1.0}}, "z.theta must be non-negative"),
     ],
 )
 def test_invalid_configs_rejected(raw, fragment):

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from dressedprobe import (
     AtomEnsemble,
-    ProbeField,
     PumpField,
     ResonancePole,
     SuperpositionState,
@@ -51,7 +50,7 @@ def test_empty_cell_is_vacuum(pump, state):
 def test_documented_value_matches_high_precision_oracle(
     ensemble_dense, pump, state, probe
 ):
-    result = refractive_index(ensemble_dense, pump, state, probe.omega)
+    result = refractive_index(ensemble_dense, pump, state, probe)
     dipole, beyond = oracles.refractive_index_offset(
         OMEGA0,
         D_SQUARED,
@@ -59,7 +58,7 @@ def test_documented_value_matches_high_precision_oracle(
         DETUNING,
         RABI,
         state.population_difference,
-        probe.omega,
+        probe,
     )
     assert result.n0 - 1.0 == pytest.approx(
         float(dipole + beyond), rel=1e-12
@@ -72,7 +71,7 @@ def test_documented_value_matches_high_precision_oracle(
 
 
 def test_decomposition_sums_to_offset(ensemble_dense, pump, state, probe):
-    result = refractive_index(ensemble_dense, pump, state, probe.omega)
+    result = refractive_index(ensemble_dense, pump, state, probe)
     assert result.n0 - 1.0 == pytest.approx(
         result.dipole_part + result.beyond_dipole_part, rel=1e-12
     )
@@ -83,8 +82,8 @@ def test_sign_antisymmetry_in_population_difference(
 ):
     state = SuperpositionState(alpha=ALPHA, beta=BETA)
     swapped = SuperpositionState(alpha=BETA, beta=ALPHA)
-    direct = refractive_index(ensemble_dense, pump, state, probe.omega)
-    mirrored = refractive_index(ensemble_dense, pump, swapped, probe.omega)
+    direct = refractive_index(ensemble_dense, pump, state, probe)
+    mirrored = refractive_index(ensemble_dense, pump, swapped, probe)
     assert mirrored.dipole_part == -direct.dipole_part
     assert mirrored.beyond_dipole_part == -direct.beyond_dipole_part
 
@@ -94,8 +93,8 @@ def test_linearity_in_density(pump, state, probe):
     doubled = AtomEnsemble(
         omega0=OMEGA0, d=math.sqrt(D_SQUARED), rho=2.0 * RHO_DENSE
     )
-    lo = refractive_index(base, pump, state, probe.omega)
-    hi = refractive_index(doubled, pump, state, probe.omega)
+    lo = refractive_index(base, pump, state, probe)
+    hi = refractive_index(doubled, pump, state, probe)
     assert hi.dipole_part == 2.0 * lo.dipole_part
     assert hi.beyond_dipole_part == 2.0 * lo.beyond_dipole_part
     assert hi.n0 - 1.0 == pytest.approx(2.0 * (lo.n0 - 1.0), rel=1e-12)
@@ -130,11 +129,11 @@ def test_no_pole_at_rayleigh_degeneracy(ensemble_dense, pump, state):
 
 
 def test_continuity_off_poles(ensemble_dense, pump, state, probe):
-    base = refractive_index(ensemble_dense, pump, state, probe.omega).n0
+    base = refractive_index(ensemble_dense, pump, state, probe).n0
     diffs = [
         abs(
             refractive_index(
-                ensemble_dense, pump, state, probe.omega + eps
+                ensemble_dense, pump, state, probe + eps
             ).n0
             - base
         )

@@ -130,12 +130,10 @@ class TestNormalizationCoeffs:
 
 class TestTypes:
     def test_physical_constants(self):
-        from dressedprobe import CGS, PhysicalConstants
+        from dressedprobe import CGS
 
         assert CGS.c == 2.99792458e10
         assert CGS.hbar > 0 and CGS.e > 0 and CGS.m > 0
-        with pytest.raises(ValueError):
-            PhysicalConstants(c=-1.0)
 
     def test_dark_pump_needs_detuning(self):
         PumpField(omega_p=1e15, rabi=0.0, detuning=2e11)

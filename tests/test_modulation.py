@@ -14,7 +14,6 @@ from dressedprobe import (
     DEFAULT_GUARD,
     AtomEnsemble,
     ConfigError,
-    ProbeField,
     PumpField,
     ResonancePole,
     SuperpositionState,
@@ -23,7 +22,11 @@ from dressedprobe import (
     modulation_depth,
 )
 from dressedprobe.dispersion import resonance_denominators
-from dressedprobe.modulation import intensity_gain, sideband_amplitudes
+from dressedprobe.modulation import (
+    exponent_sweep,
+    intensity_gain,
+    sideband_amplitudes,
+)
 
 import oracles
 from conftest import (
@@ -67,7 +70,7 @@ def _brackets(ensemble, pump, state, probe_omega, guard=DEFAULT_GUARD):
 
 def _g(ensemble, pump, state, probe, z, t):
     """G(z, t) as the one cell of a one-point ``exponent_grid``."""
-    return complex(exponent_grid(ensemble, pump, state, probe.omega, [z], [t])[0, 0])
+    return complex(exponent_grid(ensemble, pump, state, probe, [z], [t])[0, 0])
 
 
 class TestSidebandBrackets:
@@ -81,7 +84,7 @@ class TestSidebandBrackets:
         assert b2 == pytest.approx(3.0 / 2.0, rel=1e-12)
 
     def test_documented_values(self, ensemble_dense, pump, state, probe):
-        b1, b2 = _brackets(ensemble_dense, pump, state, probe.omega)
+        b1, b2 = _brackets(ensemble_dense, pump, state, probe)
         assert b1 == pytest.approx(FROZEN["b1"], rel=1e-12)
         assert b2 == pytest.approx(FROZEN["b2"], rel=1e-12)
         ref1, ref2 = oracles.resonance_brackets(DETUNING, RABI, PROBE_DELTA)
@@ -122,7 +125,7 @@ class TestExponent:
         assert g == 0.0
 
     def test_documented_k_scale(self, ensemble_dense, pump, probe):
-        assert k_scale(ensemble_dense, pump, probe.omega) == pytest.approx(
+        assert k_scale(ensemble_dense, pump, probe) == pytest.approx(
             FROZEN["k_dense"], rel=1e-12
         )
 
@@ -141,7 +144,7 @@ class TestExponent:
         # to 2 alpha beta K (b2 - b1) for real amplitudes.
         assert g.real == pytest.approx(FROZEN["re_g_dense"], rel=1e-12)
         assert g.imag == pytest.approx(0.0, abs=1e-9)
-        assert k_scale(ensemble_dense, pump, probe.omega) == pytest.approx(
+        assert k_scale(ensemble_dense, pump, probe) == pytest.approx(
             FROZEN["k_dense"], rel=1e-12
         )
 
@@ -151,17 +154,34 @@ class TestExponent:
         with pytest.raises(ValueError):
             modulation_depth(ensemble_dense, pump, state, probe, -1.0)
 
+    @pytest.mark.parametrize("omega", [0.0, -1e15])
+    def test_non_positive_probe_frequency_rejected(
+        self, ensemble_dense, pump, state, omega
+    ):
+        args = (ensemble_dense, pump, state)
+        calls = (
+            lambda: exponent_grid(*args, omega, [0.0], [0.0]),
+            lambda: exponent_sweep(*args, [omega], 0.0, [0.0]),
+            lambda: sideband_amplitudes(*args, [omega]),
+            lambda: modulation_depth(*args, omega, 0.0),
+        )
+        for call in calls:
+            with pytest.raises(
+                ValueError, match="probe_omega must be strictly positive"
+            ):
+                call()
+
     def test_antiperiodicity_on_grid(
         self, ensemble_dense, pump, state, probe, geometry
     ):
         z = np.linspace(0.0, geometry["length"], 64, endpoint=False)
         t = np.linspace(0.0, geometry["period"], 64, endpoint=False)
-        g = exponent_grid(ensemble_dense, pump, state, probe.omega, z, t)
+        g = exponent_grid(ensemble_dense, pump, state, probe, z, t)
         g_shifted = exponent_grid(
             ensemble_dense,
             pump,
             state,
-            probe.omega,
+            probe,
             z,
             t + 0.5 * geometry["period"],
         )
@@ -189,7 +209,7 @@ class TestExponent:
             ensemble_dense,
             pump,
             state,
-            probe.omega,
+            probe,
             np.array([0.4 * geometry["length"]]),
             t,
         )[0]
@@ -232,7 +252,7 @@ class TestExponent:
             alpha=math.sqrt(1.0 - beta_mag**2),
             beta=beta_mag * cmath.exp(1j * phase),
         )
-        probe = ProbeField(omega=pump.omega_p - PROBE_DELTA)
+        probe = pump.omega_p - PROBE_DELTA
         omega_prime = pump.omega_prime
         z = z_frac * 2.0 * math.pi * CGS.c / omega_prime
         t = t_frac * 2.0 * math.pi / omega_prime
@@ -256,8 +276,8 @@ class TestDepth:
     ):
         z = 0.18 * geometry["length"]
         theta = pump.omega_prime * z / CGS.c
-        b1, b2 = _brackets(ensemble_train, pump, state, probe.omega)
-        scale = k_scale(ensemble_train, pump, probe.omega)
+        b1, b2 = _brackets(ensemble_train, pump, state, probe)
+        scale = k_scale(ensemble_train, pump, probe)
         expected = (
             scale
             * ALPHA
@@ -283,7 +303,7 @@ class TestDepth:
         depth = modulation_depth(ensemble_train, pump, state, probe, z)
         t = np.linspace(0.0, geometry["period"], 4096, endpoint=False)
         g = exponent_grid(
-            ensemble_train, pump, state, probe.omega, np.array([z]), t
+            ensemble_train, pump, state, probe, np.array([z]), t
         )[0]
         assert float(np.max(g.real)) == pytest.approx(depth, rel=1e-6)
         assert float(np.min(g.real)) == pytest.approx(-depth, rel=1e-6)
@@ -295,7 +315,7 @@ class TestDepth:
         t0 = z / CGS.c
         t = t0 + np.linspace(0.0, geometry["period"], 4096, endpoint=False)
         g = exponent_grid(
-            ensemble_train, pump, state, probe.omega, np.array([z]), t
+            ensemble_train, pump, state, probe, np.array([z]), t
         )[0]
         gains = np.exp(2.0 * g.real)
         assert float(np.mean(gains)) >= 1.0
@@ -310,7 +330,7 @@ class TestIntensityGain:
     ):
         t = np.linspace(0.0, geometry["period"], 256, endpoint=False)
         z = np.array([0.0, geometry["z_half"]])
-        g = exponent_grid(ensemble_train, pump, state, probe.omega, z, t)
+        g = exponent_grid(ensemble_train, pump, state, probe, z, t)
         assert np.array_equal(intensity_gain(g), np.exp(2.0 * g.real))
 
     @pytest.mark.parametrize("re_g", [354.6, -354.6])

@@ -162,7 +162,7 @@ def train_stats(ensemble_train, pump, state, probe):
     t0 = z / CGS.c
     t = t0 + (period / spp) * np.arange(4 * spp)
     g = exponent_grid(
-        ensemble_train, pump, state, probe.omega, np.array([z]), t
+        ensemble_train, pump, state, probe, np.array([z]), t
     )[0]
     series = TimeSeries(
         t0=t0, dt=period / spp, gains=tuple(np.exp(2.0 * g.real))
