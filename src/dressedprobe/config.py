@@ -21,6 +21,7 @@ from .dressed import (
     PumpField,
     SuperpositionState,
     generalized_rabi,
+    pump_omega,
 )
 from .errors import ConfigError, DressedProbeError
 
@@ -89,14 +90,15 @@ class RunConfig:
         if self.t_periods <= 0 or self.t_samples_per_period < 1:
             raise ConfigError("time grid must be non-empty")
         try:
-            self.ensemble()
-            self.pump()
+            omega_p = pump_omega(self.ensemble(), self.pump())
+            if omega_p <= 0:
+                raise ValueError("omega_p must be strictly positive")
             self.state()
             if self.probe_omega() <= 0:
                 raise ValueError("probe omega must be strictly positive")
         except (ValueError, DressedProbeError) as exc:
             raise ConfigError(f"invalid physical parameters: {exc}") from exc
-        if self.pump().omega_p - self.delta_grid.stop <= 0:
+        if omega_p - self.delta_grid.stop <= 0:
             raise ConfigError("delta grid reaches non-positive probe omega")
 
     def ensemble(self) -> AtomEnsemble:
@@ -107,16 +109,14 @@ class RunConfig:
         )
 
     def pump(self) -> PumpField:
-        return PumpField.for_ensemble(
-            self.ensemble(), detuning=self.detuning, rabi=self.rabi
-        )
+        return PumpField(rabi=self.rabi, detuning=self.detuning)
 
     def state(self) -> SuperpositionState:
         return SuperpositionState(alpha=self.alpha, beta=self.beta)
 
     def probe_omega(self) -> float:
         """Probe angular frequency in rad/s, probe.delta below the pump."""
-        return self.pump().omega_p - self.probe_delta
+        return pump_omega(self.ensemble(), self.pump()) - self.probe_delta
 
     def omega_prime(self) -> float:
         return generalized_rabi(self.detuning, self.rabi)

@@ -12,9 +12,9 @@ sideband resonances.  Evaluation inside a configurable guard band around
 those poles is refused rather than regularized.
 
 ``resonance_denominators`` owns the guard rule for these and the
-modulation's denominators, and refuses a non-positive probe frequency;
-it and ``index_parts`` take arrays of probe frequencies and mark poles
-in a mask, which ``refractive_index`` raises.
+modulation's denominators, and refuses a non-positive pump or probe
+frequency; it and ``index_parts`` take arrays of probe frequencies and
+mark poles in a mask, which ``refractive_index`` raises.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .dressed import (
     PumpField,
     SuperpositionState,
     _split_offsets,
+    pump_omega,
 )
 from .errors import ResonancePole, ZeroDipole
 
@@ -48,6 +49,7 @@ class DispersionResult:
 
 
 def resonance_denominators(
+    ensemble: AtomEnsemble,
     pump: PumpField,
     probe_omega,
     guard: float = DEFAULT_GUARD,
@@ -60,13 +62,17 @@ def resonance_denominators(
     A guarded denominator is at a pole unless |den| > guard (NaN is a
     pole); omega_p - omega is guarded only if ``rayleigh``.  ``strict``
     raises ResonancePole for the first pole in the order of the result.
-    A probe frequency that is not strictly positive raises ValueError;
-    every closed-form evaluation passes through here.
+    A pump frequency omega_p = omega0 + detuning or a probe frequency that
+    is not strictly positive raises ValueError; every closed-form
+    evaluation passes through here.
     """
+    omega_p = pump_omega(ensemble, pump)
+    if omega_p <= 0:
+        raise ValueError("omega_p must be strictly positive")
     omega = np.asarray(probe_omega, dtype=float)
     if np.any(omega <= 0):
         raise ValueError("probe_omega must be strictly positive")
-    delta_po = pump.omega_p - omega
+    delta_po = omega_p - omega
     omega_prime = pump.omega_prime
     named = (
         ("omega_p - omega", delta_po),
@@ -108,9 +114,8 @@ def index_parts(
     Also returns the pole mask; the parts are meaningless under it.
     """
     omega = np.asarray(probe_omega, dtype=float)
-    pump.require_match(ensemble)
     (_, den_plus, den_minus), pole = resonance_denominators(
-        pump, omega, guard, rayleigh=False, strict=strict
+        ensemble, pump, omega, guard, rayleigh=False, strict=strict
     )
     dip_plus, dip_minus, beyond = _numerators(ensemble, pump)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

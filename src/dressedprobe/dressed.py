@@ -9,7 +9,9 @@ coefficients of the dressed pair.
 
 Conventions: Gaussian-CGS units throughout, and every frequency-like
 quantity is an *angular* frequency in rad/s.  The detuning is pump
-frequency minus transition frequency and may take either sign.
+frequency minus transition frequency and may take either sign; the pump
+frequency omega_p = omega0 + detuning has one home, ``pump_omega``, and
+the closed form refuses a pump with omega_p <= 0.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, DegenerateDressing, ZeroRabi
+from .errors import DegenerateDressing, ZeroRabi
 
 
 def generalized_rabi(detuning: float, rabi: float) -> float:
@@ -137,41 +139,27 @@ class AtomEnsemble:
 class PumpField:
     """Strong monochromatic pump dressing the gas.
 
-    The detuning is stored explicitly so the dressed algebra never has to
+    The pump dresses the atoms only through its detuning and Rabi
+    frequency.  Its angular frequency omega0 + detuning is derived from an
+    ensemble by ``pump_omega``, so the dressed algebra never has to
     subtract two nearly equal optical frequencies.
     """
 
-    omega_p: float
     rabi: float
     detuning: float
 
     def __post_init__(self) -> None:
-        if self.omega_p <= 0:
-            raise ValueError("omega_p must be strictly positive")
         # Raises DegenerateDressing when both vanish.
         generalized_rabi(self.detuning, self.rabi)
-
-    @classmethod
-    def for_ensemble(
-        cls, ensemble: AtomEnsemble, *, detuning: float, rabi: float
-    ) -> "PumpField":
-        """Build a pump locked to an ensemble: omega_p = omega0 + detuning."""
-        return cls(
-            omega_p=ensemble.omega0 + detuning, rabi=rabi, detuning=detuning
-        )
-
-    def require_match(self, ensemble: AtomEnsemble) -> None:
-        """Check detuning consistency against an ensemble's transition."""
-        expected = ensemble.omega0 + self.detuning
-        if abs(self.omega_p - expected) > 1e-9 * ensemble.omega0:
-            raise ConfigError(
-                f"pump omega_p = {self.omega_p!r} does not equal "
-                f"omega0 + detuning = {expected!r}"
-            )
 
     @property
     def omega_prime(self) -> float:
         return generalized_rabi(self.detuning, self.rabi)
+
+
+def pump_omega(ensemble: AtomEnsemble, pump: PumpField) -> float:
+    """Pump angular frequency omega_p = omega0 + detuning, rad/s."""
+    return ensemble.omega0 + pump.detuning
 
 
 @dataclass(frozen=True)

@@ -82,9 +82,8 @@ def sideband_amplitudes(
     Also returns the pole mask of all three resonance denominators; the
     amplitudes are meaningless under it, and ``strict`` raises instead.
     """
-    pump.require_match(ensemble)
     omega = np.asarray(probe_omega, dtype=float)
-    dens, pole = resonance_denominators(pump, omega, guard, strict=strict)
+    dens, pole = resonance_denominators(ensemble, pump, omega, guard, strict=strict)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         b1, b2 = _brackets(pump, dens)
         scale = k_scale(ensemble, pump, omega)

@@ -23,7 +23,7 @@ from . import modulation as mod
 from . import pulsetrain as pt
 from .config import RunConfig
 from .constants import CGS
-from .dressed import PumpField, SuperpositionState
+from .dressed import PumpField, SuperpositionState, pump_omega
 from .errors import DressedProbeError, ResonancePole, StepTooCoarse
 
 
@@ -224,13 +224,13 @@ def check_oracle_randomized(config: RunConfig) -> tuple[bool, str]:
     worst = 0.0
     ensemble = config.ensemble()
     for detuning, rabi, offset, b, phase, rho in _ORACLE_SETS:
-        pump = PumpField.for_ensemble(ensemble, detuning=detuning, rabi=rabi)
+        pump = PumpField(rabi=rabi, detuning=detuning)
         state = SuperpositionState(
             alpha=math.sqrt(1.0 - b * b),
             beta=b * complex(math.cos(phase), math.sin(phase)),
         )
         dense = replace(ensemble, rho=rho)
-        probe_omega = pump.omega_p - offset * pump.omega_prime
+        probe_omega = pump_omega(ensemble, pump) - offset * pump.omega_prime
         err = _oracle_error(dense, pump, state, probe_omega, config.guard, 1000)
         worst = max(worst, err)
     return (
@@ -375,14 +375,13 @@ def check_dispersion_identities(config: RunConfig) -> tuple[bool, str]:
 @_check("beyond_dipole_non_saturating")
 def check_beyond_dipole(config: RunConfig) -> tuple[bool, str]:
     """Beyond-dipole fraction rises monotonically over 4 decades of rabi."""
+    if config.rabi == 0:
+        return False, "rabi = 0: beyond-dipole term scales as rabi^2, nothing to grow"
     ensemble = config.ensemble()
     ladder = np.geomspace(config.rabi / 100.0, config.rabi * 100.0, 17)
     values = [
         disp.beyond_dipole_fraction(
-            ensemble,
-            PumpField.for_ensemble(
-                ensemble, detuning=config.detuning, rabi=float(r)
-            ),
+            ensemble, PumpField(rabi=float(r), detuning=config.detuning)
         )
         for r in ladder
     ]
@@ -390,8 +389,8 @@ def check_beyond_dipole(config: RunConfig) -> tuple[bool, str]:
     at_default = disp.beyond_dipole_fraction(ensemble, config.pump())
     return (
         increasing,
-        f"fraction strictly increasing over {ladder[0]:.2e}..{ladder[-1]:.2e} "
-        f"rad/s; at defaults = {at_default:.3e}",
+        f"fraction {'' if increasing else 'not '}strictly increasing over "
+        f"{ladder[0]:.2e}..{ladder[-1]:.2e} rad/s; at defaults = {at_default:.3e}",
     )
 
 
@@ -430,13 +429,18 @@ def check_guard_behavior(config: RunConfig) -> tuple[bool, str]:
     ok = True
 
     # delta reconstructed from optical frequencies rounds at the ~0.1 rad/s
-    # level, so a 1 rad/s guard stands in for an exact pole hit.
+    # level, so a 1 rad/s guard stands in for an exact pole hit.  Where
+    # omega_p <= w' the pole at omega_p - w' is no probe frequency, so the
+    # one at omega_p + w' is probed instead.
+    omega_p = pump_omega(ensemble, pump)
+    sign = "" if omega_p > omega_prime else "-"
+    delta = -omega_prime if sign else omega_prime
     try:
         disp.resonance_denominators(
-            pump, [pump.omega_p - omega_prime], guard=1.0, strict=True
+            ensemble, pump, [omega_p - delta], guard=1.0, strict=True
         )
         ok = False
-        details.append("pole at delta = omega_prime NOT caught")
+        details.append(f"pole at delta = {sign}omega_prime NOT caught")
     except ResonancePole as exc:
         details.append(f"pole caught ({exc.denominator})")
 

@@ -19,6 +19,7 @@ from dressedprobe import (
     PumpField,
     SuperpositionState,
 )
+from dressedprobe.dressed import pump_omega
 
 # Documented optical-regime parameter set (angular frequencies, rad/s).
 OMEGA0 = 1e15
@@ -75,9 +76,7 @@ def ensemble_train() -> AtomEnsemble:
 
 @pytest.fixture(scope="session")
 def pump(ensemble_dense) -> PumpField:
-    return PumpField.for_ensemble(
-        ensemble_dense, detuning=DETUNING, rabi=RABI
-    )
+    return PumpField(rabi=RABI, detuning=DETUNING)
 
 
 @pytest.fixture(scope="session")
@@ -86,5 +85,5 @@ def state() -> SuperpositionState:
 
 
 @pytest.fixture(scope="session")
-def probe(pump) -> float:
-    return pump.omega_p - PROBE_DELTA
+def probe(ensemble_dense, pump) -> float:
+    return pump_omega(ensemble_dense, pump) - PROBE_DELTA

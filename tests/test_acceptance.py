@@ -36,6 +36,7 @@ from dressedprobe import (
 )
 from dressedprobe.cli import sweep_frequency_rows
 from dressedprobe.config import RunConfig
+from dressedprobe.dressed import pump_omega
 
 import oracles
 from conftest import (
@@ -201,8 +202,7 @@ def test_criterion_5_oracle_agreement(ensemble_train, pump, state, probe):
             d=math.sqrt(D_SQUARED),
             rho=float(10 ** rng.uniform(13.0, 15.3)),
         )
-        rand_pump = PumpField.for_ensemble(
-            ensemble,
+        rand_pump = PumpField(
             detuning=float(
                 rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(10.7, 11.7)
             ),
@@ -213,7 +213,7 @@ def test_criterion_5_oracle_agreement(ensemble_train, pump, state, probe):
             * rng.uniform(0.01, 0.8)
             * rand_pump.omega_prime
         )
-        rand_probe = rand_pump.omega_p - delta
+        rand_probe = pump_omega(ensemble, rand_pump) - delta
         beta_mag = rng.uniform(0.05, 0.7)
         phase = rng.uniform(0.0, 2.0 * math.pi)
         rand_state = SuperpositionState(
@@ -335,9 +335,7 @@ def test_criterion_8_beyond_dipole_non_saturating(ensemble_dense, pump):
     values = [
         beyond_dipole_fraction(
             ensemble_dense,
-            PumpField.for_ensemble(
-                ensemble_dense, detuning=DETUNING, rabi=rabi
-            ),
+            PumpField(rabi=rabi, detuning=DETUNING),
         )
         for rabi in ladder
     ]

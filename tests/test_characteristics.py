@@ -25,6 +25,7 @@ from dressedprobe import (
     refractive_index,
     residual_check,
 )
+from dressedprobe.dressed import pump_omega
 
 from conftest import D_SQUARED, DETUNING, FROZEN, OMEGA0, RABI
 
@@ -284,14 +285,12 @@ class TestRandomizedOracle:
                 rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(10.7, 11.7)
             )
             rabi = float(10 ** rng.uniform(9.0, 11.0))
-            pump = PumpField.for_ensemble(
-                ensemble, detuning=detuning, rabi=rabi
-            )
+            pump = PumpField(rabi=rabi, detuning=detuning)
             omega_prime = pump.omega_prime
             delta = float(
                 rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 0.8) * omega_prime
             )
-            probe = pump.omega_p - delta
+            probe = pump_omega(ensemble, pump) - delta
             beta_mag = rng.uniform(0.05, 0.7)
             phase = rng.uniform(0.0, 2.0 * math.pi)
             state = SuperpositionState(

@@ -20,6 +20,7 @@ from dressedprobe.cli import (
 )
 from dressedprobe.config import RunConfig, load_config
 from dressedprobe.dispersion import refractive_index
+from dressedprobe.dressed import pump_omega
 from dressedprobe.modulation import exponent_grid
 from dressedprobe.pulsetrain import analyze_train
 
@@ -612,6 +613,35 @@ class TestValidate:
             assert check["detail"].startswith("ConfigError: ")
 
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"pump": {"rabi": 0.0}},
+            {"pump": {"detuning": -6e14}},
+            {"pump": {"detuning": 2e11}},
+            {"state": {"alpha": 1.0, "beta": 0.0}},
+            {"state": {"alpha": math.sqrt(0.5), "beta": math.sqrt(0.5)}},
+            {"ensemble": {"rho": 0.0}},
+            {"ensemble": {"d_squared": 0.0}},
+        ],
+        ids=[
+            "dark_pump",
+            "far_detuned_pump",
+            "blue_detuned_pump",
+            "pure_state",
+            "balanced_state",
+            "empty_cell",
+            "zero_dipole",
+        ],
+    )
+    def test_edge_config_writes_a_report(self, tmp_path, override):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(override))
+        out = tmp_path / "report.json"
+        assert run_cli("validate", "--config", config, "--out", out) in (0, 1)
+        assert len(json.loads(out.read_text())["checks"]) == 12
+
+
 class TestBadConfigRefused:
     def test_nan_density_refused(self, tmp_path):
         path = tmp_path / "nan.json"
@@ -657,9 +687,9 @@ class TestBadConfigRefused:
 def _guard_edge_config(tmp_path) -> Path:
     """Default grid, guard equal to one row's +w' sideband |denominator|."""
     config = RunConfig()
-    pump = config.pump()
+    omega_p = pump_omega(config.ensemble(), config.pump())
     delta = config.delta_grid.values()[100]  # -2e11, next to -w'
-    delta_po = pump.omega_p - (pump.omega_p - delta)
+    delta_po = omega_p - (omega_p - delta)
     return write_config(
         tmp_path, guard=abs(delta_po + config.omega_prime())
     )
@@ -707,7 +737,7 @@ def test_array_rows_equal_scalar_wrappers(tmp_path, grid):
                 ensemble,
                 pump,
                 state,
-                pump.omega_p - float(delta),
+                pump_omega(ensemble, pump) - float(delta),
                 [z],
                 [math.pi / omega_prime, 2.0 * math.pi / omega_prime],
                 guard,

@@ -74,6 +74,7 @@ def test_complex_amplitudes_as_pairs():
         ({"probe": {"delta": 2e15}}, "probe omega must be strictly positive"),
         ({"z": {"cm": -1.0}}, "z.cm must be non-negative"),
         ({"z": {"theta": -1.0}}, "z.theta must be non-negative"),
+        ({"pump": {"detuning": -2e15}}, "omega_p must be strictly positive"),
     ],
 )
 def test_invalid_configs_rejected(raw, fragment):

@@ -21,7 +21,8 @@ from dressedprobe import (
     k_scale,
     modulation_depth,
 )
-from dressedprobe.dispersion import resonance_denominators
+from dressedprobe.dispersion import index_parts, resonance_denominators
+from dressedprobe.dressed import pump_omega
 from dressedprobe.modulation import (
     exponent_sweep,
     intensity_gain,
@@ -76,9 +77,13 @@ def _g(ensemble, pump, state, probe, z, t):
 class TestSidebandBrackets:
     def test_exact_fractions_at_zero_detuning(self, ensemble_dense, state):
         rabi = 6.0e9
-        pump = PumpField.for_ensemble(ensemble_dense, detuning=0.0, rabi=rabi)
+        pump = PumpField(rabi=rabi, detuning=0.0)
         b1, b2 = _brackets(
-            ensemble_dense, pump, state, pump.omega_p - 2.0 * rabi, guard=0.0
+            ensemble_dense,
+            pump,
+            state,
+            pump_omega(ensemble_dense, pump) - 2.0 * rabi,
+            guard=0.0,
         )
         assert b1 == pytest.approx(5.0 / 6.0, rel=1e-12)
         assert b2 == pytest.approx(3.0 / 2.0, rel=1e-12)
@@ -91,21 +96,26 @@ class TestSidebandBrackets:
         assert b1 == pytest.approx(float(ref1), rel=1e-12)
         assert b2 == pytest.approx(float(ref2), rel=1e-12)
 
-    def test_pole_at_hypercombination_offset(self, pump):
+    def test_pole_at_hypercombination_offset(self, ensemble_dense, pump):
         omega_prime = pump.omega_prime
+        omega_p = pump_omega(ensemble_dense, pump)
         with pytest.raises(ResonancePole) as info:
-            resonance_denominators(pump, [pump.omega_p - omega_prime], strict=True)
+            resonance_denominators(
+                ensemble_dense, pump, [omega_p - omega_prime], strict=True
+            )
         assert info.value.denominator == "omega_p - omega - omega_prime"
 
     def test_exact_pole_hit_with_zero_guard(self):
         # Small exact numbers: delta_po = omega_prime = 3 exactly.
-        pump = PumpField(omega_p=10.0, rabi=3.0, detuning=0.0)
+        toy = AtomEnsemble(omega0=10.0, d=0.0, rho=0.0)
+        pump = PumpField(rabi=3.0, detuning=0.0)
         with pytest.raises(ResonancePole):
-            resonance_denominators(pump, [7.0], guard=0.0, strict=True)
+            resonance_denominators(toy, pump, [7.0], guard=0.0, strict=True)
 
-    def test_rayleigh_pole(self, pump):
+    def test_rayleigh_pole(self, ensemble_dense, pump):
+        omega_p = pump_omega(ensemble_dense, pump)
         with pytest.raises(ResonancePole) as info:
-            resonance_denominators(pump, [pump.omega_p], strict=True)
+            resonance_denominators(ensemble_dense, pump, [omega_p], strict=True)
         assert info.value.denominator == "omega_p - omega"
 
 
@@ -168,6 +178,24 @@ class TestExponent:
         for call in calls:
             with pytest.raises(
                 ValueError, match="probe_omega must be strictly positive"
+            ):
+                call()
+
+    @pytest.mark.parametrize("detuning", [-OMEGA0, -2.0 * OMEGA0])
+    def test_non_positive_pump_frequency_rejected(
+        self, ensemble_dense, state, detuning
+    ):
+        # omega0 + detuning <= 0: no pump frequency, whatever the probe.
+        pump = PumpField(rabi=RABI, detuning=detuning)
+        args = (ensemble_dense, pump, state)
+        calls = (
+            lambda: exponent_grid(*args, 1e9, [0.0], [0.0]),
+            lambda: sideband_amplitudes(*args, [1e9]),
+            lambda: index_parts(*args, [1e9]),
+        )
+        for call in calls:
+            with pytest.raises(
+                ValueError, match="omega_p must be strictly positive"
             ):
                 call()
 
@@ -247,12 +275,12 @@ class TestExponent:
         ensemble = AtomEnsemble(
             omega0=OMEGA0, d=math.sqrt(D_SQUARED), rho=RHO_DENSE
         )
-        pump = PumpField.for_ensemble(ensemble, detuning=DETUNING, rabi=RABI)
+        pump = PumpField(rabi=RABI, detuning=DETUNING)
         state = SuperpositionState(
             alpha=math.sqrt(1.0 - beta_mag**2),
             beta=beta_mag * cmath.exp(1j * phase),
         )
-        probe = pump.omega_p - PROBE_DELTA
+        probe = pump_omega(ensemble, pump) - PROBE_DELTA
         omega_prime = pump.omega_prime
         z = z_frac * 2.0 * math.pi * CGS.c / omega_prime
         t = t_frac * 2.0 * math.pi / omega_prime

@@ -78,6 +78,38 @@ def test_undispersed_configs_report(override):
     assert check.passed, check.detail
 
 
+def test_dark_pump_fails_cleanly():
+    # The beyond-dipole term scales as rabi^2: at rabi = 0 there is no
+    # ladder of Rabi frequencies over which it could grow.
+    dark = config_from_dict({"pump": {"rabi": 0.0}})
+    check = validation.check_beyond_dipole(dark)
+    assert not check.passed
+    assert "rabi = 0" in check.detail
+
+
+def test_far_detuned_pump_probes_the_other_pole():
+    # omega_p = 4e14 < w', so omega_p - w' is no probe frequency; the
+    # omega_p - omega + omega_prime pole at omega_p + w' is probed instead.
+    check = validation.check_guard_behavior(
+        config_from_dict({"pump": {"detuning": -6e14}})
+    )
+    assert check.passed, check.detail
+    assert check.detail == (
+        "pole caught (omega_p - omega + omega_prime); coarse stepping caught"
+    )
+
+
+def test_beyond_dipole_fail_text_is_not_the_claim():
+    # Blue detuning: the red-sideband ratio is not monotone in rabi.
+    blue = config_from_dict({"pump": {"detuning": 2e11}})
+    check = validation.check_beyond_dipole(blue)
+    assert not check.passed
+    assert check.detail.startswith("fraction not strictly increasing over ")
+    default = validation.check_beyond_dipole(config_from_dict({}))
+    assert default.passed
+    assert default.detail.startswith("fraction strictly increasing over ")
+
+
 def test_oracle_sets_are_the_seeded_draw():
     # The randomized oracle has always checked these draws; freezing them
     # keeps numpy.random out of validate without re-choosing a single set.
