@@ -10,6 +10,12 @@ refractive index including the beyond-dipole term, pulse-train statistics,
 and an independent characteristic-integration oracle for the reduced wave
 equation.
 
+The gas is one object, ``DressedGas``: the two-level atoms (omega0, d, rho),
+the pump that dresses them (detuning, rabi) and the prepared superposition
+(alpha, beta).  Every closed-form function takes it first, and its pump
+frequency ``omega_p = omega0 + detuning`` is strictly positive by
+construction.
+
 The envelope is evaluated on arrays: ``exponent_grid`` gives G and
 ``log_amplitude_grid`` ln A over a (z, t) grid, a single value being the
 [0, 0] cell of a one-point grid; ``modulation_depth`` and
@@ -29,9 +35,7 @@ from .config import GridSpec, RunConfig, config_from_dict, load_config
 from .constants import CGS, DEFAULT_GUARD
 from .dispersion import DispersionResult, beyond_dipole_fraction, refractive_index
 from .dressed import (
-    AtomEnsemble,
-    PumpField,
-    SuperpositionState,
+    DressedGas,
     generalized_rabi,
     normalization_coeffs,
     stark_shifts,
@@ -63,23 +67,21 @@ from .pulsetrain import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomEnsemble",
     "CGS",
     "ConfigError",
     "DEFAULT_GUARD",
     "DegenerateDressing",
     "DispersionResult",
+    "DressedGas",
     "DressedProbeError",
     "GridSpec",
     "GridTooCoarse",
     "PulseTrainStats",
-    "PumpField",
     "ResonancePole",
     "RunConfig",
     "RweCoefficients",
     "ShallowModulation",
     "StepTooCoarse",
-    "SuperpositionState",
     "TimeSeries",
     "UnderSampled",
     "ZeroDipole",

@@ -36,7 +36,7 @@ import numpy as np
 
 from .constants import CGS, DEFAULT_GUARD
 from .dispersion import refractive_index
-from .dressed import AtomEnsemble, PumpField, SuperpositionState
+from .dressed import DressedGas
 from .modulation import exponent_grid, sideband_amplitudes
 from .errors import GridTooCoarse, StepTooCoarse
 from .pulsetrain import is_uniform
@@ -67,9 +67,7 @@ class RweCoefficients:
 
 
 def derive_coefficients(
-    ensemble: AtomEnsemble,
-    pump: PumpField,
-    state: SuperpositionState,
+    gas: DressedGas,
     probe_omega: float,
     guard: float = DEFAULT_GUARD,
 ) -> RweCoefficients:
@@ -80,16 +78,14 @@ def derive_coefficients(
     terms vanish for a pure dressed state, mirroring which part of the
     atomic response each one represents.
     """
-    disp = refractive_index(ensemble, pump, state, probe_omega, guard)
-    a1, a2, _ = sideband_amplitudes(
-        ensemble, pump, state, [probe_omega], guard, strict=True
-    )
-    rate = pump.omega_prime / CGS.c
+    disp = refractive_index(gas, probe_omega, guard)
+    a1, a2, _ = sideband_amplitudes(gas, [probe_omega], guard, strict=True)
+    rate = gas.omega_prime / CGS.c
     return RweCoefficients(
         d_coef=probe_omega * (disp.n0 - 1.0) / CGS.c,
         ls=complex(rate * a1[0]),
         rs=complex(rate * a2[0]),
-        omega_prime=pump.omega_prime,
+        omega_prime=gas.omega_prime,
     )
 
 
@@ -163,9 +159,7 @@ def integrate_characteristic(
 
 
 def log_amplitude_grid(
-    ensemble: AtomEnsemble,
-    pump: PumpField,
-    state: SuperpositionState,
+    gas: DressedGas,
     probe_omega: float,
     z: np.ndarray,
     t: np.ndarray,
@@ -174,8 +168,8 @@ def log_amplitude_grid(
     """Closed-form ln A over the outer product of z and t grids at the
     probe angular frequency ``probe_omega`` in rad/s."""
     z = np.asarray(z, dtype=float)
-    grid = exponent_grid(ensemble, pump, state, probe_omega, z, t, guard)
-    disp = refractive_index(ensemble, pump, state, probe_omega, guard)
+    grid = exponent_grid(gas, probe_omega, z=z, t=t, guard=guard)
+    disp = refractive_index(gas, probe_omega, guard)
     phase = 1j * probe_omega * (disp.n0 - 1.0) * z / CGS.c
     return grid + phase[:, None]
 

@@ -42,7 +42,6 @@ from . import modulation as mod
 from . import pulsetrain as pt
 from .config import RunConfig, config_to_dict, load_config
 from .dispersion import index_parts
-from .dressed import pump_omega
 from .errors import ConfigError, DressedProbeError
 from .validation import gain_series, run_all
 
@@ -268,14 +267,12 @@ def _load(args) -> RunConfig:
 def sweep_frequency_rows(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     """Columns (delta, Re G at arrival, Re G half a period later) and the
     pole mask; the Re G cells of a pole row are meaningless."""
-    ensemble, pump = config.ensemble(), config.pump()
+    gas = config.gas()
     omega_prime = config.omega_prime()
     deltas = np.array(config.delta_grid.values())
     g, pole = mod.exponent_sweep(
-        ensemble,
-        pump,
-        config.state(),
-        pump_omega(ensemble, pump) - deltas,
+        gas,
+        gas.omega_p - deltas,
         config.z_fixed(),
         [math.pi / omega_prime, 2.0 * math.pi / omega_prime],
         config.guard,
@@ -331,11 +328,9 @@ def evolve_series(config: RunConfig) -> tuple[pt.TimeSeries, dict]:
 def dispersion_rows(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     """Columns (omega, n0, dipole part, beyond-dipole part) and the pole
     mask; the index cells of a pole row are meaningless."""
-    ensemble, pump = config.ensemble(), config.pump()
-    omega = pump_omega(ensemble, pump) - np.array(config.delta_grid.values())
-    dipole, beyond, pole = index_parts(
-        ensemble, pump, config.state(), omega, config.guard
-    )
+    gas = config.gas()
+    omega = gas.omega_p - np.array(config.delta_grid.values())
+    dipole, beyond, pole = index_parts(gas, omega, config.guard)
     values = np.column_stack((omega, 1.0 + dipole + beyond, dipole, beyond))
     return values, pole
 

@@ -16,13 +16,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .constants import CGS, DEFAULT_GUARD
-from .dressed import (
-    AtomEnsemble,
-    PumpField,
-    SuperpositionState,
-    generalized_rabi,
-    pump_omega,
-)
+from .dressed import DressedGas, generalized_rabi
 from .errors import ConfigError, DressedProbeError
 
 
@@ -90,10 +84,7 @@ class RunConfig:
         if self.t_periods <= 0 or self.t_samples_per_period < 1:
             raise ConfigError("time grid must be non-empty")
         try:
-            omega_p = pump_omega(self.ensemble(), self.pump())
-            if omega_p <= 0:
-                raise ValueError("omega_p must be strictly positive")
-            self.state()
+            omega_p = self.gas().omega_p
             if self.probe_omega() <= 0:
                 raise ValueError("probe omega must be strictly positive")
         except (ValueError, DressedProbeError) as exc:
@@ -101,22 +92,22 @@ class RunConfig:
         if omega_p - self.delta_grid.stop <= 0:
             raise ConfigError("delta grid reaches non-positive probe omega")
 
-    def ensemble(self) -> AtomEnsemble:
+    def gas(self) -> DressedGas:
         if self.d_squared < 0:
             raise ConfigError("d_squared must be non-negative")
-        return AtomEnsemble(
-            omega0=self.omega0, d=math.sqrt(self.d_squared), rho=self.rho
+        return DressedGas(
+            omega0=self.omega0,
+            d=math.sqrt(self.d_squared),
+            rho=self.rho,
+            detuning=self.detuning,
+            rabi=self.rabi,
+            alpha=self.alpha,
+            beta=self.beta,
         )
-
-    def pump(self) -> PumpField:
-        return PumpField(rabi=self.rabi, detuning=self.detuning)
-
-    def state(self) -> SuperpositionState:
-        return SuperpositionState(alpha=self.alpha, beta=self.beta)
 
     def probe_omega(self) -> float:
         """Probe angular frequency in rad/s, probe.delta below the pump."""
-        return pump_omega(self.ensemble(), self.pump()) - self.probe_delta
+        return self.gas().omega_p - self.probe_delta
 
     def omega_prime(self) -> float:
         return generalized_rabi(self.detuning, self.rabi)

@@ -12,8 +12,8 @@ sideband resonances.  Evaluation inside a configurable guard band around
 those poles is refused rather than regularized.
 
 ``resonance_denominators`` owns the guard rule for these and the
-modulation's denominators, and refuses a non-positive pump or probe
-frequency; it and ``index_parts`` take arrays of probe frequencies and
+modulation's denominators, and refuses a non-positive probe frequency;
+it and ``index_parts`` take arrays of probe frequencies and
 mark poles in a mask, which ``refractive_index`` raises.
 """
 
@@ -25,13 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CGS, DEFAULT_GUARD
-from .dressed import (
-    AtomEnsemble,
-    PumpField,
-    SuperpositionState,
-    _split_offsets,
-    pump_omega,
-)
+from .dressed import DressedGas, _split_offsets
 from .errors import ResonancePole, ZeroDipole
 
 
@@ -49,8 +43,7 @@ class DispersionResult:
 
 
 def resonance_denominators(
-    ensemble: AtomEnsemble,
-    pump: PumpField,
+    gas: DressedGas,
     probe_omega,
     guard: float = DEFAULT_GUARD,
     *,
@@ -62,18 +55,14 @@ def resonance_denominators(
     A guarded denominator is at a pole unless |den| > guard (NaN is a
     pole); omega_p - omega is guarded only if ``rayleigh``.  ``strict``
     raises ResonancePole for the first pole in the order of the result.
-    A pump frequency omega_p = omega0 + detuning or a probe frequency that
-    is not strictly positive raises ValueError; every closed-form
-    evaluation passes through here.
+    A probe frequency that is not strictly positive raises ValueError;
+    every closed-form evaluation passes through here.
     """
-    omega_p = pump_omega(ensemble, pump)
-    if omega_p <= 0:
-        raise ValueError("omega_p must be strictly positive")
     omega = np.asarray(probe_omega, dtype=float)
     if np.any(omega <= 0):
         raise ValueError("probe_omega must be strictly positive")
-    delta_po = omega_p - omega
-    omega_prime = pump.omega_prime
+    delta_po = gas.omega_p - omega
+    omega_prime = gas.omega_prime
     named = (
         ("omega_p - omega", delta_po),
         ("omega_p - omega + omega_prime", delta_po + omega_prime),
@@ -88,22 +77,20 @@ def resonance_denominators(
     return tuple(den for _, den in named), pole
 
 
-def _numerators(ensemble: AtomEnsemble, pump: PumpField) -> tuple:
+def _numerators(gas: DressedGas) -> tuple:
     """Dipole numerators of the red and blue sideband terms, then the
     beyond-dipole numerator (e^2/m)(rabi^2/omega_prime)."""
-    omega_prime = pump.omega_prime
-    minus, plus = _split_offsets(pump.detuning, pump.rabi)
-    d2w2 = ensemble.d_squared * ensemble.omega0**2
+    omega_prime = gas.omega_prime
+    minus, plus = _split_offsets(gas.detuning, gas.rabi)
+    d2w2 = gas.d_squared * gas.omega0**2
     dip_plus = d2w2 * minus * minus / (CGS.hbar * omega_prime**2)
     dip_minus = d2w2 * plus * plus / (CGS.hbar * omega_prime**2)
-    beyond = (CGS.e**2 / CGS.m) * pump.rabi**2 / omega_prime
+    beyond = (CGS.e**2 / CGS.m) * gas.rabi**2 / omega_prime
     return dip_plus, dip_minus, beyond
 
 
 def index_parts(
-    ensemble: AtomEnsemble,
-    pump: PumpField,
-    state: SuperpositionState,
+    gas: DressedGas,
     probe_omega,
     guard: float = DEFAULT_GUARD,
     *,
@@ -115,16 +102,16 @@ def index_parts(
     """
     omega = np.asarray(probe_omega, dtype=float)
     (_, den_plus, den_minus), pole = resonance_denominators(
-        ensemble, pump, omega, guard, rayleigh=False, strict=strict
+        gas, omega, guard, rayleigh=False, strict=strict
     )
-    dip_plus, dip_minus, beyond = _numerators(ensemble, pump)
+    dip_plus, dip_minus, beyond = _numerators(gas)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # libm pow, which Python's float ** 2 uses; numpy's x**2 is x*x.
         prefactor = (
             math.pi
-            * ensemble.rho
+            * gas.rho
             / (2.0 * np.float_power(omega, 2.0))
-            * state.population_difference
+            * gas.population_difference
         )
         dipole_part = prefactor * (dip_plus / den_plus - dip_minus / den_minus)
         beyond_part = prefactor * beyond * (1.0 / den_plus - 1.0 / den_minus)
@@ -132,9 +119,7 @@ def index_parts(
 
 
 def refractive_index(
-    ensemble: AtomEnsemble,
-    pump: PumpField,
-    state: SuperpositionState,
+    gas: DressedGas,
     probe_omega: float,
     guard: float = DEFAULT_GUARD,
 ) -> DispersionResult:
@@ -153,9 +138,7 @@ def refractive_index(
         If a sideband denominator lies within the guard band; the message
         names the offending denominator.
     """
-    dipole, beyond, _ = index_parts(
-        ensemble, pump, state, [probe_omega], guard, strict=True
-    )
+    dipole, beyond, _ = index_parts(gas, [probe_omega], guard, strict=True)
     dipole, beyond = float(dipole[0]), float(beyond[0])
     return DispersionResult(
         n0=1.0 + dipole + beyond,
@@ -164,22 +147,26 @@ def refractive_index(
     )
 
 
-def beyond_dipole_fraction(ensemble: AtomEnsemble, pump: PumpField) -> float:
-    """Ratio of the beyond-dipole to the dipole numerator.
+def beyond_dipole_fraction(gas: DressedGas) -> float:
+    """Ratio of the beyond-dipole to the larger dipole numerator.
 
-    Quotes the red-sideband bracket: (e^2/m)(rabi^2/omega_prime) divided by
-    d^2 omega0^2 (omega_prime - detuning)^2 / (hbar omega_prime^2).  The
-    ratio grows without bound in the pump Rabi frequency for red detuning,
-    which is the non-saturating signature of the beyond-dipole coupling.
+    The larger one carries (omega_prime + |detuning|)^2: it is the red
+    sideband's d^2 omega0^2 (omega_prime - detuning)^2 / (hbar
+    omega_prime^2) for red detuning and the blue sideband's, with
+    omega_prime + detuning, for blue detuning.  The ratio to
+    (e^2/m)(rabi^2/omega_prime) then goes as
+    rabi^2 omega_prime / (omega_prime + |detuning|)^2, which grows without
+    bound in the pump Rabi frequency for either sign of the detuning: the
+    non-saturating signature of the beyond-dipole coupling.
 
     Raises
     ------
     ZeroDipole
-        If the ensemble has no dipole moment to compare against.
+        If the gas has no dipole moment to compare against.
     """
-    if ensemble.d == 0:
+    if gas.d == 0:
         raise ZeroDipole("dipole matrix element is zero")
-    if pump.rabi == 0:
+    if gas.rabi == 0:
         return 0.0
-    dip_plus, _, beyond = _numerators(ensemble, pump)
-    return beyond / dip_plus
+    dip_plus, dip_minus, beyond = _numerators(gas)
+    return beyond / max(dip_plus, dip_minus)

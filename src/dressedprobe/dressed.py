@@ -9,9 +9,11 @@ coefficients of the dressed pair.
 
 Conventions: Gaussian-CGS units throughout, and every frequency-like
 quantity is an *angular* frequency in rad/s.  The detuning is pump
-frequency minus transition frequency and may take either sign; the pump
-frequency omega_p = omega0 + detuning has one home, ``pump_omega``, and
-the closed form refuses a pump with omega_p <= 0.
+frequency minus transition frequency and may take either sign.  The atoms,
+the pump and the prepared state are one object, ``DressedGas``: every
+closed-form quantity depends on all three.  Its pump frequency
+omega_p = omega0 + detuning is a property, and a gas with omega_p <= 0
+cannot be built.
 """
 
 from __future__ import annotations
@@ -105,8 +107,9 @@ def normalization_coeffs(detuning: float, rabi: float) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class AtomEnsemble:
-    """Gas of identical two-level atoms.
+class DressedGas:
+    """Gas of identical two-level atoms, dressed by a strong monochromatic
+    pump and prepared in a superposition of the two dressed states.
 
     Attributes
     ----------
@@ -116,11 +119,26 @@ class AtomEnsemble:
         Dipole matrix element, esu*cm (non-negative).
     rho : float
         Number density, cm^-3.
+    detuning : float
+        Pump minus transition angular frequency, rad/s, of either sign.
+    rabi : float
+        Pump Rabi frequency, rad/s (non-negative).
+    alpha, beta : complex
+        Amplitudes of the prepared dressed-state superposition.
+
+    The pump dresses the atoms only through its detuning and Rabi
+    frequency, so the dressed algebra never has to subtract two nearly
+    equal optical frequencies.  A gas whose pump frequency
+    omega_p = omega0 + detuning is not strictly positive cannot be built.
     """
 
     omega0: float
     d: float
     rho: float
+    detuning: float
+    rabi: float
+    alpha: complex
+    beta: complex
 
     def __post_init__(self) -> None:
         if self.omega0 <= 0:
@@ -129,47 +147,10 @@ class AtomEnsemble:
             raise ValueError("dipole matrix element must be non-negative")
         if self.rho < 0:
             raise ValueError("number density must be non-negative")
-
-    @property
-    def d_squared(self) -> float:
-        return self.d * self.d
-
-
-@dataclass(frozen=True)
-class PumpField:
-    """Strong monochromatic pump dressing the gas.
-
-    The pump dresses the atoms only through its detuning and Rabi
-    frequency.  Its angular frequency omega0 + detuning is derived from an
-    ensemble by ``pump_omega``, so the dressed algebra never has to
-    subtract two nearly equal optical frequencies.
-    """
-
-    rabi: float
-    detuning: float
-
-    def __post_init__(self) -> None:
-        # Raises DegenerateDressing when both vanish.
+        # Raises DegenerateDressing when detuning and rabi both vanish.
         generalized_rabi(self.detuning, self.rabi)
-
-    @property
-    def omega_prime(self) -> float:
-        return generalized_rabi(self.detuning, self.rabi)
-
-
-def pump_omega(ensemble: AtomEnsemble, pump: PumpField) -> float:
-    """Pump angular frequency omega_p = omega0 + detuning, rad/s."""
-    return ensemble.omega0 + pump.detuning
-
-
-@dataclass(frozen=True)
-class SuperpositionState:
-    """Complex amplitudes of the prepared dressed-state superposition."""
-
-    alpha: complex
-    beta: complex
-
-    def __post_init__(self) -> None:
+        if self.omega_p <= 0:
+            raise ValueError("omega_p must be strictly positive")
         alpha = complex(self.alpha)
         beta = complex(self.beta)
         object.__setattr__(self, "alpha", alpha)
@@ -179,6 +160,19 @@ class SuperpositionState:
             raise ValueError(
                 f"|alpha|^2 + |beta|^2 = {norm!r} must equal 1 within 1e-12"
             )
+
+    @property
+    def d_squared(self) -> float:
+        return self.d * self.d
+
+    @property
+    def omega_prime(self) -> float:
+        return generalized_rabi(self.detuning, self.rabi)
+
+    @property
+    def omega_p(self) -> float:
+        """Pump angular frequency omega0 + detuning, rad/s."""
+        return self.omega0 + self.detuning
 
     @property
     def population_difference(self) -> float:

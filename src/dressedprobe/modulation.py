@@ -34,44 +34,37 @@ import numpy as np
 
 from .constants import CGS, DEFAULT_GUARD
 from .dispersion import resonance_denominators
-from .dressed import (
-    AtomEnsemble,
-    PumpField,
-    SuperpositionState,
-    _split_offsets,
-)
+from .dressed import DressedGas, _split_offsets
 from .errors import ConfigError
 
 
-def _brackets(pump: PumpField, dens) -> tuple:
+def _brackets(gas: DressedGas, dens) -> tuple:
     """b1 = (w'+detuning)/(wp-w) + (w'-detuning)/(wp-w+w') and
     b2 = (w'-detuning)/(wp-w) + (w'+detuning)/(wp-w-w') from the three
     resonance denominators."""
     delta_po, den_plus, den_minus = dens
-    minus, plus = _split_offsets(pump.detuning, pump.rabi)
+    minus, plus = _split_offsets(gas.detuning, gas.rabi)
     b1 = plus / delta_po + minus / den_plus
     b2 = minus / delta_po + plus / den_minus
     return b1, b2
 
 
-def k_scale(ensemble: AtomEnsemble, pump: PumpField, probe_omega):
+def k_scale(gas: DressedGas, probe_omega):
     """Exponent scale K = 2 pi rho d^2 w0^2 rabi/(hbar w w'^3); w may be an array."""
-    omega_prime = pump.omega_prime
+    omega_prime = gas.omega_prime
     return (
         2.0
         * math.pi
-        * ensemble.rho
-        * ensemble.d_squared
-        * ensemble.omega0**2
-        * pump.rabi
+        * gas.rho
+        * gas.d_squared
+        * gas.omega0**2
+        * gas.rabi
         / (CGS.hbar * probe_omega * omega_prime**3)
     )
 
 
 def sideband_amplitudes(
-    ensemble: AtomEnsemble,
-    pump: PumpField,
-    state: SuperpositionState,
+    gas: DressedGas,
     probe_omega,
     guard: float = DEFAULT_GUARD,
     *,
@@ -83,19 +76,17 @@ def sideband_amplitudes(
     amplitudes are meaningless under it, and ``strict`` raises instead.
     """
     omega = np.asarray(probe_omega, dtype=float)
-    dens, pole = resonance_denominators(ensemble, pump, omega, guard, strict=strict)
+    dens, pole = resonance_denominators(gas, omega, guard, strict=strict)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        b1, b2 = _brackets(pump, dens)
-        scale = k_scale(ensemble, pump, omega)
-        a1 = scale * state.alpha.conjugate() * state.beta * b1
-        a2 = scale * state.alpha * state.beta.conjugate() * b2
+        b1, b2 = _brackets(gas, dens)
+        scale = k_scale(gas, omega)
+        a1 = scale * gas.alpha.conjugate() * gas.beta * b1
+        a2 = scale * gas.alpha * gas.beta.conjugate() * b2
     return a1, a2, pole
 
 
 def modulation_depth(
-    ensemble: AtomEnsemble,
-    pump: PumpField,
-    state: SuperpositionState,
+    gas: DressedGas,
     probe_omega: float,
     z: float,
     guard: float = DEFAULT_GUARD,
@@ -108,11 +99,9 @@ def modulation_depth(
     """
     if z < 0:
         raise ValueError("z must be non-negative")
-    a1, a2, _ = sideband_amplitudes(
-        ensemble, pump, state, [probe_omega], guard, strict=True
-    )
+    a1, a2, _ = sideband_amplitudes(gas, [probe_omega], guard, strict=True)
     # |c1 + conj(c2)| = |1 - exp(-i w' z / c)| |a1 - conj(a2)|
-    ramp = 2.0 * abs(math.sin(0.5 * pump.omega_prime * z / CGS.c))
+    ramp = 2.0 * abs(math.sin(0.5 * gas.omega_prime * z / CGS.c))
     return ramp * float(abs(a1[0] - np.conj(a2[0])))
 
 
@@ -131,9 +120,7 @@ def _exponent(a1, a2, omega_prime: float, z, t) -> np.ndarray:
 
 
 def exponent_grid(
-    ensemble: AtomEnsemble,
-    pump: PumpField,
-    state: SuperpositionState,
+    gas: DressedGas,
     probe_omega: float,
     z: np.ndarray,
     t: np.ndarray,
@@ -146,16 +133,12 @@ def exponent_grid(
     """
     if np.any(np.asarray(z) < 0):
         raise ValueError("z must be non-negative")
-    a1, a2, _ = sideband_amplitudes(
-        ensemble, pump, state, [probe_omega], guard, strict=True
-    )
-    return _exponent(a1[0], a2[0], pump.omega_prime, z, t)
+    a1, a2, _ = sideband_amplitudes(gas, [probe_omega], guard, strict=True)
+    return _exponent(a1[0], a2[0], gas.omega_prime, z, t)
 
 
 def exponent_sweep(
-    ensemble: AtomEnsemble,
-    pump: PumpField,
-    state: SuperpositionState,
+    gas: DressedGas,
     probe_omega: np.ndarray,
     z: float,
     t: np.ndarray,
@@ -168,8 +151,8 @@ def exponent_sweep(
     """
     if z < 0:
         raise ValueError("z must be non-negative")
-    a1, a2, pole = sideband_amplitudes(ensemble, pump, state, probe_omega, guard)
-    g = _exponent(a1[:, None], a2[:, None], pump.omega_prime, [z], t)
+    a1, a2, pole = sideband_amplitudes(gas, probe_omega, guard)
+    g = _exponent(a1[:, None], a2[:, None], gas.omega_prime, [z], t)
     return g, pole
 
 

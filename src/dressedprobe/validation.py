@@ -23,7 +23,6 @@ from . import modulation as mod
 from . import pulsetrain as pt
 from .config import RunConfig
 from .constants import CGS
-from .dressed import PumpField, SuperpositionState, pump_omega
 from .errors import DressedProbeError, ResonancePole, StepTooCoarse
 
 
@@ -51,27 +50,17 @@ def _check(name: str):
     return decorate
 
 
-def _objects(config: RunConfig):
-    return (
-        config.ensemble(),
-        config.pump(),
-        config.state(),
-        config.probe_omega(),
-    )
-
-
 def gain_series(
     config: RunConfig, periods: float, samples_per_period: int
 ) -> pt.TimeSeries:
     """Intensity gain at the fixed plane from the arrival time z / c, over
     ``periods`` modulation periods of ``samples_per_period`` samples."""
-    ensemble, pump, state, probe_omega = _objects(config)
     z = config.z_fixed()
     t0 = z / CGS.c
     dt = 2.0 * math.pi / config.omega_prime() / samples_per_period
     t = t0 + dt * np.arange(round(periods * samples_per_period))
     g = mod.exponent_grid(
-        ensemble, pump, state, probe_omega, [z], t, config.guard
+        config.gas(), config.probe_omega(), z=[z], t=t, guard=config.guard
     )[0]
     return pt.TimeSeries(t0=t0, dt=dt, gains=mod.intensity_gain(g))
 
@@ -79,11 +68,10 @@ def gain_series(
 @_check("boundary_identity")
 def check_boundary_identity(config: RunConfig) -> tuple[bool, str]:
     """|exp(G(0, t)) - 1| stays below 1e-12 over 1024 samples."""
-    ensemble, pump, state, probe_omega = _objects(config)
     period = 2.0 * math.pi / config.omega_prime()
     t = np.linspace(0.0, period, 1024, endpoint=False)
     g = mod.exponent_grid(
-        ensemble, pump, state, probe_omega, np.array([0.0]), t, config.guard
+        config.gas(), config.probe_omega(), z=[0.0], t=t, guard=config.guard
     )
     worst = float(np.max(np.abs(np.exp(g) - 1.0)))
     return worst < 1e-12, f"max |F(0,t)-1| = {worst:.3e}"
@@ -92,15 +80,15 @@ def check_boundary_identity(config: RunConfig) -> tuple[bool, str]:
 @_check("antiperiodicity")
 def check_antiperiodicity(config: RunConfig) -> tuple[bool, str]:
     """G(z, t + half period) = -G(z, t) on a 64 x 64 grid."""
-    ensemble, pump, state, probe_omega = _objects(config)
+    gas, probe_omega = config.gas(), config.probe_omega()
     omega_prime = config.omega_prime()
     period = 2.0 * math.pi / omega_prime
     length = period * CGS.c
     z = np.linspace(0.0, length, 64, endpoint=False)
     t = np.linspace(0.0, period, 64, endpoint=False)
-    g = mod.exponent_grid(ensemble, pump, state, probe_omega, z, t, config.guard)
+    g = mod.exponent_grid(gas, probe_omega, z=z, t=t, guard=config.guard)
     g_shift = mod.exponent_grid(
-        ensemble, pump, state, probe_omega, z, t + 0.5 * period, config.guard
+        gas, probe_omega, z=z, t=t + 0.5 * period, guard=config.guard
     )
     worst = float(np.max(np.abs(g + g_shift) / (1.0 + np.abs(g))))
     return worst < 1e-9, f"max |G(t+T/2)+G|/(1+|G|) = {worst:.3e}"
@@ -109,7 +97,6 @@ def check_antiperiodicity(config: RunConfig) -> tuple[bool, str]:
 @_check("modulation_periods")
 def check_modulation_periods(config: RunConfig) -> tuple[bool, str]:
     """Measured repetition periods in t and z match 2 pi / w' and 2 pi c / w'."""
-    ensemble, pump, state, probe_omega = _objects(config)
     omega_prime = config.omega_prime()
     period = 2.0 * math.pi / omega_prime
     length = period * CGS.c
@@ -121,7 +108,7 @@ def check_modulation_periods(config: RunConfig) -> tuple[bool, str]:
     z = np.arange(3 * spp) * (length / spp)
     t_fix = math.pi / omega_prime
     gz = mod.exponent_grid(
-        ensemble, pump, state, probe_omega, z, np.array([t_fix]), config.guard
+        config.gas(), config.probe_omega(), z=z, t=[t_fix], guard=config.guard
     )[:, 0]
     series_z = pt.TimeSeries(t0=0.0, dt=length / spp, gains=mod.intensity_gain(gz))
     stats_z = pt.analyze_train(series_z, omega_prime / CGS.c)
@@ -138,11 +125,14 @@ def check_modulation_periods(config: RunConfig) -> tuple[bool, str]:
 @_check("zero_mean_jensen_geometric")
 def check_zero_mean_jensen(config: RunConfig) -> tuple[bool, str]:
     """Time-mean Re G vanishes; mean gain >= 1; peak*min gain = 1."""
-    ensemble, pump, state, probe_omega = _objects(config)
     period = 2.0 * math.pi / config.omega_prime()
     t = np.linspace(0.0, period, 4096, endpoint=False)
     g = mod.exponent_grid(
-        ensemble, pump, state, probe_omega, [config.z_fixed()], t, config.guard
+        config.gas(),
+        config.probe_omega(),
+        z=[config.z_fixed()],
+        t=t,
+        guard=config.guard,
     )[0]
     mean_re = abs(float(np.mean(g.real)))
     gains = mod.intensity_gain(g)
@@ -157,18 +147,18 @@ def check_zero_mean_jensen(config: RunConfig) -> tuple[bool, str]:
 
 
 def _oracle_error(
-    ensemble, pump, state, probe_omega, guard: float, steps_per_period: int
+    gas, probe_omega, guard: float, steps_per_period: int
 ) -> float:
     """Worst oracle-vs-closed-form error over z in {L/4, L/2, L}."""
-    omega_prime = pump.omega_prime
+    omega_prime = gas.omega_prime
     length = 2.0 * math.pi * CGS.c / omega_prime
-    coefs = chars.derive_coefficients(ensemble, pump, state, probe_omega, guard)
+    coefs = chars.derive_coefficients(gas, probe_omega, guard)
     t_entry = 0.37 * 2.0 * math.pi / omega_prime
     fracs = (0.25, 0.5, 1.0)
     z_ends = [frac * length for frac in fracs]
     t_ends = [t_entry + z_end / CGS.c for z_end in z_ends]
     closed = chars.log_amplitude_grid(
-        ensemble, pump, state, probe_omega, z_ends, t_ends, guard
+        gas, probe_omega, z_ends, t_ends, guard
     ).diagonal()
     worst = 0.0
     for frac, z_end, closed_end in zip(fracs, z_ends, closed.tolist()):
@@ -182,7 +172,9 @@ def _oracle_error(
 @_check("oracle_agreement")
 def check_oracle_agreement(config: RunConfig) -> tuple[bool, str]:
     """Characteristic integration matches the closed form to 1e-6."""
-    worst = _oracle_error(*_objects(config), config.guard, config.steps)
+    worst = _oracle_error(
+        config.gas(), config.probe_omega(), config.guard, config.steps
+    )
     return (
         worst < 1e-6,
         f"max rel log-amplitude error = {worst:.3e} at z in L/4, L/2, L",
@@ -222,16 +214,18 @@ _ORACLE_SETS = (
 def check_oracle_randomized(config: RunConfig) -> tuple[bool, str]:
     """Oracle agreement over the seeded parameter sets ``_ORACLE_SETS``."""
     worst = 0.0
-    ensemble = config.ensemble()
+    gas = config.gas()
     for detuning, rabi, offset, b, phase, rho in _ORACLE_SETS:
-        pump = PumpField(rabi=rabi, detuning=detuning)
-        state = SuperpositionState(
+        varied = replace(
+            gas,
+            rho=rho,
+            detuning=detuning,
+            rabi=rabi,
             alpha=math.sqrt(1.0 - b * b),
             beta=b * complex(math.cos(phase), math.sin(phase)),
         )
-        dense = replace(ensemble, rho=rho)
-        probe_omega = pump_omega(ensemble, pump) - offset * pump.omega_prime
-        err = _oracle_error(dense, pump, state, probe_omega, config.guard, 1000)
+        probe_omega = varied.omega_p - offset * varied.omega_prime
+        err = _oracle_error(varied, probe_omega, config.guard, 1000)
         worst = max(worst, err)
     return (
         worst < 1e-6,
@@ -249,16 +243,15 @@ def integration_errors(config: RunConfig) -> tuple[list[int], list[float]]:
     terms cancel spectrally; at 1000-2000 steps per period truncation stays
     far above the rounding floor.
     """
-    ensemble, pump, state, probe_omega = _objects(config)
+    gas, probe_omega = config.gas(), config.probe_omega()
     length = 2.0 * math.pi * CGS.c / config.omega_prime()
     z_end = 0.37 * length
     coefs = replace(
-        chars.derive_coefficients(ensemble, pump, state, probe_omega, config.guard),
-        d_coef=0.0,
+        chars.derive_coefficients(gas, probe_omega, config.guard), d_coef=0.0
     )
     closed = complex(
         mod.exponent_grid(
-            ensemble, pump, state, probe_omega, [z_end], [z_end / CGS.c], config.guard
+            gas, probe_omega, z=[z_end], t=[z_end / CGS.c], guard=config.guard
         )[0, 0]
     )
     steps = [math.ceil(0.37 * per_period) for per_period in (1000, 1414, 2000)]
@@ -273,21 +266,17 @@ def fd_residuals(config: RunConfig, points) -> list[float]:
     """``residual_check`` of the closed-form ln A over one period in z and t
     at each count of grid intervals in ``points``.  Empty without a sideband
     part, where the residual is rounding only and has no order."""
-    ensemble, pump, state, probe_omega = _objects(config)
+    gas, probe_omega = config.gas(), config.probe_omega()
     period = 2.0 * math.pi / config.omega_prime()
     length = period * CGS.c
-    coefs = chars.derive_coefficients(
-        ensemble, pump, state, probe_omega, config.guard
-    )
+    coefs = chars.derive_coefficients(gas, probe_omega, config.guard)
     if coefs.ls == 0 and coefs.rs == 0:
         return []
     residuals = []
     for n in points:
         z = np.linspace(0.0, length, n + 1)
         t = np.linspace(0.0, period, n + 1)
-        grid = chars.log_amplitude_grid(
-            ensemble, pump, state, probe_omega, z, t, config.guard
-        )
+        grid = chars.log_amplitude_grid(gas, probe_omega, z, t, config.guard)
         residuals.append(chars.residual_check(grid, z, t, coefs))
     return residuals
 
@@ -335,25 +324,17 @@ def check_dispersion_identities(config: RunConfig) -> tuple[bool, str]:
     """n0 = 1 for balanced states and empty cells; n0 - 1 linear in rho,
     measured on dipole_part + beyond_dipole_part since n0 - 1.0 carries the
     rounding of n0 (eps / |n0 - 1| relative); n0 is exactly their sum + 1."""
-    ensemble, pump, state, probe_omega = _objects(config)
-    balanced = SuperpositionState(
-        alpha=math.sqrt(0.5), beta=math.sqrt(0.5)
-    )
-    n_balanced = disp.refractive_index(
-        ensemble, pump, balanced, probe_omega, config.guard
-    ).n0
-    empty = replace(ensemble, rho=0.0)
-    n_empty = disp.refractive_index(
-        empty, pump, state, probe_omega, config.guard
-    ).n0
-    base = disp.refractive_index(ensemble, pump, state, probe_omega, config.guard)
-    doubled = disp.refractive_index(
-        replace(ensemble, rho=2.0 * ensemble.rho),
-        pump,
-        state,
-        probe_omega,
-        config.guard,
-    )
+    gas, probe_omega = config.gas(), config.probe_omega()
+
+    def index(**change):
+        return disp.refractive_index(
+            replace(gas, **change), probe_omega, config.guard
+        )
+
+    n_balanced = index(alpha=math.sqrt(0.5), beta=math.sqrt(0.5)).n0
+    n_empty = index(rho=0.0).n0
+    base = index()
+    doubled = index(rho=2.0 * gas.rho)
     offset = base.dipole_part + base.beyond_dipole_part
     doubled_offset = doubled.dipole_part + doubled.beyond_dipole_part
     # Relative unless n0 = 1 exactly, then raw as in ``residual_check``.
@@ -377,16 +358,13 @@ def check_beyond_dipole(config: RunConfig) -> tuple[bool, str]:
     """Beyond-dipole fraction rises monotonically over 4 decades of rabi."""
     if config.rabi == 0:
         return False, "rabi = 0: beyond-dipole term scales as rabi^2, nothing to grow"
-    ensemble = config.ensemble()
+    gas = config.gas()
     ladder = np.geomspace(config.rabi / 100.0, config.rabi * 100.0, 17)
     values = [
-        disp.beyond_dipole_fraction(
-            ensemble, PumpField(rabi=float(r), detuning=config.detuning)
-        )
-        for r in ladder
+        disp.beyond_dipole_fraction(replace(gas, rabi=float(r))) for r in ladder
     ]
     increasing = all(b > a for a, b in zip(values, values[1:]))
-    at_default = disp.beyond_dipole_fraction(ensemble, config.pump())
+    at_default = disp.beyond_dipole_fraction(gas)
     return (
         increasing,
         f"fraction {'' if increasing else 'not '}strictly increasing over "
@@ -405,7 +383,7 @@ def check_train_stats(config: RunConfig) -> tuple[bool, str]:
     series = gain_series(config, 4, max(config.t_samples_per_period, 512))
     stats = pt.analyze_train(series, omega_prime)
     depth = mod.modulation_depth(
-        *_objects(config), config.z_fixed(), config.guard
+        config.gas(), config.probe_omega(), config.z_fixed(), config.guard
     )
     fwhm_ref = pt.fwhm_closed_form(depth, omega_prime)
     depth_err = abs(stats.depth - depth) / depth
@@ -423,7 +401,7 @@ def check_train_stats(config: RunConfig) -> tuple[bool, str]:
 @_check("guard_behavior")
 def check_guard_behavior(config: RunConfig) -> tuple[bool, str]:
     """Pole and step guards refuse degenerate requests with clear errors."""
-    ensemble, pump, state, probe_omega = _objects(config)
+    gas = config.gas()
     omega_prime = config.omega_prime()
     details = []
     ok = True
@@ -432,21 +410,19 @@ def check_guard_behavior(config: RunConfig) -> tuple[bool, str]:
     # level, so a 1 rad/s guard stands in for an exact pole hit.  Where
     # omega_p <= w' the pole at omega_p - w' is no probe frequency, so the
     # one at omega_p + w' is probed instead.
-    omega_p = pump_omega(ensemble, pump)
+    omega_p = gas.omega_p
     sign = "" if omega_p > omega_prime else "-"
     delta = -omega_prime if sign else omega_prime
     try:
         disp.resonance_denominators(
-            ensemble, pump, [omega_p - delta], guard=1.0, strict=True
+            gas, [omega_p - delta], guard=1.0, strict=True
         )
         ok = False
         details.append(f"pole at delta = {sign}omega_prime NOT caught")
     except ResonancePole as exc:
         details.append(f"pole caught ({exc.denominator})")
 
-    coefs = chars.derive_coefficients(
-        ensemble, pump, state, probe_omega, config.guard
-    )
+    coefs = chars.derive_coefficients(gas, config.probe_omega(), config.guard)
     length = 2.0 * math.pi * CGS.c / omega_prime
     try:
         chars.integrate_characteristic(coefs, length, 0.0, steps=10)

@@ -14,12 +14,7 @@ from pathlib import Path
 import pytest
 
 import dressedprobe
-from dressedprobe import (
-    AtomEnsemble,
-    PumpField,
-    SuperpositionState,
-)
-from dressedprobe.dressed import pump_omega
+from dressedprobe import DressedGas
 
 # Documented optical-regime parameter set (angular frequencies, rad/s).
 OMEGA0 = 1e15
@@ -64,26 +59,28 @@ def child_env() -> dict:
     return env
 
 
-@pytest.fixture(scope="session")
-def ensemble_dense() -> AtomEnsemble:
-    return AtomEnsemble(omega0=OMEGA0, d=math.sqrt(D_SQUARED), rho=RHO_DENSE)
+def documented_gas(rho: float = RHO_DENSE) -> DressedGas:
+    return DressedGas(
+        omega0=OMEGA0,
+        d=math.sqrt(D_SQUARED),
+        rho=rho,
+        detuning=DETUNING,
+        rabi=RABI,
+        alpha=ALPHA,
+        beta=BETA,
+    )
 
 
 @pytest.fixture(scope="session")
-def ensemble_train() -> AtomEnsemble:
-    return AtomEnsemble(omega0=OMEGA0, d=math.sqrt(D_SQUARED), rho=RHO_TRAIN)
+def gas_dense() -> DressedGas:
+    return documented_gas(RHO_DENSE)
 
 
 @pytest.fixture(scope="session")
-def pump(ensemble_dense) -> PumpField:
-    return PumpField(rabi=RABI, detuning=DETUNING)
+def gas_train() -> DressedGas:
+    return documented_gas(RHO_TRAIN)
 
 
 @pytest.fixture(scope="session")
-def state() -> SuperpositionState:
-    return SuperpositionState(alpha=ALPHA, beta=BETA)
-
-
-@pytest.fixture(scope="session")
-def probe(ensemble_dense, pump) -> float:
-    return pump_omega(ensemble_dense, pump) - PROBE_DELTA
+def probe(gas_dense) -> float:
+    return gas_dense.omega_p - PROBE_DELTA

@@ -13,21 +13,21 @@ import math
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dressedprobe import (
     CGS,
-    AtomEnsemble,
-    PumpField,
-    SuperpositionState,
+    DressedGas,
     TimeSeries,
     analyze_train,
     beyond_dipole_fraction,
     derive_coefficients,
     exponent_grid,
     fwhm_closed_form,
+    generalized_rabi,
     integrate_characteristic,
     log_amplitude_grid,
     modulation_depth,
@@ -36,20 +36,15 @@ from dressedprobe import (
 )
 from dressedprobe.cli import sweep_frequency_rows
 from dressedprobe.config import RunConfig
-from dressedprobe.dressed import pump_omega
 
 import oracles
 from conftest import (
-    ALPHA,
-    BETA,
     D_SQUARED,
     DETUNING,
     FROZEN,
     OMEGA0,
-    PROBE_DELTA,
     RABI,
     RHO_DENSE,
-    RHO_TRAIN,
     child_env,
 )
 
@@ -64,11 +59,11 @@ def _report(criterion: str, passed: bool, detail: str) -> None:
     assert passed, f"{criterion}: {detail}"
 
 
-def test_criterion_1_boundary_identity(ensemble_dense, pump, state, probe):
+def test_criterion_1_boundary_identity(gas_dense, probe):
     started = time.perf_counter()
     t = np.linspace(0.0, PERIOD, 1024, endpoint=False)
     g = exponent_grid(
-        ensemble_dense, pump, state, probe, np.array([0.0]), t
+        gas_dense, probe, np.array([0.0]), t
     )
     worst = float(np.max(np.abs(np.exp(g) - 1.0)))
     elapsed = time.perf_counter() - started
@@ -80,14 +75,14 @@ def test_criterion_1_boundary_identity(ensemble_dense, pump, state, probe):
 
 
 def test_criterion_2_antiperiodicity_and_sweep_mirror(
-    ensemble_dense, pump, state, probe
+    gas_dense, probe
 ):
     started = time.perf_counter()
     z = np.linspace(0.0, LENGTH, 64, endpoint=False)
     t = np.linspace(0.0, PERIOD, 64, endpoint=False)
-    g = exponent_grid(ensemble_dense, pump, state, probe, z, t)
+    g = exponent_grid(gas_dense, probe, z, t)
     g_shift = exponent_grid(
-        ensemble_dense, pump, state, probe, z, t + 0.5 * PERIOD
+        gas_dense, probe, z, t + 0.5 * PERIOD
     )
     worst = float(np.max(np.abs(g + g_shift) / (1.0 + np.abs(g))))
 
@@ -111,7 +106,7 @@ def test_criterion_2_antiperiodicity_and_sweep_mirror(
     )
 
 
-def test_criterion_3_modulation_periods(ensemble_dense, pump, state, probe):
+def test_criterion_3_modulation_periods(gas_dense, probe):
     # Frozen high-precision values: 2 pi / w' and 2 pi c / w'.
     assert FROZEN["t_mod"] == pytest.approx(3.1260015268123316e-11, rel=1e-12)
     assert FROZEN["l_mod"] == pytest.approx(0.93715168143482180, rel=1e-12)
@@ -120,7 +115,7 @@ def test_criterion_3_modulation_periods(ensemble_dense, pump, state, probe):
     t0 = Z_HALF / CGS.c
     t = t0 + (PERIOD / spp) * np.arange(3 * spp)
     g = exponent_grid(
-        ensemble_dense, pump, state, probe, np.array([Z_HALF]), t
+        gas_dense, probe, np.array([Z_HALF]), t
     )[0]
     series = TimeSeries(
         t0=t0, dt=PERIOD / spp, gains=tuple(np.exp(2.0 * g.real))
@@ -130,9 +125,7 @@ def test_criterion_3_modulation_periods(ensemble_dense, pump, state, probe):
 
     z = (LENGTH / spp) * np.arange(3 * spp)
     gz = exponent_grid(
-        ensemble_dense,
-        pump,
-        state,
+        gas_dense,
         probe,
         z,
         np.array([math.pi / OMEGA_PRIME]),
@@ -151,7 +144,7 @@ def test_criterion_3_modulation_periods(ensemble_dense, pump, state, probe):
 
 
 def test_criterion_4_zero_mean_jensen_geometric(
-    ensemble_dense, pump, state, probe
+    gas_dense, probe
 ):
     t = np.linspace(0.0, PERIOD, 4096, endpoint=False)
     worst_mean = 0.0
@@ -159,7 +152,7 @@ def test_criterion_4_zero_mean_jensen_geometric(
     jensen_ok = True
     for z in (0.2 * LENGTH, Z_HALF, 0.8 * LENGTH):
         g = exponent_grid(
-            ensemble_dense, pump, state, probe, np.array([z]), t
+            gas_dense, probe, np.array([z]), t
         )[0]
         worst_mean = max(worst_mean, abs(float(np.mean(g.real))))
         gains = np.exp(2.0 * g.real)
@@ -175,13 +168,13 @@ def test_criterion_4_zero_mean_jensen_geometric(
     )
 
 
-def test_criterion_5_oracle_agreement(ensemble_train, pump, state, probe):
+def test_criterion_5_oracle_agreement(gas_train, probe):
     started = time.perf_counter()
     rng = np.random.default_rng(424242)
 
-    def worst_for(ensemble, pump, state, probe):
-        coefs = derive_coefficients(ensemble, pump, state, probe)
-        length = 2.0 * math.pi * CGS.c / pump.omega_prime
+    def worst_for(gas, probe):
+        coefs = derive_coefficients(gas, probe)
+        length = 2.0 * math.pi * CGS.c / gas.omega_prime
         t_entry = float(rng.uniform(0.0, 2.0)) * PERIOD
         worst = 0.0
         for frac in (0.25, 0.5, 1.0):
@@ -190,46 +183,42 @@ def test_criterion_5_oracle_agreement(ensemble_train, pump, state, probe):
                 coefs, z_end, t_entry, math.ceil(1000 * frac)
             )
             closed = log_amplitude_grid(
-                ensemble, pump, state, probe, [z_end], [t_entry + z_end / CGS.c]
+                gas, probe, [z_end], [t_entry + z_end / CGS.c]
             )[0, 0]
             worst = max(worst, abs(numeric - closed) / (1.0 + abs(closed)))
         return worst
 
-    worst = worst_for(ensemble_train, pump, state, probe)
+    worst = worst_for(gas_train, probe)
     for _ in range(20):
-        ensemble = AtomEnsemble(
-            omega0=OMEGA0,
-            d=math.sqrt(D_SQUARED),
-            rho=float(10 ** rng.uniform(13.0, 15.3)),
+        rho = float(10 ** rng.uniform(13.0, 15.3))
+        detuning = float(
+            rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(10.7, 11.7)
         )
-        rand_pump = PumpField(
-            detuning=float(
-                rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(10.7, 11.7)
-            ),
-            rabi=float(10 ** rng.uniform(9.0, 11.0)),
-        )
+        rabi = float(10 ** rng.uniform(9.0, 11.0))
         delta = float(
             rng.choice([-1.0, 1.0])
             * rng.uniform(0.01, 0.8)
-            * rand_pump.omega_prime
+            * generalized_rabi(detuning, rabi)
         )
-        rand_probe = pump_omega(ensemble, rand_pump) - delta
         beta_mag = rng.uniform(0.05, 0.7)
         phase = rng.uniform(0.0, 2.0 * math.pi)
-        rand_state = SuperpositionState(
+        rand_gas = DressedGas(
+            omega0=OMEGA0,
+            d=math.sqrt(D_SQUARED),
+            rho=rho,
+            detuning=detuning,
+            rabi=rabi,
             alpha=math.sqrt(1.0 - beta_mag**2),
             beta=beta_mag * complex(math.cos(phase), math.sin(phase)),
         )
-        worst = max(
-            worst, worst_for(ensemble, rand_pump, rand_state, rand_probe)
-        )
+        worst = max(worst, worst_for(rand_gas, rand_gas.omega_p - delta))
 
-    coefs = derive_coefficients(ensemble_train, pump, state, probe)
+    coefs = derive_coefficients(gas_train, probe)
     residuals = []
     for n in (64, 128, 256):
         z = np.linspace(0.0, LENGTH, n + 1)
         t = np.linspace(0.0, PERIOD, n + 1)
-        grid = log_amplitude_grid(ensemble_train, pump, state, probe, z, t)
+        grid = log_amplitude_grid(gas_train, probe, z, t)
         residuals.append(residual_check(grid, z, t, coefs))
     ratios = [residuals[0] / residuals[1], residuals[1] / residuals[2]]
     elapsed = time.perf_counter() - started
@@ -243,18 +232,18 @@ def test_criterion_5_oracle_agreement(ensemble_train, pump, state, probe):
     )
 
 
-def test_criterion_6_pulse_train_fidelity(ensemble_train, pump, state, probe):
+def test_criterion_6_pulse_train_fidelity(gas_train, probe):
     spp = 1024
     t0 = Z_HALF / CGS.c
     t = t0 + (PERIOD / spp) * np.arange(4 * spp)
     g = exponent_grid(
-        ensemble_train, pump, state, probe, np.array([Z_HALF]), t
+        gas_train, probe, np.array([Z_HALF]), t
     )[0]
     series = TimeSeries(
         t0=t0, dt=PERIOD / spp, gains=tuple(np.exp(2.0 * g.real))
     )
     stats = analyze_train(series, OMEGA_PRIME)
-    depth = modulation_depth(ensemble_train, pump, state, probe, Z_HALF)
+    depth = modulation_depth(gas_train, probe, Z_HALF)
 
     period_ok = abs(stats.period - FROZEN["t_mod"]) < 1e-6 * FROZEN["t_mod"]
     depth_ok = (
@@ -280,26 +269,19 @@ def test_criterion_6_pulse_train_fidelity(ensemble_train, pump, state, probe):
     )
 
 
-def test_criterion_7_dispersion(ensemble_dense, pump, state, probe):
-    balanced = SuperpositionState(alpha=math.sqrt(0.5), beta=math.sqrt(0.5))
-    n_balanced = refractive_index(
-        ensemble_dense, pump, balanced, probe
-    ).n0
-    vacuum = refractive_index(
-        AtomEnsemble(omega0=OMEGA0, d=math.sqrt(D_SQUARED), rho=0.0),
-        pump,
-        state,
-        probe,
-    ).n0
+def test_criterion_7_dispersion(gas_dense, probe):
+    balanced = replace(gas_dense, alpha=math.sqrt(0.5), beta=math.sqrt(0.5))
+    n_balanced = refractive_index(balanced, probe).n0
+    vacuum = refractive_index(replace(gas_dense, rho=0.0), probe).n0
 
-    result = refractive_index(ensemble_dense, pump, state, probe)
+    result = refractive_index(gas_dense, probe)
     dipole, beyond = oracles.refractive_index_offset(
         OMEGA0,
         D_SQUARED,
         RHO_DENSE,
         DETUNING,
         RABI,
-        state.population_difference,
+        gas_dense.population_difference,
         probe,
     )
     oracle_offset = float(dipole + beyond)
@@ -309,12 +291,7 @@ def test_criterion_7_dispersion(ensemble_dense, pump, state, probe):
         < 1e-12 * FROZEN["n0_minus_1_dense"]
     )
 
-    doubled = refractive_index(
-        AtomEnsemble(omega0=OMEGA0, d=math.sqrt(D_SQUARED), rho=2 * RHO_DENSE),
-        pump,
-        state,
-        probe,
-    )
+    doubled = refractive_index(replace(gas_dense, rho=2 * RHO_DENSE), probe)
     linear_err = abs(doubled.n0 - 1.0 - 2.0 * (result.n0 - 1.0)) / abs(
         doubled.n0 - 1.0
     )
@@ -330,17 +307,14 @@ def test_criterion_7_dispersion(ensemble_dense, pump, state, probe):
     )
 
 
-def test_criterion_8_beyond_dipole_non_saturating(ensemble_dense, pump):
+def test_criterion_8_beyond_dipole_non_saturating(gas_dense):
     ladder = [RABI / 100.0 * 10 ** (0.25 * k) for k in range(17)]
     values = [
-        beyond_dipole_fraction(
-            ensemble_dense,
-            PumpField(rabi=rabi, detuning=DETUNING),
-        )
+        beyond_dipole_fraction(replace(gas_dense, rabi=rabi))
         for rabi in ladder
     ]
     increasing = all(b > a for a, b in zip(values, values[1:]))
-    at_default = beyond_dipole_fraction(ensemble_dense, pump)
+    at_default = beyond_dipole_fraction(gas_dense)
     value_ok = (
         abs(at_default - FROZEN["beyond_dipole_fraction"])
         < 1e-12 * FROZEN["beyond_dipole_fraction"]

@@ -12,22 +12,20 @@ import pytest
 import dressedprobe.characteristics as chars
 from dressedprobe import (
     CGS,
-    AtomEnsemble,
+    DressedGas,
     GridTooCoarse,
-    PumpField,
     RweCoefficients,
     StepTooCoarse,
-    SuperpositionState,
     derive_coefficients,
     exponent_grid,
+    generalized_rabi,
     integrate_characteristic,
     log_amplitude_grid,
     refractive_index,
     residual_check,
 )
-from dressedprobe.dressed import pump_omega
 
-from conftest import D_SQUARED, DETUNING, FROZEN, OMEGA0, RABI
+from conftest import D_SQUARED, FROZEN, OMEGA0
 
 OMEGA_PRIME = FROZEN["omega_prime"]
 PERIOD = 2.0 * math.pi / OMEGA_PRIME
@@ -35,39 +33,35 @@ LENGTH = PERIOD * CGS.c
 
 
 class TestDeriveCoefficients:
-    def test_pure_state_has_no_sidebands(self, ensemble_dense, pump, probe):
-        pure = SuperpositionState(alpha=1.0, beta=0.0)
-        coefs = derive_coefficients(ensemble_dense, pump, pure, probe)
+    def test_pure_state_has_no_sidebands(self, gas_dense, probe):
+        pure = replace(gas_dense, alpha=1.0, beta=0.0)
+        coefs = derive_coefficients(pure, probe)
         assert coefs.ls == 0.0
         assert coefs.rs == 0.0
-        disp = refractive_index(ensemble_dense, pump, pure, probe)
+        disp = refractive_index(pure, probe)
         assert coefs.d_coef == pytest.approx(
             probe * (disp.n0 - 1.0) / CGS.c, rel=1e-12
         )
 
-    def test_balanced_state_has_no_direct_term(
-        self, ensemble_dense, pump, probe
-    ):
-        balanced = SuperpositionState(
-            alpha=math.sqrt(0.5), beta=math.sqrt(0.5)
-        )
-        coefs = derive_coefficients(ensemble_dense, pump, balanced, probe)
+    def test_balanced_state_has_no_direct_term(self, gas_dense, probe):
+        balanced = replace(gas_dense, alpha=math.sqrt(0.5), beta=math.sqrt(0.5))
+        coefs = derive_coefficients(balanced, probe)
         assert coefs.d_coef == 0.0
         assert abs(coefs.ls) > 0.0
         assert abs(coefs.rs) > 0.0
 
-    def test_sideband_magnitude_ratio(self, ensemble_train, pump, state, probe):
-        coefs = derive_coefficients(ensemble_train, pump, state, probe)
+    def test_sideband_magnitude_ratio(self, gas_train, probe):
+        coefs = derive_coefficients(gas_train, probe)
         # |rs/ls| = b2/b1 regardless of the amplitudes' phases.
         assert abs(coefs.rs) / abs(coefs.ls) == pytest.approx(
             FROZEN["rs_over_ls"], rel=1e-12
         )
 
     def test_coefficients_do_not_depend_on_an_origin(
-        self, ensemble_train, pump, state, probe
+        self, gas_train, probe
     ):
-        first = derive_coefficients(ensemble_train, pump, state, probe)
-        second = derive_coefficients(ensemble_train, pump, state, probe)
+        first = derive_coefficients(gas_train, probe)
+        second = derive_coefficients(gas_train, probe)
         assert (first.d_coef, first.ls, first.rs) == (
             second.d_coef,
             second.ls,
@@ -76,8 +70,8 @@ class TestDeriveCoefficients:
 
 
 class TestIntegrateCharacteristic:
-    def test_zero_span(self, ensemble_train, pump, state, probe):
-        coefs = derive_coefficients(ensemble_train, pump, state, probe)
+    def test_zero_span(self, gas_train, probe):
+        coefs = derive_coefficients(gas_train, probe)
         assert integrate_characteristic(coefs, 0.0, 0.0, 1) == 0.0
 
     def test_pure_phase_for_silent_sidebands(self):
@@ -89,8 +83,8 @@ class TestIntegrateCharacteristic:
         assert value.real == 0.0
         assert value.imag == pytest.approx(123.456 * z_end, rel=1e-14)
 
-    def test_step_guard(self, ensemble_train, pump, state, probe):
-        coefs = derive_coefficients(ensemble_train, pump, state, probe)
+    def test_step_guard(self, gas_train, probe):
+        coefs = derive_coefficients(gas_train, probe)
         with pytest.raises(StepTooCoarse):
             integrate_characteristic(coefs, LENGTH, 0.0, 999)
         with pytest.raises(StepTooCoarse):
@@ -98,10 +92,10 @@ class TestIntegrateCharacteristic:
         integrate_characteristic(coefs, 0.25 * LENGTH, 0.0, 250)
 
     def test_memory_bounded_at_many_steps(
-        self, ensemble_train, pump, state, probe
+        self, gas_train, probe
     ):
         # All 2e6 + 1 nodes at once took a 160 MB peak.
-        coefs = derive_coefficients(ensemble_train, pump, state, probe)
+        coefs = derive_coefficients(gas_train, probe)
         tracemalloc.start()
         try:
             integrate_characteristic(coefs, LENGTH, 0.0, 10**6)
@@ -111,9 +105,9 @@ class TestIntegrateCharacteristic:
         assert peak < 20e6
 
     def test_chunking_leaves_the_sum_unchanged(
-        self, ensemble_train, pump, state, probe, monkeypatch
+        self, gas_train, probe, monkeypatch
     ):
-        coefs = derive_coefficients(ensemble_train, pump, state, probe)
+        coefs = derive_coefficients(gas_train, probe)
         args = (coefs, 1.3 * LENGTH, 0.4 * PERIOD, 1300)
         whole = integrate_characteristic(*args)
         for nodes in (3, 1000):
@@ -121,9 +115,9 @@ class TestIntegrateCharacteristic:
             assert integrate_characteristic(*args) == whole
 
     def test_one_rhs_evaluation_per_single_chunk(
-        self, ensemble_train, pump, state, probe, monkeypatch
+        self, gas_train, probe, monkeypatch
     ):
-        coefs = derive_coefficients(ensemble_train, pump, state, probe)
+        coefs = derive_coefficients(gas_train, probe)
         rhs = chars._rhs
         calls = []
 
@@ -135,15 +129,15 @@ class TestIntegrateCharacteristic:
         integrate_characteristic(coefs, LENGTH, 0.0, 4000)
         assert len(calls) == 1
 
-    def test_negative_span_rejected(self, ensemble_train, pump, state, probe):
-        coefs = derive_coefficients(ensemble_train, pump, state, probe)
+    def test_negative_span_rejected(self, gas_train, probe):
+        coefs = derive_coefficients(gas_train, probe)
         with pytest.raises(ValueError):
             integrate_characteristic(coefs, -1.0, 0.0, 1000)
 
     def test_agreement_with_closed_form(
-        self, ensemble_train, pump, state, probe
+        self, gas_train, probe
     ):
-        coefs = derive_coefficients(ensemble_train, pump, state, probe)
+        coefs = derive_coefficients(gas_train, probe)
         t_entry = 0.4 * PERIOD
         for frac in (0.25, 0.5, 1.0):
             z_end = frac * LENGTH
@@ -151,36 +145,34 @@ class TestIntegrateCharacteristic:
                 coefs, z_end, t_entry, math.ceil(1000 * frac)
             )
             closed = log_amplitude_grid(
-                ensemble_train, pump, state, probe, [z_end], [t_entry + z_end / CGS.c]
+                gas_train, probe, [z_end], [t_entry + z_end / CGS.c]
             )[0, 0]
             assert abs(numeric - closed) / (1.0 + abs(closed)) < 1e-6
 
-    def test_agreement_with_complex_amplitudes(self, ensemble_train, pump, probe):
-        state = SuperpositionState(
-            alpha=math.sqrt(0.9), beta=math.sqrt(0.1) * 1j
-        )
-        coefs = derive_coefficients(ensemble_train, pump, state, probe)
+    def test_agreement_with_complex_amplitudes(self, gas_train, probe):
+        gas = replace(gas_train, alpha=math.sqrt(0.9), beta=math.sqrt(0.1) * 1j)
+        coefs = derive_coefficients(gas, probe)
         z_end = 0.62 * LENGTH
         t_entry = 0.13 * PERIOD
         numeric = integrate_characteristic(
             coefs, z_end, t_entry, math.ceil(1000 * 0.62)
         )
         closed = log_amplitude_grid(
-            ensemble_train, pump, state, probe, [z_end], [t_entry + z_end / CGS.c]
+            gas, probe, [z_end], [t_entry + z_end / CGS.c]
         )[0, 0]
         assert abs(numeric - closed) / (1.0 + abs(closed)) < 1e-6
 
-    def test_fourth_order_convergence(self, ensemble_train, pump, state, probe):
+    def test_fourth_order_convergence(self, gas_train, probe):
         # The sideband part alone (D is integrated exactly and only adds
         # rounding), over an incommensurate fraction of the spatial period:
         # over a whole period the truncation terms cancel spectrally.
         coefs = replace(
-            derive_coefficients(ensemble_train, pump, state, probe), d_coef=0.0
+            derive_coefficients(gas_train, probe), d_coef=0.0
         )
         z_end = 0.37 * LENGTH
         closed = complex(
             exponent_grid(
-                ensemble_train, pump, state, probe, [z_end], [z_end / CGS.c]
+                gas_train, probe, [z_end], [z_end / CGS.c]
             )[0, 0]
         )
         steps = [math.ceil(0.37 * n) for n in (1000, 1414, 2000)]
@@ -197,29 +189,29 @@ class TestIntegrateCharacteristic:
 
 
 @pytest.fixture(scope="module")
-def coefs(ensemble_train, pump, state, probe):
-    return derive_coefficients(ensemble_train, pump, state, probe)
+def coefs(gas_train, probe):
+    return derive_coefficients(gas_train, probe)
 
 
 class TestResidualCheck:
-    def grid(self, ensemble, pump, state, probe, n):
+    def grid(self, gas, probe, n):
         z = np.linspace(0.0, LENGTH, n + 1)
         t = np.linspace(0.0, PERIOD, n + 1)
-        return z, t, log_amplitude_grid(ensemble, pump, state, probe, z, t)
+        return z, t, log_amplitude_grid(gas, probe, z, t)
 
     def test_analytic_field_residual_small(
-        self, ensemble_train, pump, state, probe, coefs
+        self, gas_train, probe, coefs
     ):
-        z, t, grid = self.grid(ensemble_train, pump, state, probe, 256)
+        z, t, grid = self.grid(gas_train, probe, 256)
         residual = residual_check(grid, z, t, coefs)
         assert residual < 1e-4
 
     def test_second_order_refinement(
-        self, ensemble_train, pump, state, probe, coefs
+        self, gas_train, probe, coefs
     ):
         residuals = []
         for n in (64, 128, 256):
-            z, t, grid = self.grid(ensemble_train, pump, state, probe, n)
+            z, t, grid = self.grid(gas_train, probe, n)
             residuals.append(residual_check(grid, z, t, coefs))
         ratios = [residuals[0] / residuals[1], residuals[1] / residuals[2]]
         for ratio in ratios:
@@ -234,27 +226,27 @@ class TestResidualCheck:
         grid = np.zeros((129, 129), complex)
         assert residual_check(grid, z, t, coefs) == 0.0
 
-    def test_grid_guard(self, ensemble_train, pump, state, probe, coefs):
-        z, t, grid = self.grid(ensemble_train, pump, state, probe, 48)
+    def test_grid_guard(self, gas_train, probe, coefs):
+        z, t, grid = self.grid(gas_train, probe, 48)
         with pytest.raises(GridTooCoarse):
             residual_check(grid, z, t, coefs)
         with pytest.raises(GridTooCoarse):
             residual_check(grid, z, t, coefs)
 
     def test_floor_is_64_intervals_per_period(
-        self, ensemble_train, pump, state, probe, coefs
+        self, gas_train, probe, coefs
     ):
-        z, t, grid = self.grid(ensemble_train, pump, state, probe, 63)
+        z, t, grid = self.grid(gas_train, probe, 63)
         with pytest.raises(GridTooCoarse, match="need >= 64"):
             residual_check(grid, z, t, coefs)
-        z, t, grid = self.grid(ensemble_train, pump, state, probe, 64)
+        z, t, grid = self.grid(gas_train, probe, 64)
         assert residual_check(grid, z, t, coefs) > 0.0
 
     @pytest.mark.parametrize("index", [0, 1, 10])
     def test_nan_coordinate_rejected(
-        self, ensemble_train, pump, state, probe, coefs, index
+        self, gas_train, probe, coefs, index
     ):
-        z, t, grid = self.grid(ensemble_train, pump, state, probe, 128)
+        z, t, grid = self.grid(gas_train, probe, 128)
         z[index] = math.nan
         with pytest.raises(GridTooCoarse, match="uniform"):
             residual_check(grid, z, t, coefs)
@@ -262,9 +254,9 @@ class TestResidualCheck:
             residual_check(grid.T, t, z, coefs)
 
     def test_non_uniform_grid_rejected(
-        self, ensemble_train, pump, state, probe, coefs
+        self, gas_train, probe, coefs
     ):
-        z, t, grid = self.grid(ensemble_train, pump, state, probe, 256)
+        z, t, grid = self.grid(gas_train, probe, 256)
         warped = z.copy()
         warped[10] += 0.3 * (z[1] - z[0])
         with pytest.raises(GridTooCoarse):
@@ -276,28 +268,28 @@ class TestRandomizedOracle:
         rng = np.random.default_rng(987654321)
         worst = 0.0
         for _ in range(20):
-            ensemble = AtomEnsemble(
-                omega0=OMEGA0,
-                d=math.sqrt(D_SQUARED),
-                rho=float(10 ** rng.uniform(13.0, 15.3)),
-            )
+            rho = float(10 ** rng.uniform(13.0, 15.3))
             detuning = float(
                 rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(10.7, 11.7)
             )
             rabi = float(10 ** rng.uniform(9.0, 11.0))
-            pump = PumpField(rabi=rabi, detuning=detuning)
-            omega_prime = pump.omega_prime
+            omega_prime = generalized_rabi(detuning, rabi)
             delta = float(
                 rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 0.8) * omega_prime
             )
-            probe = pump_omega(ensemble, pump) - delta
             beta_mag = rng.uniform(0.05, 0.7)
             phase = rng.uniform(0.0, 2.0 * math.pi)
-            state = SuperpositionState(
+            gas = DressedGas(
+                omega0=OMEGA0,
+                d=math.sqrt(D_SQUARED),
+                rho=rho,
+                detuning=detuning,
+                rabi=rabi,
                 alpha=math.sqrt(1.0 - beta_mag**2),
                 beta=beta_mag * complex(math.cos(phase), math.sin(phase)),
             )
-            coefs = derive_coefficients(ensemble, pump, state, probe)
+            probe = gas.omega_p - delta
+            coefs = derive_coefficients(gas, probe)
             length = 2.0 * math.pi * CGS.c / omega_prime
             t_entry = float(rng.uniform(0.0, 2.0)) * PERIOD
             for frac in (0.25, 0.5, 1.0):
@@ -306,7 +298,7 @@ class TestRandomizedOracle:
                     coefs, z_end, t_entry, math.ceil(1000 * frac)
                 )
                 closed = log_amplitude_grid(
-                    ensemble, pump, state, probe, [z_end], [t_entry + z_end / CGS.c]
+                    gas, probe, [z_end], [t_entry + z_end / CGS.c]
                 )[0, 0]
                 worst = max(
                     worst, abs(numeric - closed) / (1.0 + abs(closed))

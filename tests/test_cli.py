@@ -20,7 +20,6 @@ from dressedprobe.cli import (
 )
 from dressedprobe.config import RunConfig, load_config
 from dressedprobe.dispersion import refractive_index
-from dressedprobe.dressed import pump_omega
 from dressedprobe.modulation import exponent_grid
 from dressedprobe.pulsetrain import analyze_train
 
@@ -687,7 +686,7 @@ class TestBadConfigRefused:
 def _guard_edge_config(tmp_path) -> Path:
     """Default grid, guard equal to one row's +w' sideband |denominator|."""
     config = RunConfig()
-    omega_p = pump_omega(config.ensemble(), config.pump())
+    omega_p = config.gas().omega_p
     delta = config.delta_grid.values()[100]  # -2e11, next to -w'
     delta_po = omega_p - (omega_p - delta)
     return write_config(
@@ -724,7 +723,7 @@ def test_array_rows_equal_scalar_wrappers(tmp_path, grid):
             },
         )
     config = load_config(path)
-    ensemble, pump, state = config.ensemble(), config.pump(), config.state()
+    gas = config.gas()
     z, guard = config.z_fixed(), config.guard
     sweep, scan = tmp_path / "sweep.csv", tmp_path / "scan.csv"
     assert run_cli("sweep-frequency", "--config", path, "--out", sweep) == 0
@@ -734,10 +733,8 @@ def test_array_rows_equal_scalar_wrappers(tmp_path, grid):
     for i, (delta, solid, dashed, marker) in enumerate(_table(sweep)):
         try:
             expected = exponent_grid(
-                ensemble,
-                pump,
-                state,
-                pump_omega(ensemble, pump) - float(delta),
+                gas,
+                gas.omega_p - float(delta),
                 [z],
                 [math.pi / omega_prime, 2.0 * math.pi / omega_prime],
                 guard,
@@ -752,7 +749,7 @@ def test_array_rows_equal_scalar_wrappers(tmp_path, grid):
     scan_poles = set()
     for i, (omega, n0, dipole, beyond, marker) in enumerate(_table(scan)):
         try:
-            result = refractive_index(ensemble, pump, state, float(omega), guard)
+            result = refractive_index(gas, float(omega), guard)
         except ResonancePole:
             assert (marker, n0, dipole, beyond) == ("POLE", "", "", "")
             scan_poles.add(i)

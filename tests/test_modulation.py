@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,17 +13,14 @@ from hypothesis import given, settings, strategies as st
 from dressedprobe import (
     CGS,
     DEFAULT_GUARD,
-    AtomEnsemble,
     ConfigError,
-    PumpField,
+    DressedGas,
     ResonancePole,
-    SuperpositionState,
     exponent_grid,
     k_scale,
     modulation_depth,
 )
-from dressedprobe.dispersion import index_parts, resonance_denominators
-from dressedprobe.dressed import pump_omega
+from dressedprobe.dispersion import resonance_denominators
 from dressedprobe.modulation import (
     exponent_sweep,
     intensity_gain,
@@ -33,20 +31,19 @@ import oracles
 from conftest import (
     ALPHA,
     BETA,
-    D_SQUARED,
     DETUNING,
     FROZEN,
-    OMEGA0,
     PROBE_DELTA,
     RABI,
     RHO_DENSE,
     RHO_TRAIN,
+    documented_gas,
 )
 
 
 @pytest.fixture(scope="module")
-def geometry(pump):
-    omega_prime = pump.omega_prime
+def geometry(gas_dense):
+    omega_prime = gas_dense.omega_prime
     return {
         "omega_prime": omega_prime,
         "period": 2.0 * math.pi / omega_prime,
@@ -56,96 +53,93 @@ def geometry(pump):
     }
 
 
-def _brackets(ensemble, pump, state, probe_omega, guard=DEFAULT_GUARD):
+def _brackets(gas, probe_omega, guard=DEFAULT_GUARD):
     """b1 and b2 read off a1 = K conj(alpha) beta b1, a2 = K alpha conj(beta) b2."""
-    a1, a2, _ = sideband_amplitudes(
-        ensemble, pump, state, [probe_omega], guard, strict=True
-    )
-    scale = k_scale(ensemble, pump, probe_omega)
-    alpha, beta = state.alpha, state.beta
+    a1, a2, _ = sideband_amplitudes(gas, [probe_omega], guard, strict=True)
+    scale = k_scale(gas, probe_omega)
+    alpha, beta = gas.alpha, gas.beta
     return (
         a1[0] / (scale * alpha.conjugate() * beta),
         a2[0] / (scale * alpha * beta.conjugate()),
     )
 
 
-def _g(ensemble, pump, state, probe, z, t):
+def _g(gas, probe, z, t):
     """G(z, t) as the one cell of a one-point ``exponent_grid``."""
-    return complex(exponent_grid(ensemble, pump, state, probe, [z], [t])[0, 0])
+    return complex(exponent_grid(gas, probe, [z], [t])[0, 0])
 
 
 class TestSidebandBrackets:
-    def test_exact_fractions_at_zero_detuning(self, ensemble_dense, state):
+    def test_exact_fractions_at_zero_detuning(self, gas_dense):
         rabi = 6.0e9
-        pump = PumpField(rabi=rabi, detuning=0.0)
-        b1, b2 = _brackets(
-            ensemble_dense,
-            pump,
-            state,
-            pump_omega(ensemble_dense, pump) - 2.0 * rabi,
-            guard=0.0,
-        )
+        gas = replace(gas_dense, rabi=rabi, detuning=0.0)
+        b1, b2 = _brackets(gas, gas.omega_p - 2.0 * rabi, guard=0.0)
         assert b1 == pytest.approx(5.0 / 6.0, rel=1e-12)
         assert b2 == pytest.approx(3.0 / 2.0, rel=1e-12)
 
-    def test_documented_values(self, ensemble_dense, pump, state, probe):
-        b1, b2 = _brackets(ensemble_dense, pump, state, probe)
+    def test_documented_values(self, gas_dense, probe):
+        b1, b2 = _brackets(gas_dense, probe)
         assert b1 == pytest.approx(FROZEN["b1"], rel=1e-12)
         assert b2 == pytest.approx(FROZEN["b2"], rel=1e-12)
         ref1, ref2 = oracles.resonance_brackets(DETUNING, RABI, PROBE_DELTA)
         assert b1 == pytest.approx(float(ref1), rel=1e-12)
         assert b2 == pytest.approx(float(ref2), rel=1e-12)
 
-    def test_pole_at_hypercombination_offset(self, ensemble_dense, pump):
-        omega_prime = pump.omega_prime
-        omega_p = pump_omega(ensemble_dense, pump)
+    def test_pole_at_hypercombination_offset(self, gas_dense):
+        omega_prime = gas_dense.omega_prime
+        omega_p = gas_dense.omega_p
         with pytest.raises(ResonancePole) as info:
             resonance_denominators(
-                ensemble_dense, pump, [omega_p - omega_prime], strict=True
+                gas_dense, [omega_p - omega_prime], strict=True
             )
         assert info.value.denominator == "omega_p - omega - omega_prime"
 
     def test_exact_pole_hit_with_zero_guard(self):
         # Small exact numbers: delta_po = omega_prime = 3 exactly.
-        toy = AtomEnsemble(omega0=10.0, d=0.0, rho=0.0)
-        pump = PumpField(rabi=3.0, detuning=0.0)
+        toy = DressedGas(
+            omega0=10.0,
+            d=0.0,
+            rho=0.0,
+            detuning=0.0,
+            rabi=3.0,
+            alpha=1.0,
+            beta=0.0,
+        )
         with pytest.raises(ResonancePole):
-            resonance_denominators(toy, pump, [7.0], guard=0.0, strict=True)
+            resonance_denominators(toy, [7.0], guard=0.0, strict=True)
 
-    def test_rayleigh_pole(self, ensemble_dense, pump):
-        omega_p = pump_omega(ensemble_dense, pump)
+    def test_rayleigh_pole(self, gas_dense):
+        omega_p = gas_dense.omega_p
         with pytest.raises(ResonancePole) as info:
-            resonance_denominators(ensemble_dense, pump, [omega_p], strict=True)
+            resonance_denominators(gas_dense, [omega_p], strict=True)
         assert info.value.denominator == "omega_p - omega"
 
 
 class TestExponent:
     def test_entry_face_is_exactly_zero(
-        self, ensemble_dense, pump, state, probe
+        self, gas_dense, probe
     ):
         for t in (0.0, 1e-12, 3.7e-11):
-            assert _g(ensemble_dense, pump, state, probe, 0.0, t) == 0.0
-        assert modulation_depth(ensemble_dense, pump, state, probe, 0.0) == 0.0
+            assert _g(gas_dense, probe, 0.0, t) == 0.0
+        assert modulation_depth(gas_dense, probe, 0.0) == 0.0
 
     def test_pure_dressed_state_is_unmodulated(
-        self, ensemble_dense, pump, probe, geometry
+        self, gas_dense, probe, geometry
     ):
-        pure = SuperpositionState(alpha=1.0, beta=0.0)
-        g = _g(ensemble_dense, pump, pure, probe, geometry["z_half"], 1e-11)
+        pure = replace(gas_dense, alpha=1.0, beta=0.0)
+        g = _g(pure, probe, geometry["z_half"], 1e-11)
         assert g == 0.0
 
-    def test_documented_k_scale(self, ensemble_dense, pump, probe):
-        assert k_scale(ensemble_dense, pump, probe) == pytest.approx(
+    def test_documented_k_scale(self, gas_dense, probe):
+        assert k_scale(gas_dense, probe) == pytest.approx(
             FROZEN["k_dense"], rel=1e-12
         )
 
     def test_documented_exponent_value(
-        self, ensemble_dense, pump, state, probe, geometry
+        self, gas_dense, probe, geometry
     ):
         g = _g(
-            ensemble_dense,
-            pump,
-            state,
+            gas_dense,
             probe,
             geometry["z_half"],
             geometry["t_half"],
@@ -154,26 +148,23 @@ class TestExponent:
         # to 2 alpha beta K (b2 - b1) for real amplitudes.
         assert g.real == pytest.approx(FROZEN["re_g_dense"], rel=1e-12)
         assert g.imag == pytest.approx(0.0, abs=1e-9)
-        assert k_scale(ensemble_dense, pump, probe) == pytest.approx(
+        assert k_scale(gas_dense, probe) == pytest.approx(
             FROZEN["k_dense"], rel=1e-12
         )
 
-    def test_negative_z_rejected(self, ensemble_dense, pump, state, probe):
+    def test_negative_z_rejected(self, gas_dense, probe):
         with pytest.raises(ValueError):
-            _g(ensemble_dense, pump, state, probe, -1.0, 0.0)
+            _g(gas_dense, probe, -1.0, 0.0)
         with pytest.raises(ValueError):
-            modulation_depth(ensemble_dense, pump, state, probe, -1.0)
+            modulation_depth(gas_dense, probe, -1.0)
 
     @pytest.mark.parametrize("omega", [0.0, -1e15])
-    def test_non_positive_probe_frequency_rejected(
-        self, ensemble_dense, pump, state, omega
-    ):
-        args = (ensemble_dense, pump, state)
+    def test_non_positive_probe_frequency_rejected(self, gas_dense, omega):
         calls = (
-            lambda: exponent_grid(*args, omega, [0.0], [0.0]),
-            lambda: exponent_sweep(*args, [omega], 0.0, [0.0]),
-            lambda: sideband_amplitudes(*args, [omega]),
-            lambda: modulation_depth(*args, omega, 0.0),
+            lambda: exponent_grid(gas_dense, omega, [0.0], [0.0]),
+            lambda: exponent_sweep(gas_dense, [omega], 0.0, [0.0]),
+            lambda: sideband_amplitudes(gas_dense, [omega]),
+            lambda: modulation_depth(gas_dense, omega, 0.0),
         )
         for call in calls:
             with pytest.raises(
@@ -181,34 +172,14 @@ class TestExponent:
             ):
                 call()
 
-    @pytest.mark.parametrize("detuning", [-OMEGA0, -2.0 * OMEGA0])
-    def test_non_positive_pump_frequency_rejected(
-        self, ensemble_dense, state, detuning
-    ):
-        # omega0 + detuning <= 0: no pump frequency, whatever the probe.
-        pump = PumpField(rabi=RABI, detuning=detuning)
-        args = (ensemble_dense, pump, state)
-        calls = (
-            lambda: exponent_grid(*args, 1e9, [0.0], [0.0]),
-            lambda: sideband_amplitudes(*args, [1e9]),
-            lambda: index_parts(*args, [1e9]),
-        )
-        for call in calls:
-            with pytest.raises(
-                ValueError, match="omega_p must be strictly positive"
-            ):
-                call()
-
     def test_antiperiodicity_on_grid(
-        self, ensemble_dense, pump, state, probe, geometry
+        self, gas_dense, probe, geometry
     ):
         z = np.linspace(0.0, geometry["length"], 64, endpoint=False)
         t = np.linspace(0.0, geometry["period"], 64, endpoint=False)
-        g = exponent_grid(ensemble_dense, pump, state, probe, z, t)
+        g = exponent_grid(gas_dense, probe, z, t)
         g_shifted = exponent_grid(
-            ensemble_dense,
-            pump,
-            state,
+            gas_dense,
             probe,
             z,
             t + 0.5 * geometry["period"],
@@ -216,52 +187,44 @@ class TestExponent:
         assert np.max(np.abs(g + g_shifted) / (1.0 + np.abs(g))) < 1e-9
 
     def test_periodicity_in_time_and_space(
-        self, ensemble_dense, pump, state, probe, geometry
+        self, gas_dense, probe, geometry
     ):
         z0, t0 = 0.31 * geometry["length"], 0.2 * geometry["period"]
-        ref = _g(ensemble_dense, pump, state, probe, z0, t0)
+        ref = _g(gas_dense, probe, z0, t0)
         shift_t = _g(
-            ensemble_dense, pump, state, probe, z0, t0 + geometry["period"]
+            gas_dense, probe, z0, t0 + geometry["period"]
         )
         shift_z = _g(
-            ensemble_dense, pump, state, probe, z0 + geometry["length"], t0
+            gas_dense, probe, z0 + geometry["length"], t0
         )
         assert shift_t == pytest.approx(ref, rel=1e-9)
         assert shift_z == pytest.approx(ref, rel=1e-9)
 
     def test_zero_mean_over_period(
-        self, ensemble_dense, pump, state, probe, geometry
+        self, gas_dense, probe, geometry
     ):
         t = np.linspace(0.0, geometry["period"], 1024, endpoint=False)
         g = exponent_grid(
-            ensemble_dense,
-            pump,
-            state,
+            gas_dense,
             probe,
             np.array([0.4 * geometry["length"]]),
             t,
         )[0]
         assert abs(float(np.mean(g.real))) < 1e-9
 
-    def test_exponent_linear_in_density(self, pump, state, probe, geometry):
-        lo_gas = AtomEnsemble(
-            omega0=OMEGA0, d=math.sqrt(D_SQUARED), rho=RHO_TRAIN
-        )
-        hi_gas = AtomEnsemble(
-            omega0=OMEGA0, d=math.sqrt(D_SQUARED), rho=2.0 * RHO_TRAIN
-        )
+    def test_exponent_linear_in_density(self, probe, geometry):
+        lo_gas = documented_gas(rho=RHO_TRAIN)
+        hi_gas = documented_gas(rho=2.0 * RHO_TRAIN)
         z, t = 0.23 * geometry["length"], 0.71 * geometry["period"]
-        assert _g(hi_gas, pump, state, probe, z, t) == 2.0 * _g(
-            lo_gas, pump, state, probe, z, t
-        )
+        assert _g(hi_gas, probe, z, t) == 2.0 * _g(lo_gas, probe, z, t)
         assert modulation_depth(
-            hi_gas, pump, state, probe, z
-        ) == 2.0 * modulation_depth(lo_gas, pump, state, probe, z)
+            hi_gas, probe, z
+        ) == 2.0 * modulation_depth(lo_gas, probe, z)
 
     def test_pure_function_bit_identical(
-        self, ensemble_dense, pump, state, probe, geometry
+        self, gas_dense, probe, geometry
     ):
-        args = (ensemble_dense, pump, state, probe, geometry["z_half"], 1e-11)
+        args = (gas_dense, probe, geometry["z_half"], 1e-11)
         assert _g(*args) == _g(*args)
 
     @settings(max_examples=25, deadline=None)
@@ -272,40 +235,37 @@ class TestExponent:
         phase=st.floats(min_value=0.0, max_value=2.0 * math.pi),
     )
     def test_half_period_flip_property(self, z_frac, t_frac, beta_mag, phase):
-        ensemble = AtomEnsemble(
-            omega0=OMEGA0, d=math.sqrt(D_SQUARED), rho=RHO_DENSE
-        )
-        pump = PumpField(rabi=RABI, detuning=DETUNING)
-        state = SuperpositionState(
+        gas = replace(
+            documented_gas(rho=RHO_DENSE),
             alpha=math.sqrt(1.0 - beta_mag**2),
             beta=beta_mag * cmath.exp(1j * phase),
         )
-        probe = pump_omega(ensemble, pump) - PROBE_DELTA
-        omega_prime = pump.omega_prime
+        probe = gas.omega_p - PROBE_DELTA
+        omega_prime = gas.omega_prime
         z = z_frac * 2.0 * math.pi * CGS.c / omega_prime
         t = t_frac * 2.0 * math.pi / omega_prime
-        g = _g(ensemble, pump, state, probe, z, t)
-        flipped = _g(ensemble, pump, state, probe, z, t + math.pi / omega_prime)
+        g = _g(gas, probe, z, t)
+        flipped = _g(gas, probe, z, t + math.pi / omega_prime)
         assert abs(g + flipped) <= 1e-9 * (1.0 + abs(g))
 
 
 class TestDepth:
-    def test_zero_at_entry(self, ensemble_train, pump, state, probe):
-        assert modulation_depth(ensemble_train, pump, state, probe, 0.0) == 0.0
+    def test_zero_at_entry(self, gas_train, probe):
+        assert modulation_depth(gas_train, probe, 0.0) == 0.0
 
-    def test_documented_value(self, ensemble_train, pump, state, probe, geometry):
+    def test_documented_value(self, gas_train, probe, geometry):
         depth = modulation_depth(
-            ensemble_train, pump, state, probe, geometry["z_half"]
+            gas_train, probe, geometry["z_half"]
         )
         assert depth == pytest.approx(FROZEN["depth_train"], rel=1e-12)
 
     def test_closed_form_for_real_amplitudes(
-        self, ensemble_train, pump, state, probe, geometry
+        self, gas_train, probe, geometry
     ):
         z = 0.18 * geometry["length"]
-        theta = pump.omega_prime * z / CGS.c
-        b1, b2 = _brackets(ensemble_train, pump, state, probe)
-        scale = k_scale(ensemble_train, pump, probe)
+        theta = gas_train.omega_prime * z / CGS.c
+        b1, b2 = _brackets(gas_train, probe)
+        scale = k_scale(gas_train, probe)
         expected = (
             scale
             * ALPHA
@@ -313,37 +273,37 @@ class TestDepth:
             * abs(1.0 - cmath.exp(-1j * theta))
             * abs(b1 - b2)
         )
-        depth = modulation_depth(ensemble_train, pump, state, probe, z)
+        depth = modulation_depth(gas_train, probe, z)
         assert depth == pytest.approx(expected, rel=1e-12)
 
-    def test_periodic_in_z(self, ensemble_train, pump, state, probe, geometry):
+    def test_periodic_in_z(self, gas_train, probe, geometry):
         z = 0.37 * geometry["length"]
-        a = modulation_depth(ensemble_train, pump, state, probe, z)
+        a = modulation_depth(gas_train, probe, z)
         b = modulation_depth(
-            ensemble_train, pump, state, probe, z + geometry["length"]
+            gas_train, probe, z + geometry["length"]
         )
         assert b == pytest.approx(a, rel=1e-9)
 
     def test_depth_is_amplitude_of_re_g(
-        self, ensemble_train, pump, state, probe, geometry
+        self, gas_train, probe, geometry
     ):
         z = 0.41 * geometry["length"]
-        depth = modulation_depth(ensemble_train, pump, state, probe, z)
+        depth = modulation_depth(gas_train, probe, z)
         t = np.linspace(0.0, geometry["period"], 4096, endpoint=False)
         g = exponent_grid(
-            ensemble_train, pump, state, probe, np.array([z]), t
+            gas_train, probe, np.array([z]), t
         )[0]
         assert float(np.max(g.real)) == pytest.approx(depth, rel=1e-6)
         assert float(np.min(g.real)) == pytest.approx(-depth, rel=1e-6)
 
     def test_jensen_and_geometric_mean(
-        self, ensemble_train, pump, state, probe, geometry
+        self, gas_train, probe, geometry
     ):
         z = geometry["z_half"]
         t0 = z / CGS.c
         t = t0 + np.linspace(0.0, geometry["period"], 4096, endpoint=False)
         g = exponent_grid(
-            ensemble_train, pump, state, probe, np.array([z]), t
+            gas_train, probe, np.array([z]), t
         )[0]
         gains = np.exp(2.0 * g.real)
         assert float(np.mean(gains)) >= 1.0
@@ -354,11 +314,11 @@ class TestDepth:
 
 class TestIntensityGain:
     def test_equals_exp_of_twice_re_g(
-        self, ensemble_train, pump, state, probe, geometry
+        self, gas_train, probe, geometry
     ):
         t = np.linspace(0.0, geometry["period"], 256, endpoint=False)
         z = np.array([0.0, geometry["z_half"]])
-        g = exponent_grid(ensemble_train, pump, state, probe, z, t)
+        g = exponent_grid(gas_train, probe, z, t)
         assert np.array_equal(intensity_gain(g), np.exp(2.0 * g.real))
 
     @pytest.mark.parametrize("re_g", [354.6, -354.6])

@@ -154,20 +154,20 @@ class TestClosedFormFwhm:
 
 
 @pytest.fixture(scope="module")
-def train_stats(ensemble_train, pump, state, probe):
-    omega_prime = pump.omega_prime
+def train_stats(gas_train, probe):
+    omega_prime = gas_train.omega_prime
     period = 2.0 * math.pi / omega_prime
     z = math.pi * CGS.c / omega_prime
     spp = 1024
     t0 = z / CGS.c
     t = t0 + (period / spp) * np.arange(4 * spp)
     g = exponent_grid(
-        ensemble_train, pump, state, probe, np.array([z]), t
+        gas_train, probe, np.array([z]), t
     )[0]
     series = TimeSeries(
         t0=t0, dt=period / spp, gains=tuple(np.exp(2.0 * g.real))
     )
-    depth = modulation_depth(ensemble_train, pump, state, probe, z)
+    depth = modulation_depth(gas_train, probe, z)
     return analyze_train(series, omega_prime), depth
 
 

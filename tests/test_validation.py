@@ -99,12 +99,24 @@ def test_far_detuned_pump_probes_the_other_pole():
     )
 
 
-def test_beyond_dipole_fail_text_is_not_the_claim():
-    # Blue detuning: the red-sideband ratio is not monotone in rabi.
+def test_blue_detuned_pump_is_non_saturating():
+    # For detuning > 0 the blue sideband carries (w' + |detuning|)^2, and
+    # the fraction over that numerator grows with rabi as for red detuning.
     blue = config_from_dict({"pump": {"detuning": 2e11}})
     check = validation.check_beyond_dipole(blue)
+    assert check.passed, check.detail
+
+
+def test_beyond_dipole_fail_text_is_not_the_claim(monkeypatch):
+    # No valid gas has a non-monotone fraction any more, so the ladder's
+    # values come from a fraction that falls with rabi.
+    monkeypatch.setattr(
+        validation.disp, "beyond_dipole_fraction", lambda gas: 1.0 / gas.rabi
+    )
+    check = validation.check_beyond_dipole(config_from_dict({}))
     assert not check.passed
     assert check.detail.startswith("fraction not strictly increasing over ")
+    monkeypatch.undo()
     default = validation.check_beyond_dipole(config_from_dict({}))
     assert default.passed
     assert default.detail.startswith("fraction strictly increasing over ")
@@ -144,11 +156,11 @@ def test_validate_does_not_import_numpy_random(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 False"
 
 
-def _reference_oracle_error(ensemble, pump, state, probe, guard, steps_per_period):
+def _reference_oracle_error(gas, probe, guard, steps_per_period):
     """One one-point log_amplitude_grid and one integration per plane."""
-    length = 2.0 * math.pi * CGS.c / pump.omega_prime
-    coefs = chars.derive_coefficients(ensemble, pump, state, probe, guard)
-    t_entry = 0.37 * 2.0 * math.pi / pump.omega_prime
+    length = 2.0 * math.pi * CGS.c / gas.omega_prime
+    coefs = chars.derive_coefficients(gas, probe, guard)
+    t_entry = 0.37 * 2.0 * math.pi / gas.omega_prime
     worst = 0.0
     for frac in (0.25, 0.5, 1.0):
         z_end = frac * length
@@ -156,9 +168,7 @@ def _reference_oracle_error(ensemble, pump, state, probe, guard, steps_per_perio
         steps = max(1, math.ceil(steps_per_period * frac))
         numeric = chars.integrate_characteristic(coefs, z_end, t_entry, steps)
         closed = complex(
-            chars.log_amplitude_grid(
-                ensemble, pump, state, probe, [z_end], [t], guard
-            )[0, 0]
+            chars.log_amplitude_grid(gas, probe, [z_end], [t], guard)[0, 0]
         )
         worst = max(worst, abs(numeric - closed) / (1.0 + abs(closed)))
     return worst
@@ -167,5 +177,5 @@ def _reference_oracle_error(ensemble, pump, state, probe, guard, steps_per_perio
 @pytest.mark.parametrize("name", sorted(BENCH_CONFIGS))
 def test_oracle_error_matches_per_plane_reference(name):
     config = config_from_dict(BENCH_CONFIGS[name])
-    args = (*validation._objects(config), config.guard, config.steps)
+    args = (config.gas(), config.probe_omega(), config.guard, config.steps)
     assert validation._oracle_error(*args) == _reference_oracle_error(*args)
