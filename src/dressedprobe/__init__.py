@@ -34,12 +34,7 @@ from .characteristics import (
 from .config import GridSpec, RunConfig, config_from_dict, load_config
 from .constants import CGS, DEFAULT_GUARD
 from .dispersion import DispersionResult, beyond_dipole_fraction, refractive_index
-from .dressed import (
-    DressedGas,
-    generalized_rabi,
-    normalization_coeffs,
-    stark_shifts,
-)
+from .dressed import DressedGas, generalized_rabi
 from .errors import (
     ConfigError,
     DegenerateDressing,
@@ -50,7 +45,6 @@ from .errors import (
     StepTooCoarse,
     UnderSampled,
     ZeroDipole,
-    ZeroRabi,
 )
 from .modulation import (
     exponent_grid,
@@ -85,7 +79,6 @@ __all__ = [
     "TimeSeries",
     "UnderSampled",
     "ZeroDipole",
-    "ZeroRabi",
     "analyze_train",
     "beyond_dipole_fraction",
     "config_from_dict",
@@ -98,8 +91,6 @@ __all__ = [
     "load_config",
     "log_amplitude_grid",
     "modulation_depth",
-    "normalization_coeffs",
     "refractive_index",
     "residual_check",
-    "stark_shifts",
 ]

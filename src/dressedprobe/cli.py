@@ -201,6 +201,16 @@ def _format_block(values: np.ndarray, end: str) -> np.ndarray:
 _MARKER = np.frombuffer(b"\0\0\0\0\nPOLE\n", np.uint8).reshape(2, 5)
 
 
+def _create(path: Path):
+    """Open ``path`` to write bytes, making its directory.  A path that
+    cannot be written is a ConfigError naming it."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return path.open("wb")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_table(
     path: Path,
     columns: list[str],
@@ -215,8 +225,7 @@ def _write_table(
     masked rows, which keep only their first value.  Each block of
     ``_BLOCK_ROWS`` rows goes to the file as soon as it is formatted.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("wb") as out:
+    with _create(path) as out:
         out.write((",".join(columns) + "\n").encode())
         for start in range(0, len(values), _BLOCK_ROWS):
             block = values[start : start + _BLOCK_ROWS]
@@ -246,8 +255,8 @@ def _json_rows(values: np.ndarray, pole: np.ndarray) -> list[list]:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _create(path) as out:
+        out.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
 def _out_path(args, config: RunConfig, default_name: str) -> Path:

@@ -1,11 +1,10 @@
 """Two-level atoms dressed by a strong monochromatic pump.
 
 A far off-resonance pump mixes the bare ground and excited states into two
-dressed eigenstates.  Everything downstream (refractive index, sideband
-modulation, the pulse train) is parametrized by three quantities derived
-here: the generalized Rabi frequency ``sqrt(detuning^2 + rabi^2)``, the
-light-shifted level positions, and the admixture (normalization)
-coefficients of the dressed pair.
+dressed eigenstates split by the generalized Rabi frequency
+``w' = sqrt(detuning^2 + rabi^2)``.  Everything downstream (refractive
+index, sideband modulation, the pulse train) reads the pair through w' and
+the two offsets ``w' -+ detuning`` of ``_split_offsets``.
 
 Conventions: Gaussian-CGS units throughout, and every frequency-like
 quantity is an *angular* frequency in rad/s.  The detuning is pump
@@ -21,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateDressing, ZeroRabi
+from .errors import DegenerateDressing
 
 
 def generalized_rabi(detuning: float, rabi: float) -> float:
@@ -59,6 +58,9 @@ def generalized_rabi(detuning: float, rabi: float) -> float:
 def _split_offsets(detuning: float, rabi: float) -> tuple[float, float]:
     """Return (omega_prime - detuning, omega_prime + detuning) stably.
 
+    They are the dressed pair: in the pump's rotating frame its levels sit
+    at +(omega_prime - detuning)/2 and -(omega_prime + detuning)/2, and
+    their ground-state components are rabi / sqrt(2 omega_prime offset).
     One of the two offsets suffers catastrophic cancellation when
     rabi << |detuning|; it is recovered from the exact identity
     (omega_prime - detuning)(omega_prime + detuning) = rabi^2.
@@ -71,39 +73,6 @@ def _split_offsets(detuning: float, rabi: float) -> tuple[float, float]:
         minus = omega_prime - detuning
         plus = (rabi * rabi) / minus
     return minus, plus
-
-
-def stark_shifts(detuning: float, rabi: float) -> tuple[float, float]:
-    """Light-shifted positions of the two dressed levels.
-
-    Returns ``(-detuning/2 + omega_prime/2, -detuning/2 - omega_prime/2)``,
-    ordered so the first element is always the larger shift.
-    """
-    minus, plus = _split_offsets(detuning, rabi)
-    return 0.5 * minus, -0.5 * plus
-
-
-def normalization_coeffs(detuning: float, rabi: float) -> tuple[float, float]:
-    """Admixture coefficients of the two dressed states.
-
-    Each coefficient is ``rabi / sqrt(2 w' (w' -+ detuning))`` with
-    ``w'`` the generalized Rabi frequency, normalized so that each dressed
-    state has unit norm.  At zero detuning both equal ``1/sqrt(2)``.
-
-    Raises
-    ------
-    ZeroRabi
-        If the pump is off; the admixture formula is undefined at rabi = 0.
-    """
-    if rabi < 0:
-        raise ValueError("rabi must be non-negative")
-    if rabi == 0.0:
-        raise ZeroRabi("admixture coefficients are undefined for a dark pump")
-    omega_prime = generalized_rabi(detuning, rabi)
-    minus, plus = _split_offsets(detuning, rabi)
-    n_plus = rabi / math.sqrt(2.0 * omega_prime * minus)
-    n_minus = rabi / math.sqrt(2.0 * omega_prime * plus)
-    return n_plus, n_minus
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,6 @@ class DegenerateDressing(DressedProbeError):
     """Detuning and Rabi frequency both vanish; dressed states undefined."""
 
 
-class ZeroRabi(DressedProbeError):
-    """Pump Rabi frequency is zero; dressed admixtures are undefined."""
-
-
 class ZeroDipole(DressedProbeError):
     """Dipole matrix element is zero; dipole-relative ratios undefined."""
 

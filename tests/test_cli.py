@@ -682,6 +682,34 @@ class TestBadConfigRefused:
         assert run_cli("validate", "--config", path, "--out", out) == 2
         assert "ensemble.rhoo" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["under_a_file", "a_directory"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-frequency", "--config", DEFAULT_CONFIG],
+            ["evolve", "--config", TRAIN_CONFIG],
+            ["dispersion-scan", "--config", DEFAULT_CONFIG],
+            ["pulse-stats", "--config", TRAIN_CONFIG, "--series", "SERIES"],
+            ["validate", "--config", DEFAULT_CONFIG],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unwritable_out_refused(self, tmp_path, capsys, argv, target):
+        series = tmp_path / "evolve.csv"
+        if "SERIES" in argv:
+            run_cli("evolve", "--config", TRAIN_CONFIG, "--out", series)
+            argv = [series if a == "SERIES" else a for a in argv]
+        if target == "a_directory":
+            out = tmp_path / "out"
+            out.mkdir()
+        else:
+            (tmp_path / "file").write_text("")
+            out = tmp_path / "file" / "out.csv"
+        capsys.readouterr()
+        assert run_cli(*argv, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and str(out) in err
+
 
 def _guard_edge_config(tmp_path) -> Path:
     """Default grid, guard equal to one row's +w' sideband |denominator|."""

@@ -8,14 +8,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from dressedprobe import (
-    DegenerateDressing,
-    DressedGas,
-    ZeroRabi,
-    generalized_rabi,
-    normalization_coeffs,
-    stark_shifts,
-)
+from dressedprobe import DegenerateDressing, DressedGas, generalized_rabi
 
 from conftest import DETUNING, FROZEN, OMEGA0, RABI
 
@@ -58,72 +51,6 @@ class TestGeneralizedRabi:
 
     def test_pure(self):
         assert generalized_rabi(-2e11, 2e10) == generalized_rabi(-2e11, 2e10)
-
-
-class TestStarkShifts:
-    def test_symmetric_at_zero_detuning(self):
-        assert stark_shifts(0.0, 6.0) == (3.0, -3.0)
-
-    def test_zero_field_limit(self):
-        assert stark_shifts(2e11, 0.0) == (0.0, -2e11)
-
-    def test_documented_values(self):
-        lam_plus, lam_minus = stark_shifts(DETUNING, RABI)
-        assert lam_plus == pytest.approx(FROZEN["lambda_plus"], rel=1e-12)
-        assert lam_minus == pytest.approx(FROZEN["lambda_minus"], rel=1e-12)
-
-    def test_degenerate_propagates(self):
-        with pytest.raises(DegenerateDressing):
-            stark_shifts(0.0, 0.0)
-
-    @given(detuning=detunings, rabi=frequencies)
-    def test_ordering_and_sum(self, detuning, rabi):
-        lam_plus, lam_minus = stark_shifts(detuning, rabi)
-        omega_prime = generalized_rabi(detuning, rabi)
-        assert lam_plus >= lam_minus
-        # Algebraically lam+ + lam- = -detuning; numerically the residual
-        # is bounded by a few ulp of the dominant scale omega_prime.
-        assert abs(lam_plus + lam_minus + detuning) <= 1e-12 * omega_prime
-
-    @given(detuning=detunings, rabi=frequencies)
-    def test_product_identity(self, detuning, rabi):
-        lam_plus, lam_minus = stark_shifts(detuning, rabi)
-        assert lam_plus * lam_minus == pytest.approx(
-            -(rabi**2) / 4.0, rel=1e-12
-        )
-
-
-class TestNormalizationCoeffs:
-    def test_equal_admixture_at_resonance(self):
-        n_plus, n_minus = normalization_coeffs(0.0, 7.7e9)
-        assert n_plus == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
-        assert n_minus == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
-
-    def test_documented_values(self):
-        n_plus, n_minus = normalization_coeffs(DETUNING, RABI)
-        assert n_plus == pytest.approx(FROZEN["n_plus"], rel=1e-12)
-        assert n_minus == pytest.approx(FROZEN["n_minus"], rel=1e-12)
-
-    def test_zero_rabi(self):
-        with pytest.raises(ZeroRabi):
-            normalization_coeffs(2e11, 0.0)
-
-    @given(detuning=detunings, rabi=frequencies)
-    def test_per_state_normalization(self, detuning, rabi):
-        n_plus, n_minus = normalization_coeffs(detuning, rabi)
-        lam_plus, lam_minus = stark_shifts(detuning, rabi)
-        for n, lam in ((n_plus, lam_plus), (n_minus, lam_minus)):
-            assert n**2 * (1.0 + 4.0 * lam**2 / rabi**2) == pytest.approx(
-                1.0, rel=1e-12
-            )
-
-    @given(detuning=detunings, rabi=frequencies)
-    def test_admixture_monotone_in_detuning_sign(self, detuning, rabi):
-        n_plus, n_minus = normalization_coeffs(detuning, rabi)
-        if detuning <= 0:
-            assert n_plus <= n_minus
-        else:
-            assert n_plus >= n_minus
 
 
 class TestTypes:
