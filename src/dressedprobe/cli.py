@@ -1,4 +1,4 @@
-"""Command-line harness: experiment subcommands with CSV/JSON output.
+"""Command-line harness: experiment subcommands with CSV output.
 
 Subcommands
 -----------
@@ -14,6 +14,9 @@ pulse-stats
     Re-analyze a previously emitted evolve CSV.
 validate
     Run the invariant suite and exit non-zero on any failure.
+
+Every subcommand reads its run parameters from ``--config`` only and
+writes to ``--out`` (default: under the config's ``out_dir``).
 
 Each sweep is one array call.  Rows that would hit a resonance pole are
 emitted with empty value cells and a POLE marker instead of aborting the
@@ -245,15 +248,6 @@ def _write_table(
             out.write(text[text != 0])
 
 
-def _json_rows(values: np.ndarray, pole: np.ndarray) -> list[list]:
-    """Table rows as JSON lists: a POLE row keeps only its first value."""
-    blank = [None] * (values.shape[1] - 1)
-    return [
-        [row[0], *blank, "POLE"] if at_pole else [*row, ""]
-        for row, at_pole in zip(values.tolist(), pole.tolist())
-    ]
-
-
 def _write_json(path: Path, payload: dict) -> None:
     with _create(path) as out:
         out.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
@@ -266,11 +260,7 @@ def _out_path(args, config: RunConfig, default_name: str) -> Path:
 
 
 def _load(args) -> RunConfig:
-    config = load_config(args.config) if args.config else RunConfig()
-    for key in ("guard", "steps"):
-        if getattr(args, key, None) is not None:
-            config = dataclasses.replace(config, **{key: getattr(args, key)})
-    return config
+    return load_config(args.config) if args.config else RunConfig()
 
 
 def sweep_frequency_rows(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -344,74 +334,47 @@ def dispersion_rows(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     return values, pole
 
 
-def _emit_table(
-    args,
-    config: RunConfig,
-    name: str,
-    columns: list[str],
-    table: tuple[np.ndarray, np.ndarray],
-) -> Path:
-    values, pole = table
-    if args.format == "json":
-        path = _out_path(args, config, f"{name}.json")
-        _write_json(path, {"columns": columns, "rows": _json_rows(values, pole)})
-    else:
-        path = _out_path(args, config, f"{name}.csv")
-        _write_table(path, columns, values, pole)
+def _emit_table(args, name: str, columns: list[str], rows) -> int:
+    """Write the (values, pole mask) table ``rows`` makes of the config as
+    ``name``.csv."""
+    config = _load(args)
+    values, pole = rows(config)
+    path = _out_path(args, config, f"{name}.csv")
+    _write_table(path, columns, values, pole)
     print(f"wrote {len(values)} rows to {path}")
-    return path
+    return 0
 
 
 def _cmd_sweep_frequency(args) -> int:
-    config = _load(args)
-    _emit_table(
+    return _emit_table(
         args,
-        config,
         "sweep_frequency",
         ["delta_rad_per_s", "re_g_solid", "re_g_dashed", "pole"],
-        sweep_frequency_rows(config),
+        sweep_frequency_rows,
     )
-    return 0
 
 
 def _cmd_evolve(args) -> int:
     config = _load(args)
     series, stats = evolve_series(config)
     values = np.column_stack((series.times, series.gains))
-    columns = ["t_s", "intensity_gain"]
-    if args.format == "json":
-        path = _out_path(args, config, "evolve.json")
-        _write_json(
-            path, {"columns": columns, "rows": values.tolist(), "stats": stats}
-        )
-        print(f"wrote {len(values)} rows + stats to {path}")
-    else:
-        path = _out_path(args, config, "evolve.csv")
-        _write_table(path, columns, values)
-        stats_path = path.with_suffix(path.suffix + ".stats.json")
-        _write_json(stats_path, stats)
-        print(f"wrote {len(values)} rows to {path}, stats to {stats_path}")
+    path = _out_path(args, config, "evolve.csv")
+    _write_table(path, ["t_s", "intensity_gain"], values)
+    stats_path = path.with_suffix(path.suffix + ".stats.json")
+    _write_json(stats_path, stats)
+    print(f"wrote {len(values)} rows to {path}, stats to {stats_path}")
     if "error" in stats:
         print(f"stats: {stats['error']}: {stats['message']}")
     return 0
 
 
 def _cmd_dispersion_scan(args) -> int:
-    config = _load(args)
-    _emit_table(
+    return _emit_table(
         args,
-        config,
         "dispersion_scan",
-        [
-            "omega_rad_per_s",
-            "n0",
-            "dipole_part",
-            "beyond_dipole_part",
-            "pole",
-        ],
-        dispersion_rows(config),
+        ["omega_rad_per_s", "n0", "dipole_part", "beyond_dipole_part", "pole"],
+        dispersion_rows,
     )
-    return 0
 
 
 def read_evolve_csv(path: str | Path) -> pt.TimeSeries:
@@ -496,36 +459,26 @@ def build_parser() -> argparse.ArgumentParser:
             "atoms (Gaussian-CGS units, angular frequencies in rad/s)"
         ),
     )
-    # Each subcommand takes only the flags it reads.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run configuration")
     common.add_argument("--out", help="output file path")
-    guarded = argparse.ArgumentParser(add_help=False, parents=[common])
-    guarded.add_argument(
-        "--guard", type=float, help="pole guard half-width, rad/s"
-    )
-    table = argparse.ArgumentParser(add_help=False, parents=[guarded])
-    table.add_argument(
-        "--format", choices=("csv", "json"), default="csv",
-        help="table output format",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser(
         "sweep-frequency",
-        parents=[table],
+        parents=[common],
         help="Re G versus probe-pump frequency difference",
     )
     sweep.set_defaults(func=_cmd_sweep_frequency)
 
     evolve = sub.add_parser(
-        "evolve", parents=[table], help="gain versus time plus train stats"
+        "evolve", parents=[common], help="gain versus time plus train stats"
     )
     evolve.set_defaults(func=_cmd_evolve)
 
     scan = sub.add_parser(
         "dispersion-scan",
-        parents=[table],
+        parents=[common],
         help="refractive index versus probe frequency",
     )
     scan.set_defaults(func=_cmd_dispersion_scan)
@@ -537,10 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.set_defaults(func=_cmd_pulse_stats)
 
     validate = sub.add_parser(
-        "validate", parents=[guarded], help="run the invariant suite"
-    )
-    validate.add_argument(
-        "--steps", type=int, help="characteristic integration steps"
+        "validate", parents=[common], help="run the invariant suite"
     )
     validate.set_defaults(func=_cmd_validate)
     return parser

@@ -162,10 +162,10 @@ def intensity_gain(g: np.ndarray) -> np.ndarray:
     Raises
     ------
     ConfigError
-        If some |2 Re G| is too large for exp in double precision.
+        If some |2 Re G| is too large for exp in double precision, or NaN.
     """
     twice_re = 2.0 * g.real
-    if float(np.max(np.abs(twice_re))) > 709.0:
+    if not float(np.max(np.abs(twice_re))) <= 709.0:
         raise ConfigError(
             "intensity gain exceeds double-precision range at these "
             "parameters; reduce rho, the coherence, or the plane depth"

@@ -149,7 +149,8 @@ def check_zero_mean_jensen(config: RunConfig) -> tuple[bool, str]:
 def _oracle_error(
     gas, probe_omega, guard: float, steps_per_period: int
 ) -> float:
-    """Worst oracle-vs-closed-form error over z in {L/4, L/2, L}."""
+    """Worst oracle-vs-closed-form error over z in {L/4, L/2, L}; NaN if
+    any error is."""
     omega_prime = gas.omega_prime
     length = 2.0 * math.pi * CGS.c / omega_prime
     coefs = chars.derive_coefficients(gas, probe_omega, guard)
@@ -160,13 +161,12 @@ def _oracle_error(
     closed = chars.log_amplitude_grid(
         gas, probe_omega, z_ends, t_ends, guard
     ).diagonal()
-    worst = 0.0
+    errors = []
     for frac, z_end, closed_end in zip(fracs, z_ends, closed.tolist()):
         steps = max(1, math.ceil(steps_per_period * frac))
         numeric = chars.integrate_characteristic(coefs, z_end, t_entry, steps)
-        err = abs(numeric - closed_end) / (1.0 + abs(closed_end))
-        worst = max(worst, err)
-    return worst
+        errors.append(abs(numeric - closed_end) / (1.0 + abs(closed_end)))
+    return float(np.max(errors))
 
 
 @_check("oracle_agreement")
@@ -213,7 +213,7 @@ _ORACLE_SETS = (
 @_check("oracle_randomized")
 def check_oracle_randomized(config: RunConfig) -> tuple[bool, str]:
     """Oracle agreement over the seeded parameter sets ``_ORACLE_SETS``."""
-    worst = 0.0
+    errors = []
     gas = config.gas()
     for detuning, rabi, offset, b, phase, rho in _ORACLE_SETS:
         varied = replace(
@@ -225,8 +225,8 @@ def check_oracle_randomized(config: RunConfig) -> tuple[bool, str]:
             beta=b * complex(math.cos(phase), math.sin(phase)),
         )
         probe_omega = varied.omega_p - offset * varied.omega_prime
-        err = _oracle_error(varied, probe_omega, config.guard, 1000)
-        worst = max(worst, err)
+        errors.append(_oracle_error(varied, probe_omega, config.guard, 1000))
+    worst = float(np.max(errors))
     return (
         worst < 1e-6,
         f"max rel log-amplitude error over {len(_ORACLE_SETS)} seeded sets "

@@ -51,11 +51,15 @@ FROZEN = {
 def child_env() -> dict:
     """The parent's environment, with the imported package's root first on
     PYTHONPATH, so a child run from another directory imports the same
-    code whether the package is installed or loaded from a checkout."""
+    code whether the package is installed or loaded from a checkout.  A
+    floating-point RuntimeWarning is an error in the child, as it is under
+    pytest's ``filterwarnings``."""
     env = dict(os.environ)
     root = str(Path(dressedprobe.__file__).resolve().parents[1])
     paths = [root] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     env["PYTHONPATH"] = os.pathsep.join(paths)
+    filters = [f for f in env.get("PYTHONWARNINGS", "").split(",") if f]
+    env["PYTHONWARNINGS"] = ",".join(filters + ["error::RuntimeWarning"])
     return env
 
 

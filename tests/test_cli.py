@@ -1,9 +1,10 @@
-"""Command-line harness: subcommands, CSV/JSON emission, determinism."""
+"""Command-line harness: subcommands, CSV emission, determinism."""
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -103,21 +104,6 @@ class TestSweepFrequency:
         run_cli("sweep-frequency", "--config", DEFAULT_CONFIG, "--out", second)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_json_format(self, tmp_path):
-        out = tmp_path / "sweep.json"
-        run_cli(
-            "sweep-frequency",
-            "--config",
-            DEFAULT_CONFIG,
-            "--out",
-            out,
-            "--format",
-            "json",
-        )
-        payload = json.loads(out.read_text())
-        assert payload["columns"][0] == "delta_rad_per_s"
-        assert len(payload["rows"]) == 401
-
 
 class TestEvolve:
     def test_series_and_stats(self, tmp_path):
@@ -172,6 +158,14 @@ class TestEvolve:
     def test_overflowing_gain_rejected(self, tmp_path):
         config = write_config(tmp_path, **{"ensemble.rho": 2e17})
         assert run_cli("evolve", "--config", config) == 2
+
+    def test_nan_gain_rejected(self, tmp_path, capsys):
+        # K overflows to inf, so every exponent off the boundary is NaN.
+        config = write_config(tmp_path, **{"ensemble.rho": 1e308})
+        out = tmp_path / "evolve.csv"
+        assert run_cli("evolve", "--config", config, "--out", out) == 2
+        assert not out.exists()
+        assert "ConfigError" in capsys.readouterr().err
 
 
 class TestPulseStats:
@@ -585,13 +579,10 @@ class TestValidate:
 
     def test_coarse_steps_config_fails_cleanly(self, tmp_path):
         out = tmp_path / "report.json"
-        config = write_config(tmp_path)
-        assert (
-            run_cli(
-                "validate", "--config", config, "--steps", 10, "--out", out
-            )
-            == 1
-        )
+        config = write_config(tmp_path, steps=10)
+        assert run_cli("validate", "--config", config, "--out", out) == 1
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        assert not checks["oracle_agreement"]["passed"]
 
     def test_overflowing_gain_fails_cleanly(self, tmp_path):
         # Twice the default density: 2 Re G exceeds the double range.
@@ -611,6 +602,22 @@ class TestValidate:
         for check in failed:
             assert check["detail"].startswith("ConfigError: ")
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_exponent_fails_cleanly(self, tmp_path):
+        # A finite density whose K overflows: every number off the
+        # boundary is NaN, and no check may read that as a pass.
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"ensemble": {"rho": 1e308}}))
+        out = tmp_path / "report.json"
+        assert run_cli("validate", "--config", config, "--out", out) == 1
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        assert len(checks) == 12
+        assert not checks["oracle_agreement"]["passed"]
+        assert checks["oracle_agreement"]["detail"].startswith(
+            "max rel log-amplitude error = nan"
+        )
+        for name in ("modulation_periods", "zero_mean_jensen_geometric"):
+            assert checks[name]["detail"].startswith("ConfigError: ")
 
     @pytest.mark.parametrize(
         "override",
@@ -650,19 +657,9 @@ class TestBadConfigRefused:
         assert not out.exists()
 
     def test_nan_guard_override_refused(self, tmp_path):
+        config = write_config(tmp_path, guard=math.nan)
         out = tmp_path / "disp.csv"
-        assert (
-            run_cli(
-                "dispersion-scan",
-                "--config",
-                DEFAULT_CONFIG,
-                "--guard",
-                "nan",
-                "--out",
-                out,
-            )
-            == 2
-        )
+        assert run_cli("dispersion-scan", "--config", config, "--out", out) == 2
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["z.cm", "z.theta"])
@@ -798,12 +795,21 @@ def test_array_rows_equal_scalar_wrappers(tmp_path, grid):
         assert 99 not in scan_poles and 101 not in scan_poles
 
 
+_COMMANDS = [
+    ["sweep-frequency"],
+    ["evolve"],
+    ["dispersion-scan"],
+    ["pulse-stats", "--series", "evolve.csv"],
+    ["validate"],
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["validate", "--format", "json"],
-        ["evolve", "--steps", "10"],
-        ["pulse-stats", "--series", "evolve.csv", "--guard", "1"],
+        [*command, flag, value]
+        for flag, value in (("--format", "json"), ("--guard", "1"), ("--steps", "10"))
+        for command in _COMMANDS
     ],
 )
 def test_flag_the_subcommand_does_not_read_rejected(argv, capsys):
@@ -813,17 +819,20 @@ def test_flag_the_subcommand_does_not_read_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["sweep-frequency", "--format", "json", "--guard", "1e6"],
-        ["validate", "--guard", "1e6", "--steps", "4000"],
-    ],
-)
+@pytest.mark.parametrize("argv", [["sweep-frequency"], ["validate"]])
 def test_flags_the_subcommand_reads_accepted(tmp_path, argv):
-    out = tmp_path / "out.json"
+    out = tmp_path / "out"
     assert run_cli(*argv, "--config", DEFAULT_CONFIG, "--out", out) == 0
-    assert json.loads(out.read_text())
+    assert out.read_text()
+
+
+@pytest.mark.parametrize("command", _COMMANDS, ids=lambda command: command[0])
+def test_help_lists_only_config_out_and_series(command, capsys):
+    with pytest.raises(SystemExit) as exited:
+        run_cli(command[0], "--help")
+    assert exited.value.code == 0
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert flags == {"--help", "--config", "--out", *command[1:2]}
 
 
 def test_unknown_command_rejected():

@@ -326,6 +326,11 @@ class TestIntensityGain:
         with pytest.raises(ConfigError, match="double-precision range"):
             intensity_gain(np.array([0.0, complex(re_g, 1.0)]))
 
+    @pytest.mark.parametrize("re_g", [math.nan, math.inf])
+    def test_nan_and_inf_refused(self, re_g):
+        with pytest.raises(ConfigError, match="double-precision range"):
+            intensity_gain(np.array([0.0, complex(re_g, 1.0)]))
+
     def test_limit_is_inclusive(self):
         gains = intensity_gain(np.array([354.5 + 2j, -354.5 + 0j]))
         assert gains.tolist() == [math.exp(709.0), math.exp(-709.0)]
