@@ -31,7 +31,7 @@ from .characteristics import (
     log_amplitude_grid,
     residual_check,
 )
-from .config import GridSpec, RunConfig, config_from_dict, load_config
+from .config import RunConfig, config_from_dict, load_config
 from .constants import CGS, DEFAULT_GUARD
 from .dispersion import DispersionResult, beyond_dipole_fraction, refractive_index
 from .dressed import DressedGas, generalized_rabi
@@ -68,7 +68,6 @@ __all__ = [
     "DispersionResult",
     "DressedGas",
     "DressedProbeError",
-    "GridSpec",
     "GridTooCoarse",
     "PulseTrainStats",
     "ResonancePole",

@@ -268,7 +268,7 @@ def sweep_frequency_rows(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     pole mask; the Re G cells of a pole row are meaningless."""
     gas = config.gas()
     omega_prime = config.omega_prime()
-    deltas = np.array(config.delta_grid.values())
+    deltas = config.delta_values()
     g, pole = mod.exponent_sweep(
         gas,
         gas.omega_p - deltas,
@@ -328,7 +328,7 @@ def dispersion_rows(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     """Columns (omega, n0, dipole part, beyond-dipole part) and the pole
     mask; the index cells of a pole row are meaningless."""
     gas = config.gas()
-    omega = gas.omega_p - np.array(config.delta_grid.values())
+    omega = gas.omega_p - config.delta_values()
     dipole, beyond, pole = index_parts(gas, omega, config.guard)
     values = np.column_stack((omega, 1.0 + dipole + beyond, dipole, beyond))
     return values, pole

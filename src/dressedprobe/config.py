@@ -12,35 +12,14 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .constants import CGS, DEFAULT_GUARD
 from .dressed import DressedGas, generalized_rabi
 from .errors import ConfigError, DressedProbeError
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform 1-d grid with inclusive endpoints."""
-
-    start: float
-    stop: float
-    count: int
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ConfigError("grid range must be finite")
-        if self.count < 1:
-            raise ConfigError("grid count must be >= 1")
-        if self.count > 1 and self.stop <= self.start:
-            raise ConfigError("grid stop must exceed start")
-
-    def values(self) -> list[float]:
-        if self.count == 1:
-            return [self.start]
-        step = (self.stop - self.start) / (self.count - 1)
-        return [self.start + i * step for i in range(self.count)]
 
 
 @dataclass(frozen=True)
@@ -56,11 +35,10 @@ class RunConfig:
     beta: complex = 0.1
     probe_delta: float = 2e9
     a0: float = 1.0
-    z_theta: float | None = math.pi
-    z_cm: float | None = None
-    delta_grid: GridSpec = field(
-        default_factory=lambda: GridSpec(-4e11, 4e11, 401)
-    )
+    z_theta: float = math.pi
+    delta_start: float = -4e11
+    delta_stop: float = 4e11
+    delta_count: int = 401
     t_periods: float = 3.0
     t_samples_per_period: int = 1024
     guard: float = DEFAULT_GUARD
@@ -68,15 +46,18 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.delta_start) and math.isfinite(self.delta_stop)):
+            raise ConfigError("grid range must be finite")
+        if self.delta_count < 1:
+            raise ConfigError("grid count must be >= 1")
+        if self.delta_count > 1 and self.delta_stop <= self.delta_start:
+            raise ConfigError("grid stop must exceed start")
         for name, (key, _) in _FIELDS.items():
             value = getattr(self, name)
             if isinstance(value, (float, complex)) and not cmath.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value!r}")
-        if (self.z_theta is None) == (self.z_cm is None):
-            raise ConfigError("exactly one of z.theta / z.cm must be set")
-        for key, z in (("z.theta", self.z_theta), ("z.cm", self.z_cm)):
-            if z is not None and z < 0:
-                raise ConfigError(f"{key} must be non-negative, got {z!r}")
+        if self.z_theta < 0:
+            raise ConfigError(f"z.theta must be non-negative, got {self.z_theta!r}")
         if self.guard < 0:
             raise ConfigError("guard must be non-negative")
         if self.steps < 1:
@@ -89,7 +70,7 @@ class RunConfig:
                 raise ValueError("probe omega must be strictly positive")
         except (ValueError, DressedProbeError) as exc:
             raise ConfigError(f"invalid physical parameters: {exc}") from exc
-        if omega_p - self.delta_grid.stop <= 0:
+        if omega_p - self.delta_stop <= 0:
             raise ConfigError("delta grid reaches non-positive probe omega")
 
     def gas(self) -> DressedGas:
@@ -114,9 +95,14 @@ class RunConfig:
 
     def z_fixed(self) -> float:
         """Evaluation plane in cm (theta is the phase w' z / c)."""
-        if self.z_cm is not None:
-            return self.z_cm
         return self.z_theta * CGS.c / self.omega_prime()
+
+    def delta_values(self) -> np.ndarray:
+        """Probe offsets in rad/s, delta_start to delta_stop inclusive."""
+        if self.delta_count == 1:
+            return np.array([self.delta_start])
+        step = (self.delta_stop - self.delta_start) / (self.delta_count - 1)
+        return self.delta_start + step * np.arange(self.delta_count)
 
 
 def _is_number(value) -> bool:
@@ -147,17 +133,6 @@ def _as_complex(value, key: str) -> complex:
     raise ConfigError(f"{key} must be a number or a [re, im] pair")
 
 
-def _grid(value: dict, key: str) -> GridSpec:
-    for part in ("start", "stop", "count"):
-        if part not in value:
-            raise ConfigError(f"missing key {key}.{part}")
-    return GridSpec(
-        start=_number(value["start"], f"{key}.start"),
-        stop=_number(value["stop"], f"{key}.stop"),
-        count=_count(value["count"], f"{key}.count"),
-    )
-
-
 def _string(value, key: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{key} must be a string")
@@ -176,8 +151,9 @@ _FIELDS = {
     "probe_delta": ("probe.delta", _number),
     "a0": ("probe.a0", _number),
     "z_theta": ("z.theta", _number),
-    "z_cm": ("z.cm", _number),
-    "delta_grid": ("grids.delta", _grid),
+    "delta_start": ("grids.delta.start", _number),
+    "delta_stop": ("grids.delta.stop", _number),
+    "delta_count": ("grids.delta.count", _count),
     "t_periods": ("grids.t.periods", _number),
     "t_samples_per_period": ("grids.t.samples_per_period", _count),
     "guard": ("guard", _number),
@@ -185,49 +161,36 @@ _FIELDS = {
     "out_dir": ("out_dir", _string),
 }
 
-#: Config-file keys whose value is an object of further keys.
-_SECTIONS = {
-    "ensemble", "pump", "state", "probe", "z", "grids", "grids.delta", "grids.t"
-}
-_KEYS = (
-    {key for key, _ in _FIELDS.values()}
-    | _SECTIONS
-    | {f"grids.delta.{part}" for part in ("start", "stop", "count")}
-)
 
-
-def _check_keys(raw: dict, where: str = "") -> None:
-    """Refuse unknown keys and sections that are not objects."""
+def _flatten(raw: dict, where: str = "") -> dict:
+    """Map each dotted key of the config file to its leaf value, refusing
+    unknown keys, sections that are not objects and a partial grids.delta."""
+    flat = {}
     for key, value in raw.items():
         name = where + key
-        if "." in key or name not in _KEYS:
+        under = [k for k, _ in _FIELDS.values() if (k + ".").startswith(name + ".")]
+        if "." in key or not under:
             raise ConfigError(f"unknown key {name}")
-        if name in _SECTIONS:
-            if not isinstance(value, dict):
-                raise ConfigError(f"section {name} must be an object")
-            _check_keys(value, name + ".")
+        if under == [name]:
+            flat[name] = value
+            continue
+        if not isinstance(value, dict):
+            raise ConfigError(f"section {name} must be an object")
+        section = _flatten(value, name + ".")
+        if name == "grids.delta":
+            for part in under:
+                if part not in section:
+                    raise ConfigError(f"missing key {part}")
+        flat.update(section)
+    return flat
 
 
 def config_from_dict(raw: dict) -> RunConfig:
     """Build a RunConfig from parsed JSON, validating structure and values."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(raw)
-    kwargs = {}
-    for name, (key, parse) in _FIELDS.items():
-        *sections, leaf = key.split(".")
-        section = raw
-        for head in sections:
-            section = section.get(head, {})
-        if leaf in section:
-            kwargs[name] = parse(section[leaf], key)
-    zsec = raw.get("z", {})
-    if "theta" in zsec and "cm" in zsec:
-        raise ConfigError("z must set exactly one of theta / cm")
-    if "cm" in zsec:
-        kwargs["z_theta"] = None
-    elif "theta" in zsec:
-        kwargs["z_cm"] = None
+    flat = _flatten(raw)
+    kwargs = {n: parse(flat[k], k) for n, (k, parse) in _FIELDS.items() if k in flat}
     return RunConfig(**kwargs)
 
 
@@ -247,12 +210,8 @@ def config_to_dict(config: RunConfig) -> dict:
     out: dict = {}
     for name, (key, _) in _FIELDS.items():
         value = getattr(config, name)
-        if value is None:
-            continue
         if isinstance(value, complex):
             value = value.real if value.imag == 0.0 else [value.real, value.imag]
-        elif isinstance(value, GridSpec):
-            value = asdict(value)
         *sections, leaf = key.split(".")
         section = out
         for head in sections:

@@ -140,11 +140,13 @@ def analyze_train(series: TimeSeries, omega_prime: float) -> PulseTrainStats:
             f"(log-gain swing {ln.max() - ln.min():.3g} <= ln 2)"
         )
 
+    # A two-sample plateau is one extremum, found at its right sample, where
+    # _refine puts the vertex at the midpoint.
     interior = ln[1:-1]
     peak_idx = (
-        np.nonzero((interior > ln[:-2]) & (interior > ln[2:]))[0] + 1
+        np.nonzero((interior >= ln[:-2]) & (interior > ln[2:]))[0] + 1
     )
-    min_idx = np.nonzero((interior < ln[:-2]) & (interior < ln[2:]))[0] + 1
+    min_idx = np.nonzero((interior <= ln[:-2]) & (interior < ln[2:]))[0] + 1
     if len(peak_idx) < 2 or len(min_idx) < 1:
         raise UnderSampled("fewer than two interior pulse peaks resolved")
 

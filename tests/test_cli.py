@@ -151,6 +151,33 @@ class TestEvolve:
         ):
             assert value == pytest.approx(stats[key], rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "shipped", [DEFAULT_CONFIG, TRAIN_CONFIG], ids=lambda p: p.stem
+    )
+    def test_odd_sample_count_resolves_the_train(self, tmp_path, shipped):
+        # At theta = pi an odd count per period puts every minimum midway
+        # between two bit-equal samples.
+        raw = json.loads(shipped.read_text())
+        raw["grids"]["t"]["samples_per_period"] = 1023
+        config = tmp_path / "odd.json"
+        config.write_text(json.dumps(raw))
+        series = tmp_path / "evolve.csv"
+        assert run_cli("evolve", "--config", config, "--out", series) == 0
+        stats = json.loads((tmp_path / "evolve.csv.stats.json").read_text())
+        assert "error" not in stats
+        out = tmp_path / "pulse_stats.json"
+        assert (
+            run_cli(
+                "pulse-stats", "--config", config, "--series", series, "--out", out
+            )
+            == 0
+        )
+        again = json.loads(out.read_text())
+        for key in ("period_s", "fwhm_s", "peak_gain", "min_gain", "depth"):
+            assert again[key] == pytest.approx(stats[key], rel=1e-12)
+        report = tmp_path / "report.json"
+        assert run_cli("validate", "--config", config, "--out", report) == 0
+
     def test_too_short_span_rejected(self, tmp_path):
         config = write_config(tmp_path, **{"grids.t.periods": 2.0})
         assert run_cli("evolve", "--config", config) == 2
@@ -662,15 +689,23 @@ class TestBadConfigRefused:
         assert run_cli("dispersion-scan", "--config", config, "--out", out) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", ["z.cm", "z.theta"])
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            # The plane is set only as the phase theta; cm is not a key.
+            ("z.cm", "unknown key z.cm"),
+            ("z.theta", "z.theta must be non-negative"),
+        ],
+        ids=["z.cm", "z.theta"],
+    )
     @pytest.mark.parametrize("command", ["validate", "sweep-frequency"])
-    def test_negative_plane_refused(self, tmp_path, capsys, key, command):
+    def test_negative_plane_refused(self, tmp_path, capsys, key, message, command):
         path = tmp_path / "negative_z.json"
         path.write_text(json.dumps({"z": {key.split(".")[1]: -1.0}}))
         out = tmp_path / "out.json"
         assert run_cli(command, "--config", path, "--out", out) == 2
         assert not out.exists()
-        assert f"{key} must be non-negative" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_unknown_key_refused(self, tmp_path, capsys):
         path = tmp_path / "typo.json"
@@ -712,7 +747,7 @@ def _guard_edge_config(tmp_path) -> Path:
     """Default grid, guard equal to one row's +w' sideband |denominator|."""
     config = RunConfig()
     omega_p = config.gas().omega_p
-    delta = config.delta_grid.values()[100]  # -2e11, next to -w'
+    delta = config.delta_values()[100]  # -2e11, next to -w'
     delta_po = omega_p - (omega_p - delta)
     return write_config(
         tmp_path, guard=abs(delta_po + config.omega_prime())

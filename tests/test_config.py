@@ -8,12 +8,15 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dressedprobe import CGS, ConfigError, RunConfig, load_config
-from dressedprobe.config import GridSpec, config_from_dict, config_to_dict
+from dressedprobe.config import config_from_dict, config_to_dict
 
 REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+NAN = float("nan")
+INF = float("inf")
 
 
 def test_defaults_match_shipped_file():
@@ -32,14 +35,19 @@ def test_round_trip_through_dict():
     assert config_from_dict(config_to_dict(config)) == config
 
 
-def test_z_plane_from_theta_and_cm():
+@pytest.mark.parametrize("name", ["default.json", "pulse_train.json"])
+def test_shipped_config_written_back_as_its_file(name):
+    # This dict is the config block of the validate report.
+    path = REPO_CONFIGS / name
+    assert config_to_dict(load_config(path)) == json.loads(path.read_text())
+
+
+def test_z_plane_from_theta():
     by_theta = RunConfig()
     z = by_theta.z_fixed()
     assert z == pytest.approx(
         math.pi * CGS.c / by_theta.omega_prime(), rel=1e-12
     )
-    by_cm = config_from_dict({"z": {"cm": 0.25}})
-    assert by_cm.z_fixed() == 0.25
 
 
 def test_partial_config_uses_defaults(tmp_path):
@@ -60,7 +68,7 @@ def test_complex_amplitudes_as_pairs():
 @pytest.mark.parametrize(
     "raw, fragment",
     [
-        ({"z": {"theta": 1.0, "cm": 1.0}}, "exactly one"),
+        ({"grids": {"delta": {}}}, "missing key grids.delta.start"),
         ({"guard": -1.0}, "guard"),
         ({"steps": 0}, "steps"),
         ({"grids": {"delta": {"start": 0.0, "stop": 1.0, "count": 0}}}, "count"),
@@ -72,9 +80,27 @@ def test_complex_amplitudes_as_pairs():
             "non-positive probe",
         ),
         ({"probe": {"delta": 2e15}}, "probe omega must be strictly positive"),
-        ({"z": {"cm": -1.0}}, "z.cm must be non-negative"),
+        (
+            {"grids": {"delta": {"start": -1.0, "stop": 1.0}}},
+            "missing key grids.delta.count",
+        ),
         ({"z": {"theta": -1.0}}, "z.theta must be non-negative"),
         ({"pump": {"detuning": -2e15}}, "omega_p must be strictly positive"),
+        (
+            {"grids": {"delta": {"start": -1.0, "count": 3}}},
+            "missing key grids.delta.stop",
+        ),
+        (
+            {"grids": {"delta": {"start": 1.0, "stop": -1.0, "count": 3}}},
+            "grid stop must exceed start",
+        ),
+        (
+            {"grids": {"delta": {"start": -INF, "stop": 1.0, "count": 3}}},
+            "grid range must be finite",
+        ),
+        ({"z": 1.0}, "section z must be an object"),
+        ({"grids": {"t": [3.0, 1024]}}, "section grids.t must be an object"),
+        ({"grids": {"delta": None}}, "section grids.delta must be an object"),
     ],
 )
 def test_invalid_configs_rejected(raw, fragment):
@@ -92,13 +118,25 @@ def test_unreadable_and_malformed_files(tmp_path):
 
 
 def test_grid_values_inclusive_endpoints():
-    grid = GridSpec(start=-1.0, stop=1.0, count=5)
-    assert grid.values() == [-1.0, -0.5, 0.0, 0.5, 1.0]
-    assert GridSpec(start=3.0, stop=3.0, count=1).values() == [3.0]
+    grid = RunConfig(delta_start=-1.0, delta_stop=1.0, delta_count=5)
+    assert grid.delta_values().tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
+    one = RunConfig(delta_start=3.0, delta_stop=3.0, delta_count=1)
+    assert one.delta_values().tolist() == [3.0]
 
 
-NAN = float("nan")
-INF = float("inf")
+@pytest.mark.parametrize(
+    "grid",
+    [{}, {"delta_start": -2.01e11, "delta_stop": 2.01e11, "delta_count": 20001}],
+    ids=["default", "20001_points"],
+)
+def test_delta_values_bit_equal_to_python_loop(grid):
+    config = RunConfig(**grid)
+    start, count = config.delta_start, config.delta_count
+    step = (config.delta_stop - start) / (count - 1)
+    expected = np.array([start + i * step for i in range(count)])
+    values = config.delta_values()
+    assert values[0] == start and values[-1] == config.delta_stop
+    assert values.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -109,7 +147,7 @@ INF = float("inf")
         ({"state": {"alpha": NAN}}, "state.alpha"),
         ({"state": {"beta": [0.1, NAN]}}, "state.beta"),
         ({"guard": NAN}, "guard"),
-        ({"z": {"cm": INF}}, "z.cm"),
+        ({"z": {"theta": INF}}, "z.theta"),
         ({"grids": {"t": {"periods": INF}}}, "grids.t.periods"),
     ],
 )

@@ -64,6 +64,22 @@ class TestAnalyzeTrain:
         assert stats.depth == pytest.approx(3.0, rel=1e-5)
         assert stats.peak_gain * stats.min_gain == pytest.approx(1.0, rel=1e-5)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["minima", "maxima"])
+    def test_extremum_between_two_equal_samples(self, sign):
+        # An odd count per period puts every minimum (or, flipped, every
+        # maximum) midway between two bit-equal samples.
+        samples_per_period = 129
+        k = np.arange(samples_per_period)
+        phase = 2.0 * math.pi / samples_per_period * np.minimum(k, k[::-1] + 1)
+        cycle = np.exp(sign * 6.0 * np.cos(phase))
+        series = TimeSeries(
+            t0=0.0, dt=PERIOD / samples_per_period, gains=np.tile(cycle, 4)
+        )
+        stats = analyze_train(series, OMEGA_PRIME)
+        assert stats.period == pytest.approx(PERIOD, rel=1e-12)
+        assert stats.depth == pytest.approx(3.0, rel=1e-3)
+        assert stats.peak_gain * stats.min_gain == pytest.approx(1.0, rel=1e-2)
+
     def test_undersampled_density(self):
         with pytest.raises(UnderSampled):
             analyze_train(
