@@ -330,15 +330,19 @@ def dispersion_rows(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     gas = config.gas()
     omega = gas.omega_p - config.delta_values()
     dipole, beyond, pole = index_parts(gas, omega, config.guard)
-    values = np.column_stack((omega, 1.0 + dipole + beyond, dipole, beyond))
+    with np.errstate(invalid="ignore"):  # inf - inf where K overflows
+        values = np.column_stack((omega, 1.0 + dipole + beyond, dipole, beyond))
     return values, pole
 
 
 def _emit_table(args, name: str, columns: list[str], rows) -> int:
     """Write the (values, pole mask) table ``rows`` makes of the config as
-    ``name``.csv."""
+    ``name``.csv.  A NaN or infinite value outside the pole rows is a
+    ConfigError, raised before the file is opened."""
     config = _load(args)
     values, pole = rows(config)
+    if not np.isfinite(values[~pole]).all():
+        raise ConfigError(f"{name} has non-finite values outside its POLE rows")
     path = _out_path(args, config, f"{name}.csv")
     _write_table(path, columns, values, pole)
     print(f"wrote {len(values)} rows to {path}")

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .characteristics import MAX_STEPS_PER_PERIOD
 from .constants import CGS, DEFAULT_GUARD
 from .dressed import DressedGas, generalized_rabi
 from .errors import ConfigError, DressedProbeError
@@ -46,22 +47,22 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.delta_start) and math.isfinite(self.delta_stop)):
-            raise ConfigError("grid range must be finite")
-        if self.delta_count < 1:
-            raise ConfigError("grid count must be >= 1")
-        if self.delta_count > 1 and self.delta_stop <= self.delta_start:
-            raise ConfigError("grid stop must exceed start")
         for name, (key, _) in _FIELDS.items():
             value = getattr(self, name)
             if isinstance(value, (float, complex)) and not cmath.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value!r}")
+        if self.delta_count < 1:
+            raise ConfigError("grid count must be >= 1")
+        if self.delta_count > 1 and self.delta_stop <= self.delta_start:
+            raise ConfigError("grid stop must exceed start")
         if self.z_theta < 0:
             raise ConfigError(f"z.theta must be non-negative, got {self.z_theta!r}")
         if self.guard < 0:
             raise ConfigError("guard must be non-negative")
-        if self.steps < 1:
-            raise ConfigError("steps must be >= 1")
+        if not 1 <= self.steps <= MAX_STEPS_PER_PERIOD:
+            raise ConfigError(
+                f"steps must be in 1..{MAX_STEPS_PER_PERIOD}, got {self.steps}"
+            )
         if self.t_periods <= 0 or self.t_samples_per_period < 1:
             raise ConfigError("time grid must be non-empty")
         try:

@@ -19,6 +19,10 @@ from .errors import ShallowModulation, UnderSampled
 
 _LN2 = math.log(2.0)
 
+#: Minimum samples per modulation period of a measured series, and grid
+#: intervals of a checked residual: the coarsest order-study grid.
+MIN_GRID_PER_PERIOD = 64
+
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
@@ -123,9 +127,10 @@ def analyze_train(series: TimeSeries, omega_prime: float) -> PulseTrainStats:
         raise ValueError("omega_prime must be strictly positive")
     period_nominal = 2.0 * math.pi / omega_prime
     n = len(series.gains)
-    if period_nominal / series.dt < 64.0 * (1.0 - 1e-9):
+    if period_nominal / series.dt < MIN_GRID_PER_PERIOD * (1.0 - 1e-9):
         raise UnderSampled(
-            f"{period_nominal / series.dt:.1f} samples per period; need >= 64"
+            f"{period_nominal / series.dt:.1f} samples per period; "
+            f"need >= {MIN_GRID_PER_PERIOD}"
         )
     if n * series.dt < 2.0 * period_nominal * (1.0 - 1e-9):
         raise UnderSampled(

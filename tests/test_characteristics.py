@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -91,30 +90,7 @@ class TestIntegrateCharacteristic:
             integrate_characteristic(coefs, 0.25 * LENGTH, 0.0, 249)
         integrate_characteristic(coefs, 0.25 * LENGTH, 0.0, 250)
 
-    def test_memory_bounded_at_many_steps(
-        self, gas_train, probe
-    ):
-        # All 2e6 + 1 nodes at once took a 160 MB peak.
-        coefs = derive_coefficients(gas_train, probe)
-        tracemalloc.start()
-        try:
-            integrate_characteristic(coefs, LENGTH, 0.0, 10**6)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 20e6
-
-    def test_chunking_leaves_the_sum_unchanged(
-        self, gas_train, probe, monkeypatch
-    ):
-        coefs = derive_coefficients(gas_train, probe)
-        args = (coefs, 1.3 * LENGTH, 0.4 * PERIOD, 1300)
-        whole = integrate_characteristic(*args)
-        for nodes in (3, 1000):
-            monkeypatch.setattr(chars, "_CHUNK_NODES", nodes)
-            assert integrate_characteristic(*args) == whole
-
-    def test_one_rhs_evaluation_per_single_chunk(
+    def test_one_rhs_evaluation_per_call(
         self, gas_train, probe, monkeypatch
     ):
         coefs = derive_coefficients(gas_train, probe)
@@ -252,6 +228,15 @@ class TestResidualCheck:
             residual_check(grid, z, t, coefs)
         with pytest.raises(GridTooCoarse, match="uniform"):
             residual_check(grid.T, t, z, coefs)
+
+    def test_malformed_grids_rejected(self, gas_train, probe, coefs):
+        z, t, grid = self.grid(gas_train, probe, 128)
+        with pytest.raises(ValueError, match="shape"):
+            residual_check(grid[:, :-1], z, t, coefs)
+        with pytest.raises(GridTooCoarse, match="at least 3"):
+            residual_check(grid[:2], z[:2], t, coefs)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            residual_check(grid[::-1], z[::-1], t, coefs)
 
     def test_non_uniform_grid_rejected(
         self, gas_train, probe, coefs

@@ -97,6 +97,14 @@ class TestSweepFrequency:
         ]
         assert markers == ["POLE", "POLE", "POLE"]
 
+    def test_default_out_path_under_out_dir(self, tmp_path):
+        out_dir = tmp_path / "results"
+        config = write_config(tmp_path, out_dir=str(out_dir))
+        assert run_cli("sweep-frequency", "--config", config) == 0
+        assert (out_dir / "sweep_frequency.csv").read_text().startswith(
+            "delta_rad_per_s,"
+        )
+
     def test_byte_identical_reruns(self, tmp_path):
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
@@ -706,6 +714,38 @@ class TestBadConfigRefused:
         assert run_cli(command, "--config", path, "--out", out) == 2
         assert not out.exists()
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep-frequency", "dispersion-scan"])
+    def test_non_finite_table_refused(self, tmp_path, capsys, command):
+        # A finite density whose K overflows: every Re G and index cell off
+        # the poles is NaN or infinite, and no table may hold it.
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"ensemble": {"rho": 1e308}}))
+        out = tmp_path / "table.csv"
+        assert run_cli(command, "--config", path, "--out", out) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "non-finite" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-frequency"],
+            ["evolve"],
+            ["dispersion-scan"],
+            ["pulse-stats", "--series", "missing.csv"],
+            ["validate"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_steps_above_ceiling_refused(self, tmp_path, capsys, argv):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"steps": 32769}))
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--config", path, "--out", out) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "steps" in err
 
     def test_unknown_key_refused(self, tmp_path, capsys):
         path = tmp_path / "typo.json"

@@ -96,16 +96,28 @@ def test_complex_amplitudes_as_pairs():
         ),
         (
             {"grids": {"delta": {"start": -INF, "stop": 1.0, "count": 3}}},
-            "grid range must be finite",
+            "grids.delta.start must be finite, got -inf",
         ),
         ({"z": 1.0}, "section z must be an object"),
         ({"grids": {"t": [3.0, 1024]}}, "section grids.t must be an object"),
         ({"grids": {"delta": None}}, "section grids.delta must be an object"),
+        ([], "config root must be a JSON object"),
+        ({"out_dir": 1}, "out_dir must be a string"),
+        ({"ensemble": {"d_squared": -1.0}}, "d_squared must be non-negative"),
+        ({"grids": {"t": {"periods": 0.0}}}, "time grid must be non-empty"),
+        ({"grids": {"t": {"samples_per_period": 0}}}, "time grid must be non-empty"),
     ],
 )
 def test_invalid_configs_rejected(raw, fragment):
     with pytest.raises(ConfigError, match=fragment):
         config_from_dict(raw)
+
+
+def test_steps_ceiling():
+    # 2**15 steps per period: Simpson's error there is far below rounding.
+    with pytest.raises(ConfigError, match=r"steps must be in 1\.\.32768, got 32769"):
+        config_from_dict({"steps": 32769})
+    assert config_from_dict({"steps": 32768}).steps == 32768
 
 
 def test_unreadable_and_malformed_files(tmp_path):

@@ -157,6 +157,8 @@ class TestExponent:
             _g(gas_dense, probe, -1.0, 0.0)
         with pytest.raises(ValueError):
             modulation_depth(gas_dense, probe, -1.0)
+        with pytest.raises(ValueError, match="z must be non-negative"):
+            exponent_sweep(gas_dense, [probe], -1.0, [0.0])
 
     @pytest.mark.parametrize("omega", [0.0, -1e15])
     def test_non_positive_probe_frequency_rejected(self, gas_dense, omega):

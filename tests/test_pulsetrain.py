@@ -91,9 +91,25 @@ class TestAnalyzeTrain:
         with pytest.raises(UnderSampled):
             analyze_train(series, OMEGA_PRIME)
 
+    def test_single_interior_peak_rejected(self):
+        # Two periods at 64 samples each: of the peaks at samples 0, 64 and
+        # 128, only 64 is an interior sample (128 is past the end).
+        series = synthetic_series(1.0, samples_per_period=64, periods=2)
+        with pytest.raises(UnderSampled, match="fewer than two interior"):
+            analyze_train(series, OMEGA_PRIME)
+
     def test_shallow_modulation_rejected(self):
         with pytest.raises(ShallowModulation):
             analyze_train(synthetic_series(0.15), OMEGA_PRIME)
+
+    def test_rising_series_has_no_resolved_pulse(self):
+        # Ripples on a ramp: each peak's half-maximum level is crossed
+        # before it, but the ramp stays above it up to the last sample.
+        i = np.arange(256)
+        ln = 0.005 * i + 0.1 * np.cos(2.0 * math.pi * i / 64)
+        series = TimeSeries(t0=0.0, dt=PERIOD / 64, gains=np.exp(ln))
+        with pytest.raises(ShallowModulation, match="no pulse has both"):
+            analyze_train(series, OMEGA_PRIME)
 
     def test_flat_series_rejected(self):
         flat = TimeSeries(
@@ -141,6 +157,14 @@ class TestAnalyzeTrain:
         twin = TimeSeries(t0=0.0, dt=1.0, gains=series.gains)
         assert series != twin and series == series
         assert len({series, twin}) == 2
+
+
+@pytest.mark.parametrize("omega_prime", [0.0, -1.0])
+def test_non_positive_omega_prime_rejected(omega_prime):
+    with pytest.raises(ValueError, match="omega_prime must be strictly"):
+        analyze_train(synthetic_series(2.0), omega_prime)
+    with pytest.raises(ValueError, match="omega_prime must be strictly"):
+        fwhm_closed_form(2.0, omega_prime)
 
 
 class TestClosedFormFwhm:

@@ -53,6 +53,12 @@ def test_pure_state_fails_cleanly():
         assert "no sideband part" in check.detail
 
 
+def test_oracle_agreement_at_the_steps_ceiling():
+    # 65,537 nodes at z = L, all in one array.
+    check = validation.check_oracle_agreement(config_from_dict({"steps": 32768}))
+    assert check.passed, check.detail
+
+
 def test_convergence_orders_of_a_power_law():
     points = [370, 524, 740, 1024]
     errors = [n**-4.0 for n in points]
