@@ -22,74 +22,45 @@ The envelope is evaluated on arrays: ``exponent_grid`` gives G and
 ``refractive_index`` give the depth and index at one plane and frequency.
 
 Units are Gaussian-CGS; every frequency is angular (rad/s).
+
+Each public name resolves on first access: ``dressedprobe.exponent_grid``
+imports ``dressedprobe.modulation`` then, so importing the package, or one
+of its modules, loads no module that is not used.
 """
 
-from .characteristics import (
-    RweCoefficients,
-    derive_coefficients,
-    integrate_characteristic,
-    log_amplitude_grid,
-    residual_check,
-)
-from .config import RunConfig, config_from_dict, load_config
-from .constants import CGS, DEFAULT_GUARD
-from .dispersion import DispersionResult, beyond_dipole_fraction, refractive_index
-from .dressed import DressedGas, generalized_rabi
-from .errors import (
-    ConfigError,
-    DegenerateDressing,
-    DressedProbeError,
-    GridTooCoarse,
-    ResonancePole,
-    ShallowModulation,
-    StepTooCoarse,
-    UnderSampled,
-    ZeroDipole,
-)
-from .modulation import (
-    exponent_grid,
-    k_scale,
-    modulation_depth,
-)
-from .pulsetrain import (
-    PulseTrainStats,
-    TimeSeries,
-    analyze_train,
-    fwhm_closed_form,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CGS",
-    "ConfigError",
-    "DEFAULT_GUARD",
-    "DegenerateDressing",
-    "DispersionResult",
-    "DressedGas",
-    "DressedProbeError",
-    "GridTooCoarse",
-    "PulseTrainStats",
-    "ResonancePole",
-    "RunConfig",
-    "RweCoefficients",
-    "ShallowModulation",
-    "StepTooCoarse",
-    "TimeSeries",
-    "UnderSampled",
-    "ZeroDipole",
-    "analyze_train",
-    "beyond_dipole_fraction",
-    "config_from_dict",
-    "derive_coefficients",
-    "exponent_grid",
-    "fwhm_closed_form",
-    "generalized_rabi",
-    "integrate_characteristic",
-    "k_scale",
-    "load_config",
-    "log_amplitude_grid",
-    "modulation_depth",
-    "refractive_index",
-    "residual_check",
-]
+#: Public name -> the module that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "characteristics": "RweCoefficients derive_coefficients "
+        "integrate_characteristic log_amplitude_grid residual_check",
+        "config": "RunConfig config_from_dict load_config",
+        "constants": "CGS DEFAULT_GUARD",
+        "dispersion": "DispersionResult beyond_dipole_fraction refractive_index",
+        "dressed": "DressedGas generalized_rabi",
+        "errors": "ConfigError DegenerateDressing DressedProbeError GridTooCoarse "
+        "ResonancePole ShallowModulation StepTooCoarse UnderSampled ZeroDipole",
+        "modulation": "exponent_grid k_scale modulation_depth",
+        "pulsetrain": "PulseTrainStats TimeSeries analyze_train fwhm_closed_form",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Import the module that defines ``name`` and keep the name here."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

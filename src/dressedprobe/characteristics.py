@@ -31,20 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CGS, DEFAULT_GUARD
+from .constants import CGS, DEFAULT_GUARD, MIN_STEPS_PER_PERIOD
 from .dispersion import refractive_index
 from .dressed import DressedGas
 from .modulation import exponent_grid, sideband_amplitudes
 from .errors import GridTooCoarse, StepTooCoarse
 from .pulsetrain import MIN_GRID_PER_PERIOD, is_uniform
-
-#: Minimum integration steps per spatial modulation period traversed.
-MIN_STEPS_PER_PERIOD = 1000
-
-#: Most steps per period a config may ask for.  Simpson's error on the
-#: e^{+-iw'z/c} terms, (2 pi / n)**4 / 2880 of the span at n steps per
-#: period, is 4.7e-19 here, far below rounding.
-MAX_STEPS_PER_PERIOD = 2**15
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,10 @@ round-trip bit-exactly.  The table writer forms it in numpy: 17 digits from
 the rounded extended-precision significand |v| * 10**(16 - e), laid out by
 the ``g`` rules, with Python's ``%`` for zero, inf, nan and cells within
 the rounding error of a tie.
+
+Each function imports the layers it runs at its top, so a run loads only
+the modules of its subcommand: without cached bytecode, Python compiles
+every module it imports on every run.
 """
 
 from __future__ import annotations
@@ -38,15 +42,15 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import modulation as mod
-from . import pulsetrain as pt
 from .config import RunConfig, config_to_dict, load_config
-from .dispersion import index_parts
 from .errors import ConfigError, DressedProbeError
-from .validation import gain_series, run_all
+
+if TYPE_CHECKING:
+    from .pulsetrain import TimeSeries
 
 
 #: Rows the CSV table writer formats and writes per block.  A block takes
@@ -266,6 +270,8 @@ def _load(args) -> RunConfig:
 def sweep_frequency_rows(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     """Columns (delta, Re G at arrival, Re G half a period later) and the
     pole mask; the Re G cells of a pole row are meaningless."""
+    from . import modulation as mod
+
     gas = config.gas()
     omega_prime = config.omega_prime()
     deltas = config.delta_values()
@@ -279,9 +285,11 @@ def sweep_frequency_rows(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack((deltas, g.real)), pole
 
 
-def _measure_train(series: pt.TimeSeries, omega_prime: float, stats: dict):
+def _measure_train(series: TimeSeries, omega_prime: float, stats: dict):
     """Add the train statistics of ``series`` to ``stats`` and return them,
     or add the domain error that refused them and return None."""
+    from . import pulsetrain as pt
+
     try:
         measured = pt.analyze_train(series, omega_prime)
     except DressedProbeError as exc:
@@ -297,11 +305,14 @@ def _measure_train(series: pt.TimeSeries, omega_prime: float, stats: dict):
     return measured
 
 
-def evolve_series(config: RunConfig) -> tuple[pt.TimeSeries, dict]:
+def evolve_series(config: RunConfig) -> tuple[TimeSeries, dict]:
     """Gain series at the fixed plane plus its stats block."""
+    from . import modulation as mod
+    from . import pulsetrain as pt
+
     if config.t_periods < 3.0:
         raise ConfigError("evolve needs a time span of >= 3 periods")
-    series = gain_series(config, config.t_periods, config.t_samples_per_period)
+    series = mod.gain_series(config, config.t_periods, config.t_samples_per_period)
     omega_prime = config.omega_prime()
     period = 2.0 * math.pi / omega_prime
     stats: dict = {
@@ -327,6 +338,8 @@ def evolve_series(config: RunConfig) -> tuple[pt.TimeSeries, dict]:
 def dispersion_rows(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     """Columns (omega, n0, dipole part, beyond-dipole part) and the pole
     mask; the index cells of a pole row are meaningless."""
+    from .dispersion import index_parts
+
     gas = config.gas()
     omega = gas.omega_p - config.delta_values()
     dipole, beyond, pole = index_parts(gas, omega, config.guard)
@@ -381,11 +394,13 @@ def _cmd_dispersion_scan(args) -> int:
     )
 
 
-def read_evolve_csv(path: str | Path) -> pt.TimeSeries:
+def read_evolve_csv(path: str | Path) -> TimeSeries:
     """Parse a CSV produced by the evolve subcommand back into a series.
 
     Only the first two columns are read; blank lines are skipped.
     """
+    from . import pulsetrain as pt
+
     try:
         with open(path) as lines:
             header = lines.readline()
@@ -432,6 +447,8 @@ def _cmd_pulse_stats(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .validation import run_all
+
     started = time.perf_counter()
     config = _load(args)
     results = run_all(config)

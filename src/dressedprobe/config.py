@@ -17,8 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .characteristics import MAX_STEPS_PER_PERIOD
-from .constants import CGS, DEFAULT_GUARD
+from .constants import CGS, DEFAULT_GUARD, MAX_STEPS_PER_PERIOD
 from .dressed import DressedGas, generalized_rabi
 from .errors import ConfigError, DressedProbeError
 
@@ -69,7 +68,7 @@ class RunConfig:
             omega_p = self.gas().omega_p
             if self.probe_omega() <= 0:
                 raise ValueError("probe omega must be strictly positive")
-        except (ValueError, DressedProbeError) as exc:
+        except (OverflowError, ValueError, DressedProbeError) as exc:
             raise ConfigError(f"invalid physical parameters: {exc}") from exc
         if omega_p - self.delta_stop <= 0:
             raise ConfigError("delta grid reaches non-positive probe omega")

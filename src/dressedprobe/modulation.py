@@ -23,12 +23,14 @@ array of probe frequencies and marks poles in a mask (``strict`` raises
 ResonancePole instead).  ``exponent_grid`` gives G over a (z, t) grid and
 ``exponent_sweep`` over probe frequencies and t; a single value is the
 [0, 0] cell of a one-point grid.  ``modulation_depth`` is the closed-form
-amplitude of Re G and ``intensity_gain`` turns G into exp(2 Re G).
+amplitude of Re G, ``intensity_gain`` turns G into exp(2 Re G), and
+``gain_series`` samples that gain over time at a config's fixed plane.
 """
 
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -36,6 +38,10 @@ from .constants import CGS, DEFAULT_GUARD
 from .dispersion import resonance_denominators
 from .dressed import DressedGas, _split_offsets
 from .errors import ConfigError
+
+if TYPE_CHECKING:
+    from .config import RunConfig
+    from .pulsetrain import TimeSeries
 
 
 def _brackets(gas: DressedGas, dens) -> tuple:
@@ -171,3 +177,20 @@ def intensity_gain(g: np.ndarray) -> np.ndarray:
             "parameters; reduce rho, the coherence, or the plane depth"
         )
     return np.exp(twice_re)
+
+
+def gain_series(
+    config: RunConfig, periods: float, samples_per_period: int
+) -> TimeSeries:
+    """Intensity gain at the fixed plane from the arrival time z / c, over
+    ``periods`` modulation periods of ``samples_per_period`` samples."""
+    from .pulsetrain import TimeSeries  # here, so a sweep does not load it
+
+    z = config.z_fixed()
+    t0 = z / CGS.c
+    dt = 2.0 * math.pi / config.omega_prime() / samples_per_period
+    t = t0 + dt * np.arange(round(periods * samples_per_period))
+    g = exponent_grid(
+        config.gas(), config.probe_omega(), z=[z], t=t, guard=config.guard
+    )[0]
+    return TimeSeries(t0=t0, dt=dt, gains=intensity_gain(g))

@@ -50,21 +50,6 @@ def _check(name: str):
     return decorate
 
 
-def gain_series(
-    config: RunConfig, periods: float, samples_per_period: int
-) -> pt.TimeSeries:
-    """Intensity gain at the fixed plane from the arrival time z / c, over
-    ``periods`` modulation periods of ``samples_per_period`` samples."""
-    z = config.z_fixed()
-    t0 = z / CGS.c
-    dt = 2.0 * math.pi / config.omega_prime() / samples_per_period
-    t = t0 + dt * np.arange(round(periods * samples_per_period))
-    g = mod.exponent_grid(
-        config.gas(), config.probe_omega(), z=[z], t=t, guard=config.guard
-    )[0]
-    return pt.TimeSeries(t0=t0, dt=dt, gains=mod.intensity_gain(g))
-
-
 @_check("boundary_identity")
 def check_boundary_identity(config: RunConfig) -> tuple[bool, str]:
     """|exp(G(0, t)) - 1| stays below 1e-12 over 1024 samples."""
@@ -102,7 +87,7 @@ def check_modulation_periods(config: RunConfig) -> tuple[bool, str]:
     length = period * CGS.c
 
     spp = 512
-    stats = pt.analyze_train(gain_series(config, 3, spp), omega_prime)
+    stats = pt.analyze_train(mod.gain_series(config, 3, spp), omega_prime)
     err_t = abs(stats.period - period) / period
 
     z = np.arange(3 * spp) * (length / spp)
@@ -380,7 +365,7 @@ def check_train_stats(config: RunConfig) -> tuple[bool, str]:
     the default parameters, i.e. it does not reproduce a 250 fs pulse.
     """
     omega_prime = config.omega_prime()
-    series = gain_series(config, 4, max(config.t_samples_per_period, 512))
+    series = mod.gain_series(config, 4, max(config.t_samples_per_period, 512))
     stats = pt.analyze_train(series, omega_prime)
     depth = mod.modulation_depth(
         config.gas(), config.probe_omega(), config.z_fixed(), config.guard

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dressedprobe import CGS, ConfigError, ResonancePole, cli
+from dressedprobe import CGS, ConfigError, ResonancePole, cli, pulsetrain
 from dressedprobe.cli import (
     dispersion_rows,
     evolve_series,
@@ -186,6 +187,24 @@ class TestEvolve:
         report = tmp_path / "report.json"
         assert run_cli("validate", "--config", config, "--out", report) == 0
 
+    @pytest.mark.parametrize("off", [1e-7, 1e-5])
+    def test_period_off_two_pi_over_w_prime_refused(self, monkeypatch, off):
+        # A measured period more than 1e-6 relative from 2 pi / w' is no
+        # train of this model, so evolve refuses it instead of reporting it.
+        measure = pulsetrain.analyze_train
+
+        def shifted(series, omega_prime):
+            stats = measure(series, omega_prime)
+            return dataclasses.replace(stats, period=stats.period * (1.0 + off))
+
+        monkeypatch.setattr(pulsetrain, "analyze_train", shifted)
+        config = load_config(TRAIN_CONFIG)
+        if off < 1e-6:
+            assert "period_s" in evolve_series(config)[1]
+            return
+        with pytest.raises(ConfigError, match="deviates from 2 pi / w' .* 1e-6"):
+            evolve_series(config)
+
     def test_too_short_span_rejected(self, tmp_path):
         config = write_config(tmp_path, **{"grids.t.periods": 2.0})
         assert run_cli("evolve", "--config", config) == 2
@@ -222,6 +241,16 @@ class TestPulseStats:
         )
         stats = json.loads(out.read_text())
         assert stats["depth"] == pytest.approx(FROZEN["depth_train"], rel=1e-6)
+
+    def test_source_is_the_series_argument_as_given(self, tmp_path, monkeypatch):
+        # bench/run.py runs from a relative work directory so that the stats
+        # of two checkouts have one digest; source is therefore not resolved.
+        monkeypatch.chdir(tmp_path)
+        run_cli("evolve", "--config", TRAIN_CONFIG, "--out", "train/evolve.csv")
+        argv = ["--series", "train/evolve.csv", "--out", "stats.json"]
+        assert run_cli("pulse-stats", "--config", TRAIN_CONFIG, *argv) == 0
+        stats = json.loads((tmp_path / "stats.json").read_text())
+        assert stats["source"] == "train/evolve.csv"
 
     def test_rejects_foreign_csv(self, tmp_path):
         bogus = tmp_path / "bogus.csv"

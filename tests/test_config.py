@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dressedprobe import CGS, ConfigError, RunConfig, load_config
 from dressedprobe.config import config_from_dict, config_to_dict
@@ -106,6 +107,9 @@ def test_complex_amplitudes_as_pairs():
         ({"ensemble": {"d_squared": -1.0}}, "d_squared must be non-negative"),
         ({"grids": {"t": {"periods": 0.0}}}, "time grid must be non-empty"),
         ({"grids": {"t": {"samples_per_period": 0}}}, "time grid must be non-empty"),
+        # |alpha|^2 overflows a float: found by the config fuzz below.
+        ({"state": {"alpha": 1e308}}, "invalid physical"),
+        ({"state": {"beta": [0.0, -1e308]}}, "invalid physical"),
     ],
 )
 def test_invalid_configs_rejected(raw, fragment):
@@ -204,3 +208,63 @@ def test_booleans_and_fractional_counts_rejected(raw, fragment):
 def test_unknown_keys_rejected(raw, name):
     with pytest.raises(ConfigError, match=f"unknown key {re.escape(name)}"):
         config_from_dict(raw)
+
+
+def _leaves(raw: dict, where: tuple = ()) -> list[tuple]:
+    """The key path of every leaf of a nested config dict."""
+    paths = []
+    for key, value in raw.items():
+        if isinstance(value, dict):
+            paths += _leaves(value, where + (key,))
+        else:
+            paths.append(where + (key,))
+    return paths
+
+
+_DEFAULT_DICT = config_to_dict(RunConfig())
+_LEAVES = _leaves(_DEFAULT_DICT)
+_SECTIONS = [()] + sorted({path[:n] for path in _LEAVES for n in range(1, len(path))})
+_BAD_VALUES = [
+    NAN, INF, -INF, True, False, "1.0", None, 0.5, 2.5, -1, -1.0, 0, 0.0,
+    1e308, -1e308, [1.0], [1.0, 2.0], [NAN, 0.0], {}, {"x": 1},
+]
+
+
+def _loads_or_refuses(replaced: dict, unknown=()) -> None:
+    """The default config with the ``replaced`` leaves and an unknown key in
+    each ``unknown`` section either loads into a config that writes itself
+    back unchanged, or is refused with ConfigError; nothing else escapes."""
+    raw = json.loads(json.dumps(_DEFAULT_DICT))
+
+    def section(path: tuple) -> dict:
+        found = raw
+        for head in path:
+            found = found[head]
+        return found
+
+    for path, value in replaced.items():
+        section(path[:-1])[path[-1]] = value
+    for where in unknown:
+        section(where)["unknown_key"] = 1.0
+    try:
+        config = config_from_dict(raw)
+    except ConfigError:
+        return
+    assert config_from_dict(config_to_dict(config)) == config
+
+
+def test_every_bad_leaf_loads_or_refuses():
+    for path in _LEAVES:
+        for value in _BAD_VALUES:
+            _loads_or_refuses({path: value})
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(
+    replaced=st.dictionaries(
+        st.sampled_from(_LEAVES), st.sampled_from(_BAD_VALUES), max_size=4
+    ),
+    unknown=st.lists(st.sampled_from(_SECTIONS), max_size=2),
+)
+def test_config_fuzz_loads_or_refuses(replaced, unknown):
+    _loads_or_refuses(replaced, unknown)

@@ -105,6 +105,39 @@ def test_far_detuned_pump_probes_the_other_pole():
     )
 
 
+@pytest.mark.parametrize(
+    "layer, name, detail",
+    [
+        (
+            "disp",
+            "resonance_denominators",
+            "pole at delta = omega_prime NOT caught; coarse stepping caught",
+        ),
+        (
+            "chars",
+            "integrate_characteristic",
+            "pole caught (omega_p - omega - omega_prime); coarse stepping NOT caught",
+        ),
+    ],
+    ids=["pole", "coarse_stepping"],
+)
+def test_guard_behavior_fails_when_a_guard_lets_through(
+    monkeypatch, layer, name, detail
+):
+    # Each guard, made to return instead of raise, fails the check by name.
+    original = getattr(getattr(validation, layer), name)
+
+    def lenient(*args, **kwargs):
+        if name == "resonance_denominators":
+            return original(*args, **{**kwargs, "strict": False})
+        return 0j
+
+    monkeypatch.setattr(getattr(validation, layer), name, lenient)
+    check = validation.check_guard_behavior(config_from_dict({}))
+    assert not check.passed
+    assert check.detail == detail
+
+
 def test_blue_detuned_pump_is_non_saturating():
     # For detuning > 0 the blue sideband carries (w' + |detuning|)^2, and
     # the fraction over that numerator grows with rabi as for red detuning.
