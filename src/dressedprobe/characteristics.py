@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CGS, DEFAULT_GUARD, MIN_STEPS_PER_PERIOD
+from .constants import CGS, MIN_STEPS_PER_PERIOD
 from .dispersion import refractive_index
 from .dressed import DressedGas
 from .modulation import exponent_grid, sideband_amplitudes
@@ -53,11 +53,7 @@ class RweCoefficients:
     omega_prime: float
 
 
-def derive_coefficients(
-    gas: DressedGas,
-    probe_omega: float,
-    guard: float = DEFAULT_GUARD,
-) -> RweCoefficients:
+def derive_coefficients(gas: DressedGas, probe_omega: float) -> RweCoefficients:
     """Assemble the constant coefficients of the reduced wave equation at
     the probe angular frequency ``probe_omega`` in rad/s.
 
@@ -65,8 +61,8 @@ def derive_coefficients(
     terms vanish for a pure dressed state, mirroring which part of the
     atomic response each one represents.
     """
-    disp = refractive_index(gas, probe_omega, guard)
-    a1, a2, _ = sideband_amplitudes(gas, [probe_omega], guard, strict=True)
+    disp = refractive_index(gas, probe_omega)
+    a1, a2, _ = sideband_amplitudes(gas, [probe_omega], strict=True)
     rate = gas.omega_prime / CGS.c
     return RweCoefficients(
         d_coef=probe_omega * (disp.n0 - 1.0) / CGS.c,
@@ -128,13 +124,12 @@ def log_amplitude_grid(
     probe_omega: float,
     z: np.ndarray,
     t: np.ndarray,
-    guard: float = DEFAULT_GUARD,
 ) -> np.ndarray:
     """Closed-form ln A over the outer product of z and t grids at the
     probe angular frequency ``probe_omega`` in rad/s."""
     z = np.asarray(z, dtype=float)
-    grid = exponent_grid(gas, probe_omega, z=z, t=t, guard=guard)
-    disp = refractive_index(gas, probe_omega, guard)
+    grid = exponent_grid(gas, probe_omega, z=z, t=t)
+    disp = refractive_index(gas, probe_omega)
     phase = 1j * probe_omega * (disp.n0 - 1.0) * z / CGS.c
     return grid + phase[:, None]
 

@@ -280,7 +280,6 @@ def sweep_frequency_rows(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
         gas.omega_p - deltas,
         config.z_fixed(),
         [math.pi / omega_prime, 2.0 * math.pi / omega_prime],
-        config.guard,
     )
     return np.column_stack((deltas, g.real)), pole
 
@@ -342,7 +341,7 @@ def dispersion_rows(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
 
     gas = config.gas()
     omega = gas.omega_p - config.delta_values()
-    dipole, beyond, pole = index_parts(gas, omega, config.guard)
+    dipole, beyond, pole = index_parts(gas, omega)
     with np.errstate(invalid="ignore"):  # inf - inf where K overflows
         values = np.column_stack((omega, 1.0 + dipole + beyond, dipole, beyond))
     return values, pole

@@ -56,8 +56,6 @@ class RunConfig:
             raise ConfigError("grid stop must exceed start")
         if self.z_theta < 0:
             raise ConfigError(f"z.theta must be non-negative, got {self.z_theta!r}")
-        if self.guard < 0:
-            raise ConfigError("guard must be non-negative")
         if not 1 <= self.steps <= MAX_STEPS_PER_PERIOD:
             raise ConfigError(
                 f"steps must be in 1..{MAX_STEPS_PER_PERIOD}, got {self.steps}"
@@ -68,7 +66,7 @@ class RunConfig:
             omega_p = self.gas().omega_p
             if self.probe_omega() <= 0:
                 raise ValueError("probe omega must be strictly positive")
-        except (OverflowError, ValueError, DressedProbeError) as exc:
+        except (ValueError, DressedProbeError) as exc:
             raise ConfigError(f"invalid physical parameters: {exc}") from exc
         if omega_p - self.delta_stop <= 0:
             raise ConfigError("delta grid reaches non-positive probe omega")
@@ -84,6 +82,7 @@ class RunConfig:
             rabi=self.rabi,
             alpha=self.alpha,
             beta=self.beta,
+            guard=self.guard,
         )
 
     def probe_omega(self) -> float:

@@ -8,8 +8,9 @@ the dressed-state population difference, so a balanced superposition or an
 empty cell leaves the probe undispersed.
 
 The model is lossless: the index is purely real and diverges at the two
-sideband resonances.  Evaluation inside a configurable guard band around
-those poles is refused rather than regularized.
+sideband resonances.  Evaluation inside the gas's guard band around those
+poles (``DressedGas.guard``, set from the config key ``guard``) is refused
+rather than regularized.
 
 ``resonance_denominators`` owns the guard rule for these and the
 modulation's denominators, and refuses a non-positive probe frequency;
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CGS, DEFAULT_GUARD
+from .constants import CGS
 from .dressed import DressedGas, _split_offsets
 from .errors import ResonancePole, ZeroDipole
 
@@ -45,14 +46,13 @@ class DispersionResult:
 def resonance_denominators(
     gas: DressedGas,
     probe_omega,
-    guard: float = DEFAULT_GUARD,
     *,
     rayleigh: bool = True,
     strict: bool = False,
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
     """omega_p - omega and omega_p - omega +- omega_prime, and the pole mask.
 
-    A guarded denominator is at a pole unless |den| > guard (NaN is a
+    A guarded denominator is at a pole unless |den| > gas.guard (NaN is a
     pole); omega_p - omega is guarded only if ``rayleigh``.  ``strict``
     raises ResonancePole for the first pole in the order of the result.
     A probe frequency that is not strictly positive raises ValueError;
@@ -70,9 +70,9 @@ def resonance_denominators(
     )
     pole = np.zeros(delta_po.shape, dtype=bool)
     for name, den in named[0 if rayleigh else 1 :]:
-        inside = ~(np.abs(den) > guard)
+        inside = ~(np.abs(den) > gas.guard)
         if strict and inside.any():
-            raise ResonancePole(name, float(np.extract(inside, den)[0]), guard)
+            raise ResonancePole(name, float(np.extract(inside, den)[0]), gas.guard)
         pole |= inside
     return tuple(den for _, den in named), pole
 
@@ -92,7 +92,6 @@ def _numerators(gas: DressedGas) -> tuple:
 def index_parts(
     gas: DressedGas,
     probe_omega,
-    guard: float = DEFAULT_GUARD,
     *,
     strict: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -102,7 +101,7 @@ def index_parts(
     """
     omega = np.asarray(probe_omega, dtype=float)
     (_, den_plus, den_minus), pole = resonance_denominators(
-        gas, omega, guard, rayleigh=False, strict=strict
+        gas, omega, rayleigh=False, strict=strict
     )
     dip_plus, dip_minus, beyond = _numerators(gas)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -118,27 +117,21 @@ def index_parts(
     return dipole_part, beyond_part, pole
 
 
-def refractive_index(
-    gas: DressedGas,
-    probe_omega: float,
-    guard: float = DEFAULT_GUARD,
-) -> DispersionResult:
+def refractive_index(gas: DressedGas, probe_omega: float) -> DispersionResult:
     """Evaluate the probe refractive index n0(omega).
 
     Parameters
     ----------
     probe_omega : float
         Probe angular frequency, rad/s.
-    guard : float
-        Half-width of the refused band around each sideband pole, rad/s.
 
     Raises
     ------
     ResonancePole
-        If a sideband denominator lies within the guard band; the message
-        names the offending denominator.
+        If a sideband denominator lies within ``gas.guard`` of zero; the
+        message names the offending denominator.
     """
-    dipole, beyond, _ = index_parts(gas, [probe_omega], guard, strict=True)
+    dipole, beyond, _ = index_parts(gas, [probe_omega], strict=True)
     dipole, beyond = float(dipole[0]), float(beyond[0])
     return DispersionResult(
         n0=1.0 + dipole + beyond,

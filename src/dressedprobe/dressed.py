@@ -12,7 +12,9 @@ frequency minus transition frequency and may take either sign.  The atoms,
 the pump and the prepared state are one object, ``DressedGas``: every
 closed-form quantity depends on all three.  Its pump frequency
 omega_p = omega0 + detuning is a property, and a gas with omega_p <= 0
-cannot be built.
+cannot be built.  The gas also carries ``guard``, the half-width of the
+band around each resonance pole inside which the lossless closed form is
+refused; a run sets it from the config key ``guard``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .constants import DEFAULT_GUARD
 from .errors import DegenerateDressing
 
 
@@ -94,6 +97,9 @@ class DressedGas:
         Pump Rabi frequency, rad/s (non-negative).
     alpha, beta : complex
         Amplitudes of the prepared dressed-state superposition.
+    guard : float
+        Half-width, rad/s, of the refused band around each resonance pole
+        (non-negative); ``dataclasses.replace`` variants inherit it.
 
     The pump dresses the atoms only through its detuning and Rabi
     frequency, so the dressed algebra never has to subtract two nearly
@@ -108,6 +114,7 @@ class DressedGas:
     rabi: float
     alpha: complex
     beta: complex
+    guard: float = DEFAULT_GUARD
 
     def __post_init__(self) -> None:
         if self.omega0 <= 0:
@@ -124,11 +131,16 @@ class DressedGas:
         beta = complex(self.beta)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-        norm = abs(alpha) ** 2 + abs(beta) ** 2
-        if abs(norm - 1.0) > 1e-12:
+        try:
+            norm = abs(alpha) ** 2 + abs(beta) ** 2
+        except OverflowError:
+            norm = math.inf
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(
                 f"|alpha|^2 + |beta|^2 = {norm!r} must equal 1 within 1e-12"
             )
+        if not self.guard >= 0:
+            raise ValueError("guard must be non-negative")
 
     @property
     def d_squared(self) -> float:

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .constants import CGS, DEFAULT_GUARD
+from .constants import CGS
 from .dispersion import resonance_denominators
 from .dressed import DressedGas, _split_offsets
 from .errors import ConfigError
@@ -72,7 +72,6 @@ def k_scale(gas: DressedGas, probe_omega):
 def sideband_amplitudes(
     gas: DressedGas,
     probe_omega,
-    guard: float = DEFAULT_GUARD,
     *,
     strict: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -82,7 +81,7 @@ def sideband_amplitudes(
     amplitudes are meaningless under it, and ``strict`` raises instead.
     """
     omega = np.asarray(probe_omega, dtype=float)
-    dens, pole = resonance_denominators(gas, omega, guard, strict=strict)
+    dens, pole = resonance_denominators(gas, omega, strict=strict)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         b1, b2 = _brackets(gas, dens)
         scale = k_scale(gas, omega)
@@ -91,12 +90,7 @@ def sideband_amplitudes(
     return a1, a2, pole
 
 
-def modulation_depth(
-    gas: DressedGas,
-    probe_omega: float,
-    z: float,
-    guard: float = DEFAULT_GUARD,
-) -> float:
+def modulation_depth(gas: DressedGas, probe_omega: float, z: float) -> float:
     """Amplitude R(z) of the sinusoid Re G(z, t) = R cos(w' t + psi) for
     the probe angular frequency ``probe_omega`` in rad/s.
 
@@ -105,7 +99,7 @@ def modulation_depth(
     """
     if z < 0:
         raise ValueError("z must be non-negative")
-    a1, a2, _ = sideband_amplitudes(gas, [probe_omega], guard, strict=True)
+    a1, a2, _ = sideband_amplitudes(gas, [probe_omega], strict=True)
     # |c1 + conj(c2)| = |1 - exp(-i w' z / c)| |a1 - conj(a2)|
     ramp = 2.0 * abs(math.sin(0.5 * gas.omega_prime * z / CGS.c))
     return ramp * float(abs(a1[0] - np.conj(a2[0])))
@@ -130,7 +124,6 @@ def exponent_grid(
     probe_omega: float,
     z: np.ndarray,
     t: np.ndarray,
-    guard: float = DEFAULT_GUARD,
 ) -> np.ndarray:
     """Vectorized G over the outer product of z and t grids.
 
@@ -139,7 +132,7 @@ def exponent_grid(
     """
     if np.any(np.asarray(z) < 0):
         raise ValueError("z must be non-negative")
-    a1, a2, _ = sideband_amplitudes(gas, [probe_omega], guard, strict=True)
+    a1, a2, _ = sideband_amplitudes(gas, [probe_omega], strict=True)
     return _exponent(a1[0], a2[0], gas.omega_prime, z, t)
 
 
@@ -148,7 +141,6 @@ def exponent_sweep(
     probe_omega: np.ndarray,
     z: float,
     t: np.ndarray,
-    guard: float = DEFAULT_GUARD,
 ) -> tuple[np.ndarray, np.ndarray]:
     """G at plane z, shape (len(probe_omega), len(t)), and the pole mask.
 
@@ -157,7 +149,7 @@ def exponent_sweep(
     """
     if z < 0:
         raise ValueError("z must be non-negative")
-    a1, a2, pole = sideband_amplitudes(gas, probe_omega, guard)
+    a1, a2, pole = sideband_amplitudes(gas, probe_omega)
     g = _exponent(a1[:, None], a2[:, None], gas.omega_prime, [z], t)
     return g, pole
 
@@ -190,7 +182,5 @@ def gain_series(
     t0 = z / CGS.c
     dt = 2.0 * math.pi / config.omega_prime() / samples_per_period
     t = t0 + dt * np.arange(round(periods * samples_per_period))
-    g = exponent_grid(
-        config.gas(), config.probe_omega(), z=[z], t=t, guard=config.guard
-    )[0]
+    g = exponent_grid(config.gas(), config.probe_omega(), z=[z], t=t)[0]
     return TimeSeries(t0=t0, dt=dt, gains=intensity_gain(g))

@@ -55,9 +55,7 @@ def check_boundary_identity(config: RunConfig) -> tuple[bool, str]:
     """|exp(G(0, t)) - 1| stays below 1e-12 over 1024 samples."""
     period = 2.0 * math.pi / config.omega_prime()
     t = np.linspace(0.0, period, 1024, endpoint=False)
-    g = mod.exponent_grid(
-        config.gas(), config.probe_omega(), z=[0.0], t=t, guard=config.guard
-    )
+    g = mod.exponent_grid(config.gas(), config.probe_omega(), z=[0.0], t=t)
     worst = float(np.max(np.abs(np.exp(g) - 1.0)))
     return worst < 1e-12, f"max |F(0,t)-1| = {worst:.3e}"
 
@@ -71,10 +69,8 @@ def check_antiperiodicity(config: RunConfig) -> tuple[bool, str]:
     length = period * CGS.c
     z = np.linspace(0.0, length, 64, endpoint=False)
     t = np.linspace(0.0, period, 64, endpoint=False)
-    g = mod.exponent_grid(gas, probe_omega, z=z, t=t, guard=config.guard)
-    g_shift = mod.exponent_grid(
-        gas, probe_omega, z=z, t=t + 0.5 * period, guard=config.guard
-    )
+    g = mod.exponent_grid(gas, probe_omega, z=z, t=t)
+    g_shift = mod.exponent_grid(gas, probe_omega, z=z, t=t + 0.5 * period)
     worst = float(np.max(np.abs(g + g_shift) / (1.0 + np.abs(g))))
     return worst < 1e-9, f"max |G(t+T/2)+G|/(1+|G|) = {worst:.3e}"
 
@@ -93,7 +89,7 @@ def check_modulation_periods(config: RunConfig) -> tuple[bool, str]:
     z = np.arange(3 * spp) * (length / spp)
     t_fix = math.pi / omega_prime
     gz = mod.exponent_grid(
-        config.gas(), config.probe_omega(), z=z, t=[t_fix], guard=config.guard
+        config.gas(), config.probe_omega(), z=z, t=[t_fix]
     )[:, 0]
     series_z = pt.TimeSeries(t0=0.0, dt=length / spp, gains=mod.intensity_gain(gz))
     stats_z = pt.analyze_train(series_z, omega_prime / CGS.c)
@@ -113,11 +109,7 @@ def check_zero_mean_jensen(config: RunConfig) -> tuple[bool, str]:
     period = 2.0 * math.pi / config.omega_prime()
     t = np.linspace(0.0, period, 4096, endpoint=False)
     g = mod.exponent_grid(
-        config.gas(),
-        config.probe_omega(),
-        z=[config.z_fixed()],
-        t=t,
-        guard=config.guard,
+        config.gas(), config.probe_omega(), z=[config.z_fixed()], t=t
     )[0]
     mean_re = abs(float(np.mean(g.real)))
     gains = mod.intensity_gain(g)
@@ -131,21 +123,17 @@ def check_zero_mean_jensen(config: RunConfig) -> tuple[bool, str]:
     )
 
 
-def _oracle_error(
-    gas, probe_omega, guard: float, steps_per_period: int
-) -> float:
+def _oracle_error(gas, probe_omega, steps_per_period: int) -> float:
     """Worst oracle-vs-closed-form error over z in {L/4, L/2, L}; NaN if
     any error is."""
     omega_prime = gas.omega_prime
     length = 2.0 * math.pi * CGS.c / omega_prime
-    coefs = chars.derive_coefficients(gas, probe_omega, guard)
+    coefs = chars.derive_coefficients(gas, probe_omega)
     t_entry = 0.37 * 2.0 * math.pi / omega_prime
     fracs = (0.25, 0.5, 1.0)
     z_ends = [frac * length for frac in fracs]
     t_ends = [t_entry + z_end / CGS.c for z_end in z_ends]
-    closed = chars.log_amplitude_grid(
-        gas, probe_omega, z_ends, t_ends, guard
-    ).diagonal()
+    closed = chars.log_amplitude_grid(gas, probe_omega, z_ends, t_ends).diagonal()
     errors = []
     for frac, z_end, closed_end in zip(fracs, z_ends, closed.tolist()):
         steps = max(1, math.ceil(steps_per_period * frac))
@@ -157,9 +145,7 @@ def _oracle_error(
 @_check("oracle_agreement")
 def check_oracle_agreement(config: RunConfig) -> tuple[bool, str]:
     """Characteristic integration matches the closed form to 1e-6."""
-    worst = _oracle_error(
-        config.gas(), config.probe_omega(), config.guard, config.steps
-    )
+    worst = _oracle_error(config.gas(), config.probe_omega(), config.steps)
     return (
         worst < 1e-6,
         f"max rel log-amplitude error = {worst:.3e} at z in L/4, L/2, L",
@@ -210,7 +196,7 @@ def check_oracle_randomized(config: RunConfig) -> tuple[bool, str]:
             beta=b * complex(math.cos(phase), math.sin(phase)),
         )
         probe_omega = varied.omega_p - offset * varied.omega_prime
-        errors.append(_oracle_error(varied, probe_omega, config.guard, 1000))
+        errors.append(_oracle_error(varied, probe_omega, 1000))
     worst = float(np.max(errors))
     return (
         worst < 1e-6,
@@ -231,13 +217,9 @@ def integration_errors(config: RunConfig) -> tuple[list[int], list[float]]:
     gas, probe_omega = config.gas(), config.probe_omega()
     length = 2.0 * math.pi * CGS.c / config.omega_prime()
     z_end = 0.37 * length
-    coefs = replace(
-        chars.derive_coefficients(gas, probe_omega, config.guard), d_coef=0.0
-    )
+    coefs = replace(chars.derive_coefficients(gas, probe_omega), d_coef=0.0)
     closed = complex(
-        mod.exponent_grid(
-            gas, probe_omega, z=[z_end], t=[z_end / CGS.c], guard=config.guard
-        )[0, 0]
+        mod.exponent_grid(gas, probe_omega, z=[z_end], t=[z_end / CGS.c])[0, 0]
     )
     steps = [math.ceil(0.37 * per_period) for per_period in (1000, 1414, 2000)]
     errors = [
@@ -254,14 +236,14 @@ def fd_residuals(config: RunConfig, points) -> list[float]:
     gas, probe_omega = config.gas(), config.probe_omega()
     period = 2.0 * math.pi / config.omega_prime()
     length = period * CGS.c
-    coefs = chars.derive_coefficients(gas, probe_omega, config.guard)
+    coefs = chars.derive_coefficients(gas, probe_omega)
     if coefs.ls == 0 and coefs.rs == 0:
         return []
     residuals = []
     for n in points:
         z = np.linspace(0.0, length, n + 1)
         t = np.linspace(0.0, period, n + 1)
-        grid = chars.log_amplitude_grid(gas, probe_omega, z, t, config.guard)
+        grid = chars.log_amplitude_grid(gas, probe_omega, z, t)
         residuals.append(chars.residual_check(grid, z, t, coefs))
     return residuals
 
@@ -312,9 +294,7 @@ def check_dispersion_identities(config: RunConfig) -> tuple[bool, str]:
     gas, probe_omega = config.gas(), config.probe_omega()
 
     def index(**change):
-        return disp.refractive_index(
-            replace(gas, **change), probe_omega, config.guard
-        )
+        return disp.refractive_index(replace(gas, **change), probe_omega)
 
     n_balanced = index(alpha=math.sqrt(0.5), beta=math.sqrt(0.5)).n0
     n_empty = index(rho=0.0).n0
@@ -367,9 +347,7 @@ def check_train_stats(config: RunConfig) -> tuple[bool, str]:
     omega_prime = config.omega_prime()
     series = mod.gain_series(config, 4, max(config.t_samples_per_period, 512))
     stats = pt.analyze_train(series, omega_prime)
-    depth = mod.modulation_depth(
-        config.gas(), config.probe_omega(), config.z_fixed(), config.guard
-    )
+    depth = mod.modulation_depth(config.gas(), config.probe_omega(), config.z_fixed())
     fwhm_ref = pt.fwhm_closed_form(depth, omega_prime)
     depth_err = abs(stats.depth - depth) / depth
     fwhm_err = abs(stats.fwhm - fwhm_ref) / fwhm_ref
@@ -400,14 +378,14 @@ def check_guard_behavior(config: RunConfig) -> tuple[bool, str]:
     delta = -omega_prime if sign else omega_prime
     try:
         disp.resonance_denominators(
-            gas, [omega_p - delta], guard=1.0, strict=True
+            replace(gas, guard=1.0), [omega_p - delta], strict=True
         )
         ok = False
         details.append(f"pole at delta = {sign}omega_prime NOT caught")
     except ResonancePole as exc:
         details.append(f"pole caught ({exc.denominator})")
 
-    coefs = chars.derive_coefficients(gas, config.probe_omega(), config.guard)
+    coefs = chars.derive_coefficients(gas, config.probe_omega())
     length = 2.0 * math.pi * CGS.c / omega_prime
     try:
         chars.integrate_characteristic(coefs, length, 0.0, steps=10)

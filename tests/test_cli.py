@@ -853,7 +853,7 @@ def test_array_rows_equal_scalar_wrappers(tmp_path, grid):
         )
     config = load_config(path)
     gas = config.gas()
-    z, guard = config.z_fixed(), config.guard
+    z = config.z_fixed()
     sweep, scan = tmp_path / "sweep.csv", tmp_path / "scan.csv"
     assert run_cli("sweep-frequency", "--config", path, "--out", sweep) == 0
     assert run_cli("dispersion-scan", "--config", path, "--out", scan) == 0
@@ -866,7 +866,6 @@ def test_array_rows_equal_scalar_wrappers(tmp_path, grid):
                 gas.omega_p - float(delta),
                 [z],
                 [math.pi / omega_prime, 2.0 * math.pi / omega_prime],
-                guard,
             )[0].real.tolist()
         except ResonancePole:
             assert (marker, solid, dashed) == ("POLE", "", "")
@@ -878,7 +877,7 @@ def test_array_rows_equal_scalar_wrappers(tmp_path, grid):
     scan_poles = set()
     for i, (omega, n0, dipole, beyond, marker) in enumerate(_table(scan)):
         try:
-            result = refractive_index(gas, float(omega), guard)
+            result = refractive_index(gas, float(omega))
         except ResonancePole:
             assert (marker, n0, dipole, beyond) == ("POLE", "", "", "")
             scan_poles.add(i)

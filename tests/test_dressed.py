@@ -8,7 +8,12 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from dressedprobe import DegenerateDressing, DressedGas, generalized_rabi
+from dressedprobe import (
+    DEFAULT_GUARD,
+    DegenerateDressing,
+    DressedGas,
+    generalized_rabi,
+)
 
 from conftest import DETUNING, FROZEN, OMEGA0, RABI
 
@@ -71,6 +76,8 @@ class TestTypes:
             ({"d": -1e-17}, "dipole matrix element must be non-negative"),
             ({"rho": -1.0}, "number density must be non-negative"),
             ({"rabi": -1.0}, "rabi must be non-negative"),
+            ({"guard": -1.0}, "guard must be non-negative"),
+            ({"guard": math.nan}, "guard must be non-negative"),
         ):
             with pytest.raises(ValueError, match=message):
                 replace(gas_dense, **change)
@@ -98,7 +105,8 @@ class TestTypes:
             )
 
     def test_first_invalid_input_is_named(self, gas_dense):
-        # The order is omega0, d, rho, the dressing, omega_p, the norm.
+        # The order is omega0, d, rho, the dressing, omega_p, the norm,
+        # the guard.
         with pytest.raises(ValueError, match="omega0"):
             replace(gas_dense, omega0=-1.0, d=-1.0, detuning=0.0, rabi=0.0)
         with pytest.raises(DegenerateDressing):
@@ -114,6 +122,18 @@ class TestTypes:
         )
         assert balanced.population_difference == pytest.approx(0.0, abs=1e-15)
         assert isinstance(replace(gas_dense, alpha=1, beta=0).alpha, complex)
+
+    @pytest.mark.parametrize("alpha", [1e155, complex(1e308, 1e308), math.nan])
+    def test_non_finite_norm_is_a_value_error(self, gas_dense, alpha):
+        # |alpha|^2 (or |alpha| itself) overflows a float, or is NaN.
+        with pytest.raises(ValueError, match="must equal 1 within"):
+            replace(gas_dense, alpha=alpha)
+
+    def test_variants_keep_the_guard(self, gas_dense):
+        assert gas_dense.guard == DEFAULT_GUARD
+        gas = replace(gas_dense, guard=3e9)
+        assert replace(gas, rho=2.0 * gas.rho).guard == 3e9
+        assert replace(gas, alpha=1.0, beta=0.0).guard == 3e9
 
     def test_types_frozen(self, gas_dense):
         with pytest.raises(AttributeError):

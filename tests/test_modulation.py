@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from dressedprobe import (
     CGS,
-    DEFAULT_GUARD,
     ConfigError,
     DressedGas,
     ResonancePole,
@@ -53,9 +52,9 @@ def geometry(gas_dense):
     }
 
 
-def _brackets(gas, probe_omega, guard=DEFAULT_GUARD):
+def _brackets(gas, probe_omega):
     """b1 and b2 read off a1 = K conj(alpha) beta b1, a2 = K alpha conj(beta) b2."""
-    a1, a2, _ = sideband_amplitudes(gas, [probe_omega], guard, strict=True)
+    a1, a2, _ = sideband_amplitudes(gas, [probe_omega], strict=True)
     scale = k_scale(gas, probe_omega)
     alpha, beta = gas.alpha, gas.beta
     return (
@@ -72,8 +71,8 @@ def _g(gas, probe, z, t):
 class TestSidebandBrackets:
     def test_exact_fractions_at_zero_detuning(self, gas_dense):
         rabi = 6.0e9
-        gas = replace(gas_dense, rabi=rabi, detuning=0.0)
-        b1, b2 = _brackets(gas, gas.omega_p - 2.0 * rabi, guard=0.0)
+        gas = replace(gas_dense, rabi=rabi, detuning=0.0, guard=0.0)
+        b1, b2 = _brackets(gas, gas.omega_p - 2.0 * rabi)
         assert b1 == pytest.approx(5.0 / 6.0, rel=1e-12)
         assert b2 == pytest.approx(3.0 / 2.0, rel=1e-12)
 
@@ -104,9 +103,10 @@ class TestSidebandBrackets:
             rabi=3.0,
             alpha=1.0,
             beta=0.0,
+            guard=0.0,
         )
         with pytest.raises(ResonancePole):
-            resonance_denominators(toy, [7.0], guard=0.0, strict=True)
+            resonance_denominators(toy, [7.0], strict=True)
 
     def test_rayleigh_pole(self, gas_dense):
         omega_p = gas_dense.omega_p

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +27,20 @@ def test_all_names_resolve_sorted_and_unique():
     assert not missing, missing
     assert names == sorted(set(names))
     assert set(names) <= set(dir(dressedprobe))
+
+
+def test_no_function_takes_a_guard():
+    # The pole guard is a field of DressedGas, set once per gas.  Every
+    # function of every module is checked, those in __all__ among them.
+    takes = [
+        f"{fn.__module__}.{fn.__name__}"
+        for info in pkgutil.iter_modules(dressedprobe.__path__)
+        if info.name != "__main__"  # importing it runs the CLI
+        for fn in vars(importlib.import_module(f"dressedprobe.{info.name}")).values()
+        if inspect.isfunction(fn) and "guard" in inspect.signature(fn).parameters
+    ]
+    assert not takes, takes
+    assert "guard" in inspect.signature(dressedprobe.DressedGas).parameters
 
 
 def _loaded_modules(code: str, cwd: Path) -> list[str]:

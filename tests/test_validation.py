@@ -41,6 +41,32 @@ def test_every_check_passes(name):
     assert not failed, failed
 
 
+@pytest.mark.parametrize(
+    "guard, passing",
+    [
+        (
+            3e9,
+            {
+                "oracle_randomized",
+                "dispersion_identities",
+                "beyond_dipole_non_saturating",
+            },
+        ),
+        (1e12, {"beyond_dipole_non_saturating"}),
+    ],
+)
+def test_the_config_guard_reaches_every_check(guard, passing):
+    # probe.delta is 2e9 rad/s, so a 3e9 guard covers the probe's
+    # omega_p - omega; 1e12 also covers both sidebands at w' = 2.01e11.
+    # The randomized sets and the identities' variants are replace()d
+    # gases: they fail at 1e12 only if they inherit the config's guard.
+    results = run_all(config_from_dict({"guard": guard}))
+    assert {r.name for r in results if r.passed} == passing
+    for result in results:
+        if not result.passed:
+            assert result.detail.startswith("ResonancePole: "), result.detail
+
+
 def test_pure_state_fails_cleanly():
     # A gas in one dressed state has no sideband part, so there is no
     # integration error, and no finite-difference residual above rounding,
@@ -195,10 +221,10 @@ def test_validate_does_not_import_numpy_random(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 False"
 
 
-def _reference_oracle_error(gas, probe, guard, steps_per_period):
+def _reference_oracle_error(gas, probe, steps_per_period):
     """One one-point log_amplitude_grid and one integration per plane."""
     length = 2.0 * math.pi * CGS.c / gas.omega_prime
-    coefs = chars.derive_coefficients(gas, probe, guard)
+    coefs = chars.derive_coefficients(gas, probe)
     t_entry = 0.37 * 2.0 * math.pi / gas.omega_prime
     worst = 0.0
     for frac in (0.25, 0.5, 1.0):
@@ -207,7 +233,7 @@ def _reference_oracle_error(gas, probe, guard, steps_per_period):
         steps = max(1, math.ceil(steps_per_period * frac))
         numeric = chars.integrate_characteristic(coefs, z_end, t_entry, steps)
         closed = complex(
-            chars.log_amplitude_grid(gas, probe, [z_end], [t], guard)[0, 0]
+            chars.log_amplitude_grid(gas, probe, [z_end], [t])[0, 0]
         )
         worst = max(worst, abs(numeric - closed) / (1.0 + abs(closed)))
     return worst
@@ -216,5 +242,5 @@ def _reference_oracle_error(gas, probe, guard, steps_per_period):
 @pytest.mark.parametrize("name", sorted(BENCH_CONFIGS))
 def test_oracle_error_matches_per_plane_reference(name):
     config = config_from_dict(BENCH_CONFIGS[name])
-    args = (config.gas(), config.probe_omega(), config.guard, config.steps)
+    args = (config.gas(), config.probe_omega(), config.steps)
     assert validation._oracle_error(*args) == _reference_oracle_error(*args)
