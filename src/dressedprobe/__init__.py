@@ -16,10 +16,11 @@ the pump that dresses them (detuning, rabi) and the prepared superposition
 frequency ``omega_p = omega0 + detuning`` is strictly positive by
 construction.
 
-The envelope is evaluated on arrays: ``exponent_grid`` gives G and
-``log_amplitude_grid`` ln A over a (z, t) grid, a single value being the
-[0, 0] cell of a one-point grid; ``modulation_depth`` and
-``refractive_index`` give the depth and index at one plane and frequency.
+The envelope is evaluated on arrays: ``exponent_grid(gas, omega, z, t)``
+gives G and ``log_amplitude_grid(derive_coefficients(gas, omega), z, t)``
+ln A over a (z, t) grid, a single value being the [0, 0] cell of a
+one-point grid; ``modulation_depth`` and ``refractive_index`` give the
+depth and index at one plane and frequency.
 
 Units are Gaussian-CGS; every frequency is angular (rad/s).
 

@@ -19,9 +19,11 @@ its fourth order is measured on the sideband part over 1000-2000 steps per
 period) and the finite-difference residual provide checks that are
 independent in their propagation, not in their inputs.
 
-``log_amplitude_grid`` gives the closed-form ln A over a (z, t) grid;
-``derive_coefficients``, ``integrate_characteristic`` and ``residual_check``
-are the oracle side.
+``derive_coefficients`` evaluates the inputs once per gas and probe
+frequency: the index n0 - 1 and the sideband amplitudes a1, a2.  The closed
+form, ``log_amplitude_grid``, reads only those; the oracle side,
+``integrate_characteristic`` and ``residual_check``, reads only the (D, ls,
+rs) derived from them, so a wrong derivation shows as an oracle error.
 """
 
 from __future__ import annotations
@@ -34,42 +36,49 @@ import numpy as np
 from .constants import CGS, MIN_STEPS_PER_PERIOD
 from .dispersion import refractive_index
 from .dressed import DressedGas
-from .modulation import exponent_grid, sideband_amplitudes
+from .modulation import _exponent, sideband_amplitudes
 from .errors import GridTooCoarse, StepTooCoarse
 from .pulsetrain import MIN_GRID_PER_PERIOD, is_uniform
 
 
 @dataclass(frozen=True)
 class RweCoefficients:
-    """Constant coefficients of the reduced wave equation along z.
-
-    d_coef is real (lossless direct response); ls and rs are complex and
-    independent of z and t by construction.
+    """The closed form's inputs at one gas and probe frequency: the real
+    index n0 - 1 and the sideband amplitudes a1, a2.  The oracle reads only
+    the reduced wave equation's coefficients d_coef, ls and rs derived from
+    them, which are independent of z and t by construction.
     """
 
-    d_coef: float
-    ls: complex
-    rs: complex
     omega_prime: float
+    probe_omega: float
+    index: float
+    a1: complex
+    a2: complex
+
+    @property
+    def d_coef(self) -> float:
+        return self.probe_omega * self.index / CGS.c
+
+    @property
+    def ls(self) -> complex:
+        return complex(self.omega_prime / CGS.c * self.a1)
+
+    @property
+    def rs(self) -> complex:
+        return complex(self.omega_prime / CGS.c * self.a2)
 
 
 def derive_coefficients(gas: DressedGas, probe_omega: float) -> RweCoefficients:
-    """Assemble the constant coefficients of the reduced wave equation at
-    the probe angular frequency ``probe_omega`` in rad/s.
+    """Evaluate the closed form's inputs at the probe angular frequency
+    ``probe_omega`` in rad/s.
 
     The direct term vanishes for a balanced superposition and the sideband
     terms vanish for a pure dressed state, mirroring which part of the
     atomic response each one represents.
     """
-    disp = refractive_index(gas, probe_omega)
+    index = refractive_index(gas, probe_omega).n0 - 1.0
     a1, a2, _ = sideband_amplitudes(gas, [probe_omega], strict=True)
-    rate = gas.omega_prime / CGS.c
-    return RweCoefficients(
-        d_coef=probe_omega * (disp.n0 - 1.0) / CGS.c,
-        ls=complex(rate * a1[0]),
-        rs=complex(rate * a2[0]),
-        omega_prime=gas.omega_prime,
-    )
+    return RweCoefficients(gas.omega_prime, probe_omega, index, a1[0], a2[0])
 
 
 def _rhs(coefs: RweCoefficients, t: np.ndarray) -> np.ndarray:
@@ -120,18 +129,15 @@ def integrate_characteristic(
 
 
 def log_amplitude_grid(
-    gas: DressedGas,
-    probe_omega: float,
-    z: np.ndarray,
-    t: np.ndarray,
+    coefs: RweCoefficients, z: np.ndarray, t: np.ndarray
 ) -> np.ndarray:
-    """Closed-form ln A over the outer product of z and t grids at the
-    probe angular frequency ``probe_omega`` in rad/s."""
+    """Closed-form ln A over the outer product of z and t grids: G plus the
+    direct phase, from the inputs in ``coefs``."""
     z = np.asarray(z, dtype=float)
-    grid = exponent_grid(gas, probe_omega, z=z, t=t)
-    disp = refractive_index(gas, probe_omega)
-    phase = 1j * probe_omega * (disp.n0 - 1.0) * z / CGS.c
-    return grid + phase[:, None]
+    if np.any(z < 0):
+        raise ValueError("z must be non-negative")
+    phase = 1j * coefs.probe_omega * coefs.index * z / CGS.c
+    return _exponent(coefs.a1, coefs.a2, coefs.omega_prime, z, t) + phase[:, None]
 
 
 def residual_check(

@@ -91,7 +91,11 @@ def check_modulation_periods(config: RunConfig) -> tuple[bool, str]:
     gz = mod.exponent_grid(
         config.gas(), config.probe_omega(), z=z, t=[t_fix]
     )[:, 0]
-    series_z = pt.TimeSeries(t0=0.0, dt=length / spp, gains=mod.intensity_gain(gz))
+    # Scaling moves no extremum, and keeps a z-series that passes a deeper
+    # plane than the config's below the gain limit 709 even after rounding.
+    scale = 708.0 / max(708.0, float(np.max(np.abs(2.0 * gz.real))))
+    gains_z = mod.intensity_gain(scale * gz.real)
+    series_z = pt.TimeSeries(t0=0.0, dt=length / spp, gains=gains_z)
     stats_z = pt.analyze_train(series_z, omega_prime / CGS.c)
     err_z = abs(stats_z.period - length) / length
 
@@ -113,8 +117,10 @@ def check_zero_mean_jensen(config: RunConfig) -> tuple[bool, str]:
     )[0]
     mean_re = abs(float(np.mean(g.real)))
     gains = mod.intensity_gain(g)
-    mean_gain = float(np.mean(gains))
-    geo = float(np.max(gains) * np.min(gains))
+    peak = float(np.max(gains))
+    # Relative to the peak, since the sum of gains up to exp(709) overflows.
+    mean_gain = float(np.mean(gains / peak)) * peak
+    geo = peak * float(np.min(gains))
     ok = mean_re < 1e-9 and mean_gain >= 1.0 and abs(geo - 1.0) < 1e-6
     return (
         ok,
@@ -133,7 +139,7 @@ def _oracle_error(gas, probe_omega, steps_per_period: int) -> float:
     fracs = (0.25, 0.5, 1.0)
     z_ends = [frac * length for frac in fracs]
     t_ends = [t_entry + z_end / CGS.c for z_end in z_ends]
-    closed = chars.log_amplitude_grid(gas, probe_omega, z_ends, t_ends).diagonal()
+    closed = chars.log_amplitude_grid(coefs, z_ends, t_ends).diagonal()
     errors = []
     for frac, z_end, closed_end in zip(fracs, z_ends, closed.tolist()):
         steps = max(1, math.ceil(steps_per_period * frac))
@@ -217,10 +223,8 @@ def integration_errors(config: RunConfig) -> tuple[list[int], list[float]]:
     gas, probe_omega = config.gas(), config.probe_omega()
     length = 2.0 * math.pi * CGS.c / config.omega_prime()
     z_end = 0.37 * length
-    coefs = replace(chars.derive_coefficients(gas, probe_omega), d_coef=0.0)
-    closed = complex(
-        mod.exponent_grid(gas, probe_omega, z=[z_end], t=[z_end / CGS.c])[0, 0]
-    )
+    coefs = replace(chars.derive_coefficients(gas, probe_omega), index=0.0)
+    closed = complex(chars.log_amplitude_grid(coefs, [z_end], [z_end / CGS.c])[0, 0])
     steps = [math.ceil(0.37 * per_period) for per_period in (1000, 1414, 2000)]
     errors = [
         abs(chars.integrate_characteristic(coefs, z_end, 0.0, n) - closed)
@@ -233,17 +237,16 @@ def fd_residuals(config: RunConfig, points) -> list[float]:
     """``residual_check`` of the closed-form ln A over one period in z and t
     at each count of grid intervals in ``points``.  Empty without a sideband
     part, where the residual is rounding only and has no order."""
-    gas, probe_omega = config.gas(), config.probe_omega()
     period = 2.0 * math.pi / config.omega_prime()
     length = period * CGS.c
-    coefs = chars.derive_coefficients(gas, probe_omega)
+    coefs = chars.derive_coefficients(config.gas(), config.probe_omega())
     if coefs.ls == 0 and coefs.rs == 0:
         return []
     residuals = []
     for n in points:
         z = np.linspace(0.0, length, n + 1)
         t = np.linspace(0.0, period, n + 1)
-        grid = chars.log_amplitude_grid(gas, probe_omega, z, t)
+        grid = chars.log_amplitude_grid(coefs, z, t)
         residuals.append(chars.residual_check(grid, z, t, coefs))
     return residuals
 

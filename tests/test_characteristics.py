@@ -75,7 +75,7 @@ class TestIntegrateCharacteristic:
 
     def test_pure_phase_for_silent_sidebands(self):
         coefs = RweCoefficients(
-            d_coef=123.456, ls=0.0, rs=0.0, omega_prime=OMEGA_PRIME
+            omega_prime=OMEGA_PRIME, probe_omega=CGS.c, index=123.456, a1=0.0, a2=0.0
         )
         z_end = 0.5 * LENGTH
         value = integrate_characteristic(coefs, z_end, 1e-11, 1000)
@@ -121,7 +121,7 @@ class TestIntegrateCharacteristic:
                 coefs, z_end, t_entry, math.ceil(1000 * frac)
             )
             closed = log_amplitude_grid(
-                gas_train, probe, [z_end], [t_entry + z_end / CGS.c]
+                coefs, [z_end], [t_entry + z_end / CGS.c]
             )[0, 0]
             assert abs(numeric - closed) / (1.0 + abs(closed)) < 1e-6
 
@@ -134,7 +134,7 @@ class TestIntegrateCharacteristic:
             coefs, z_end, t_entry, math.ceil(1000 * 0.62)
         )
         closed = log_amplitude_grid(
-            gas, probe, [z_end], [t_entry + z_end / CGS.c]
+            coefs, [z_end], [t_entry + z_end / CGS.c]
         )[0, 0]
         assert abs(numeric - closed) / (1.0 + abs(closed)) < 1e-6
 
@@ -143,7 +143,7 @@ class TestIntegrateCharacteristic:
         # rounding), over an incommensurate fraction of the spatial period:
         # over a whole period the truncation terms cancel spectrally.
         coefs = replace(
-            derive_coefficients(gas_train, probe), d_coef=0.0
+            derive_coefficients(gas_train, probe), index=0.0
         )
         z_end = 0.37 * LENGTH
         closed = complex(
@@ -173,7 +173,7 @@ class TestResidualCheck:
     def grid(self, gas, probe, n):
         z = np.linspace(0.0, LENGTH, n + 1)
         t = np.linspace(0.0, PERIOD, n + 1)
-        return z, t, log_amplitude_grid(gas, probe, z, t)
+        return z, t, log_amplitude_grid(derive_coefficients(gas, probe), z, t)
 
     def test_analytic_field_residual_small(
         self, gas_train, probe, coefs
@@ -195,7 +195,7 @@ class TestResidualCheck:
 
     def test_zero_coefficients_zero_residual(self):
         coefs = RweCoefficients(
-            d_coef=0.0, ls=0.0, rs=0.0, omega_prime=OMEGA_PRIME
+            omega_prime=OMEGA_PRIME, probe_omega=OMEGA0, index=0.0, a1=0.0, a2=0.0
         )
         z = np.linspace(0.0, LENGTH, 129)
         t = np.linspace(0.0, PERIOD, 129)
@@ -283,7 +283,7 @@ class TestRandomizedOracle:
                     coefs, z_end, t_entry, math.ceil(1000 * frac)
                 )
                 closed = log_amplitude_grid(
-                    gas, probe, [z_end], [t_entry + z_end / CGS.c]
+                    coefs, [z_end], [t_entry + z_end / CGS.c]
                 )[0, 0]
                 worst = max(
                     worst, abs(numeric - closed) / (1.0 + abs(closed))

@@ -15,12 +15,15 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dressedprobe import characteristics as chars
+from dressedprobe import dispersion as disp
+from dressedprobe import modulation as mod
 from dressedprobe import validation
 from dressedprobe.config import config_from_dict
 from dressedprobe.constants import CGS
@@ -32,10 +35,18 @@ BENCH_CONFIGS = json.loads(
     (Path(__file__).parent / "data" / "bench_configs.json").read_text()
 )
 
+#: Valid configs just inside the double-precision gain limit: 2R = 707.9 at
+#: the plane, where 4096 gains no larger than exp(709) overflow their sum;
+#: and 2R = 636 at the plane of a z-series that passes theta = pi at 786.
+EDGE_CONFIGS = {
+    "edge_jensen_sum": {"ensemble": {"rho": 3.06e15}},
+    "edge_z_series": {"ensemble": {"rho": 3.4e15}, "z": {"theta": 1.885}},
+}
 
-@pytest.mark.parametrize("name", sorted(BENCH_CONFIGS))
+
+@pytest.mark.parametrize("name", sorted(BENCH_CONFIGS) + sorted(EDGE_CONFIGS))
 def test_every_check_passes(name):
-    results = run_all(config_from_dict(BENCH_CONFIGS[name]))
+    results = run_all(config_from_dict({**BENCH_CONFIGS, **EDGE_CONFIGS}[name]))
     failed = [f"{r.name}: {r.detail}" for r in results if not r.passed]
     assert len(results) == len(ALL_CHECKS) == 12
     assert not failed, failed
@@ -233,7 +244,7 @@ def _reference_oracle_error(gas, probe, steps_per_period):
         steps = max(1, math.ceil(steps_per_period * frac))
         numeric = chars.integrate_characteristic(coefs, z_end, t_entry, steps)
         closed = complex(
-            chars.log_amplitude_grid(gas, probe, [z_end], [t])[0, 0]
+            chars.log_amplitude_grid(coefs, [z_end], [t])[0, 0]
         )
         worst = max(worst, abs(numeric - closed) / (1.0 + abs(closed)))
     return worst
@@ -244,3 +255,95 @@ def test_oracle_error_matches_per_plane_reference(name):
     config = config_from_dict(BENCH_CONFIGS[name])
     args = (config.gas(), config.probe_omega(), config.steps)
     assert validation._oracle_error(*args) == _reference_oracle_error(*args)
+
+
+def _reference_fd_residuals(config, points):
+    """One closed-form ln A, G plus the direct phase, per grid."""
+    gas, probe = config.gas(), config.probe_omega()
+    period = 2.0 * math.pi / config.omega_prime()
+    coefs = chars.derive_coefficients(gas, probe)
+    index = disp.refractive_index(gas, probe).n0 - 1.0
+    residuals = []
+    for n in points:
+        z = np.linspace(0.0, period * CGS.c, n + 1)
+        t = np.linspace(0.0, period, n + 1)
+        grid = mod.exponent_grid(gas, probe, z=z, t=t)
+        grid = grid + (1j * probe * index * z / CGS.c)[:, None]
+        residuals.append(chars.residual_check(grid, z, t, coefs))
+    return residuals
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_CONFIGS))
+def test_fd_residuals_match_per_grid_reference(name):
+    config = config_from_dict(BENCH_CONFIGS[name])
+    points = (64, 128, 256)
+    assert validation.fd_residuals(config, points) == _reference_fd_residuals(
+        config, points
+    )
+
+
+def _reference_integration_errors(config):
+    """One closed-form G and one D-free integration per step count."""
+    gas, probe = config.gas(), config.probe_omega()
+    z_end = 0.37 * (2.0 * math.pi * CGS.c / config.omega_prime())
+    coefs = replace(chars.derive_coefficients(gas, probe), index=0.0)
+    steps = [math.ceil(0.37 * n) for n in (1000, 1414, 2000)]
+    errors = []
+    for n in steps:
+        closed = mod.exponent_grid(gas, probe, z=[z_end], t=[z_end / CGS.c])
+        numeric = chars.integrate_characteristic(coefs, z_end, 0.0, n)
+        errors.append(abs(numeric - complex(closed[0, 0])))
+    return steps, errors
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_CONFIGS))
+def test_integration_errors_match_per_call_reference(name):
+    config = config_from_dict(BENCH_CONFIGS[name])
+    assert validation.integration_errors(config) == (
+        _reference_integration_errors(config)
+    )
+
+
+@pytest.mark.parametrize(
+    "call, counts",
+    [
+        (validation.check_oracle_randomized, (20, 20)),
+        (validation.check_oracle_agreement, (1, 1)),
+        (lambda config: validation.fd_residuals(config, (64, 128, 256)), (1, 1)),
+        (validation.integration_errors, (1, 1)),
+    ],
+    ids=[
+        "oracle_randomized",
+        "oracle_agreement",
+        "fd_residuals",
+        "integration_errors",
+    ],
+)
+def test_one_coefficient_evaluation_per_gas_and_frequency(
+    monkeypatch, call, counts
+):
+    # (index_parts, sideband_amplitudes) calls on the documented set: the
+    # closed form and the oracle read one derive_coefficients per (gas, w).
+    calls = {"index_parts": 0, "sideband_amplitudes": 0}
+
+    def counted(original):
+        def wrapper(*args, **kwargs):
+            calls[original.__name__] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(disp, "index_parts", counted(disp.index_parts))
+    amplitudes = counted(mod.sideband_amplitudes)
+    monkeypatch.setattr(mod, "sideband_amplitudes", amplitudes)
+    monkeypatch.setattr(chars, "sideband_amplitudes", amplitudes)
+    call(config_from_dict({}))
+    assert (calls["index_parts"], calls["sideband_amplitudes"]) == counts
+
+
+def test_jensen_mean_gain_is_finite_near_the_gain_limit():
+    check = validation.check_zero_mean_jensen(
+        config_from_dict(EDGE_CONFIGS["edge_jensen_sum"])
+    )
+    assert check.passed, check.detail
+    assert "mean gain = inf" not in check.detail
