@@ -21,21 +21,21 @@ writes to ``--out`` (default: under the config's ``out_dir``).
 Each sweep is one array call.  Rows that would hit a resonance pole are
 emitted with empty value cells and a POLE marker instead of aborting the
 sweep.  Every CSV float cell is exactly ``format(v, '.17g')``, so files
-round-trip bit-exactly.  The table writer forms it in numpy: 17 digits from
-the rounded extended-precision significand |v| * 10**(16 - e), laid out by
-the ``g`` rules, with Python's ``%`` for zero, inf, nan and cells within
-the rounding error of a tie.
+round-trip bit-exactly (the writer is ``table.write_table``).
 
 Each function imports the layers it runs at its top, so a run loads only
 the modules of its subcommand: without cached bytecode, Python compiles
 every module it imports on every run.
+
+``run`` is the entry point of ``python -m dressedprobe`` and of the
+``dressedprobe`` script; tests call ``main``.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
+import gc
 import json
 import math
 import sys
@@ -53,161 +53,6 @@ if TYPE_CHECKING:
     from .pulsetrain import TimeSeries
 
 
-#: Rows the CSV table writer formats and writes per block.  A block takes
-#: about 140 bytes a cell while it is formatted.
-_BLOCK_ROWS = 4096
-
-#: A cell whose extended-precision significand |v| * 10**(16 - e) lies
-#: closer than this to a rounding tie is formatted by ``%``.  The product
-#: carries two roundings (table entry and product), at most eps relative on
-#: a value below 1e17; the margin is twice that.  Where long double is only
-#: a double it exceeds 0.5, so every cell takes ``%``.
-_TIE_MARGIN = 2.0 * float(np.finfo(np.longdouble).eps) * 1e17
-
-#: Widest ``.17g`` text of a float64: ``-d.dddddddddddddddde-ddd``.
-_CELL = 24
-
-# Rows of the per-block source table a cell's text is gathered from: the
-# 17 significand digits are rows 0..16, the exponent's hundreds, tens and
-# units digits rows _EXP.._EXP + 2.
-_POINT, _ZERO, _NUL, _SIGN, _E, _EXP_SIGN, _EXP = range(17, 24)
-_SEP = _EXP + 3
-
-_POWERS_FROM = -292  # 10**(16 - e) for e from 308 down to -324
-
-
-@functools.cache
-def _layout() -> tuple[np.ndarray, np.ndarray]:
-    """Correctly rounded long-double powers of ten, and the source rows of
-    each cell's text indexed by ``17 * layout + digits - 1``.
-
-    A layout is fixed notation for exponents -4..16 (0..20), or the
-    exponent notation with two (21) or three (22) exponent digits.  Its
-    row spells all 17 digits; for ``digits`` significant digits the
-    stripped trailing ones, and a point left bare, read ``_NUL`` instead.
-    Every row ends with the cell separator at ``_CELL``.
-    """
-    powers = np.array(
-        [f"1e{k}" for k in range(_POWERS_FROM, 341)], dtype=np.longdouble
-    )
-    full = np.full((23, _CELL + 1), _NUL)
-    full[:, -1] = _SEP
-    for layout in range(23):
-        exponent = layout - 4
-        if layout > 20:
-            row = [0, _POINT, *range(1, 17), _E, _EXP_SIGN]
-            row += range(_EXP + (layout == 21), _EXP + 3)
-        elif exponent < 0:
-            row = [_ZERO, _POINT] + [_ZERO] * (-exponent - 1) + [*range(17)]
-        elif exponent < 16:
-            row = [*range(exponent + 1), _POINT, *range(exponent + 1, 17)]
-        else:
-            row = [*range(17)]
-        full[layout, : len(row) + 1] = [_SIGN, *row]
-    digits = np.arange(1, 18)[:, None]
-    fraction = np.cumsum(full == _POINT, axis=1)[:, None] > 0
-    stripped = fraction & (full[:, None] < 17) & (full[:, None] >= digits)
-    after = np.roll(full, -1, axis=1)[:, None]
-    bare = (full[:, None] == _POINT) & (after < 17) & (after >= digits)
-    rows = np.where(stripped | bare, _NUL, full[:, None])
-    return powers, rows.reshape(-1, _CELL + 1)
-
-
-def _significands(flat: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The 17-digit significand s and decimal exponent e of each finite
-    non-zero value, v = s * 10**(e - 16) rounded, and the mask of cells whose
-    s is certain: zero, inf, nan and the near-ties of ``_TIE_MARGIN`` are not.
-
-    e comes from ``log10`` and is moved by one where the product below
-    leaves [1e16, 1e17); s is ``rint(|v| * 10**(16 - e))`` in long double,
-    and a rounding up to 1e17 moves e up.
-    """
-    powers, _ = _layout()
-    mag = np.abs(flat)
-    certain = (mag > 0) & (mag < np.inf)
-    mag = np.where(certain, mag, 1.0)
-    exponent = np.floor(np.log10(mag)).astype(np.intp)
-    mag = mag.astype(np.longdouble)
-    scaled = mag * powers[16 - _POWERS_FROM - exponent]
-    exponent += (scaled >= 1e17).astype(np.intp) - (scaled < 1e16)
-    scaled = mag * powers[16 - _POWERS_FROM - exponent]
-    nearest = np.rint(scaled)
-    # inf - inf where a power of ten overflows a double-only long double.
-    with np.errstate(invalid="ignore"):
-        off = np.abs((scaled - nearest).astype(np.float64))
-    certain &= off <= 0.5 - _TIE_MARGIN
-    significand = np.where(certain, nearest, 1e16).astype(np.uint64)
-    carry = significand == 10**17
-    significand[carry] = 10**16
-    exponent += carry
-    return certain, significand, exponent
-
-
-def _format_block(values: np.ndarray, end: str) -> np.ndarray:
-    """``format(v, '.17g')`` of every cell of the 2-d ``values``, as one
-    NUL-padded uint8 row per table row: cells are ``_CELL + 1`` bytes, the
-    last one the separator, ``,`` or ``end`` after the last column.
-
-    The text of a certain cell (see ``_significands``) is gathered from its
-    digits, sign, point and exponent by the ``_layout`` row of its exponent
-    and stripped digit count, i.e. by the ``g`` rules; the other cells are
-    formatted by one ``%`` call.
-    """
-    n = values.size
-    flat = values.ravel()
-    certain, significand, exponent = _significands(flat)
-    source = np.empty((_SEP + 1, n), np.uint8)
-    low = (significand % np.uint64(10**8)).astype(np.uint32)
-    high = (significand // np.uint64(10**8)).astype(np.uint32)
-    digits = np.full(n, 17, np.int8)
-    trailing = np.ones(n, bool)
-    for part, places in ((low, range(16, 8, -1)), (high, range(8, -1, -1))):
-        for place in places:
-            quotient = part // np.uint32(10)
-            digit = part - quotient * np.uint32(10)
-            trailing &= digit == 0
-            digits -= trailing
-            source[place] = digit + ord("0")
-            part = quotient
-    power = np.abs(exponent)
-    source[_POINT] = ord(".")
-    source[_ZERO] = ord("0")
-    source[_NUL] = 0
-    source[_SIGN] = np.signbit(flat) * ord("-")
-    source[_E] = ord("e")
-    source[_EXP_SIGN] = np.where(exponent < 0, ord("-"), ord("+"))
-    source[_EXP] = power // 100 + ord("0")
-    source[_EXP + 1] = power // 10 % 10 + ord("0")
-    source[_EXP + 2] = power % 10 + ord("0")
-    source[_SEP] = ord(",")
-    source[_SEP].reshape(values.shape)[:, -1] = ord(end)
-    row = np.where(
-        (exponent >= -4) & (exponent < 17), exponent + 4, 21 + (power >= 100)
-    )
-    row *= 17
-    row += digits - 1
-    # One output position at a time keeps the index at 8 bytes a cell.
-    text = np.empty((n, _CELL + 1), np.uint8)
-    cell = np.arange(n)
-    for position, sources in enumerate(_layout()[1].T * n):
-        index = sources[row]
-        index += cell
-        text[:, position] = source.ravel()[index]
-
-    rest = np.flatnonzero(~certain)
-    if rest.size:
-        cells = ("%.17g\0" * rest.size) % tuple(flat[rest].tolist())
-        text[rest, :_CELL] = (
-            np.array(cells.split("\0")[:-1], dtype=f"S{_CELL}")
-            .view(np.uint8)
-            .reshape(-1, _CELL)
-        )
-    return text.reshape(len(values), -1)
-
-
-_MARKER = np.frombuffer(b"\0\0\0\0\nPOLE\n", np.uint8).reshape(2, 5)
-
-
 def _create(path: Path):
     """Open ``path`` to write bytes, making its directory.  A path that
     cannot be written is a ConfigError naming it."""
@@ -216,40 +61,6 @@ def _create(path: Path):
         return path.open("wb")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
-
-
-def _write_table(
-    path: Path,
-    columns: list[str],
-    values: np.ndarray,
-    pole: np.ndarray | None = None,
-) -> None:
-    """Write a header and one row per row of the 2-d ``values``.
-
-    Every value cell is exactly ``format(v, '.17g')``, so the file reads
-    back bit-exactly (see ``_format_block`` for how).  With a ``pole`` mask
-    the last column is the marker: empty on ordinary rows, ``POLE`` on
-    masked rows, which keep only their first value.  Each block of
-    ``_BLOCK_ROWS`` rows goes to the file as soon as it is formatted.
-    """
-    with _create(path) as out:
-        out.write((",".join(columns) + "\n").encode())
-        for start in range(0, len(values), _BLOCK_ROWS):
-            block = values[start : start + _BLOCK_ROWS]
-            if pole is None:
-                text = _format_block(block, "\n")
-            else:
-                at_pole = pole[start : start + _BLOCK_ROWS]
-                block = block.copy()
-                # Blanked below; 1.0 takes no ``%`` however the cell reads.
-                block[at_pole, 1:] = 1.0
-                cells = _format_block(block, ",").reshape(*block.shape, -1)
-                cells[at_pole, 1:, :_CELL] = 0
-                text = np.concatenate(
-                    (cells.reshape(len(block), -1), _MARKER[at_pole.astype(np.intp)]),
-                    axis=1,
-                )
-            out.write(text[text != 0])
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -351,12 +162,15 @@ def _emit_table(args, name: str, columns: list[str], rows) -> int:
     """Write the (values, pole mask) table ``rows`` makes of the config as
     ``name``.csv.  A NaN or infinite value outside the pole rows is a
     ConfigError, raised before the file is opened."""
+    from .table import write_table
+
     config = _load(args)
     values, pole = rows(config)
     if not np.isfinite(values[~pole]).all():
         raise ConfigError(f"{name} has non-finite values outside its POLE rows")
     path = _out_path(args, config, f"{name}.csv")
-    _write_table(path, columns, values, pole)
+    with _create(path) as out:
+        write_table(out, columns, values, pole)
     print(f"wrote {len(values)} rows to {path}")
     return 0
 
@@ -371,11 +185,14 @@ def _cmd_sweep_frequency(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
+    from .table import write_table
+
     config = _load(args)
     series, stats = evolve_series(config)
     values = np.column_stack((series.times, series.gains))
     path = _out_path(args, config, "evolve.csv")
-    _write_table(path, ["t_s", "intensity_gain"], values)
+    with _create(path) as out:
+        write_table(out, ["t_s", "intensity_gain"], values)
     stats_path = path.with_suffix(path.suffix + ".stats.json")
     _write_json(stats_path, stats)
     print(f"wrote {len(values)} rows to {path}, stats to {stats_path}")
@@ -525,5 +342,20 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> None:
+    """Run ``main`` on the command line and exit with its code.
+
+    Before exiting it freezes the garbage collector: every live object
+    moves to the permanent generation, so the full collections the
+    interpreter runs while it shuts down do not walk numpy's and the
+    package's objects again.  Modules are still torn down, atexit handlers
+    still run and standard streams still flush.  ``main`` does not freeze,
+    since tests call it in-process and need their cycles collected.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import math
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dressedprobe import CGS, ConfigError, ResonancePole, cli, pulsetrain
+from dressedprobe import CGS, ConfigError, ResonancePole, cli, pulsetrain, table
 from dressedprobe.cli import (
     dispersion_rows,
     evolve_series,
@@ -25,7 +28,7 @@ from dressedprobe.dispersion import refractive_index
 from dressedprobe.modulation import exponent_grid
 from dressedprobe.pulsetrain import analyze_train
 
-from conftest import FROZEN
+from conftest import FROZEN, child_env
 
 REPO = Path(__file__).resolve().parents[1]
 DEFAULT_CONFIG = REPO / "configs" / "default.json"
@@ -378,6 +381,11 @@ def _reference_rows(values: np.ndarray, pole: np.ndarray) -> list[tuple]:
     ]
 
 
+def _write_table(path: Path, *args) -> None:
+    with path.open("wb") as out:
+        table.write_table(out, *args)
+
+
 def _three_poles_config(tmp_path) -> Path:
     """A 201-row grid on -w'..w' that hits all three poles."""
     omega_prime = RunConfig().omega_prime()
@@ -434,7 +442,7 @@ class TestTableWriter:
 
     @pytest.mark.parametrize("block_rows", [1, 2, 3, 8192])
     def test_edge_values_across_blocks(self, tmp_path, monkeypatch, block_rows):
-        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(table, "_BLOCK_ROWS", block_rows)
         edges = [
             -0.0,
             5e-324,
@@ -450,13 +458,13 @@ class TestTableWriter:
         ]
         values = np.array([edges, edges[::-1], edges[3:] + edges[:3]]).T
         plain = tmp_path / "plain.csv"
-        cli._write_table(plain, ["a", "b", "c"], values)
+        _write_table(plain, ["a", "b", "c"], values)
         assert plain.read_bytes() == _reference_csv(
             ["a", "b", "c"], values.tolist()
         )
         pole = np.arange(len(values)) % 3 == 1
         marked = tmp_path / "marked.csv"
-        cli._write_table(marked, ["a", "b", "c", "pole"], values, pole)
+        _write_table(marked, ["a", "b", "c", "pole"], values, pole)
         assert marked.read_bytes() == _reference_csv(
             ["a", "b", "c", "pole"], _reference_rows(values, pole)
         )
@@ -469,7 +477,7 @@ class TestTableWriter:
             columns.append("pole")
             rows = _reference_rows(values, pole)
         out = tmp_path / "table.csv"
-        cli._write_table(out, columns, values, pole)
+        _write_table(out, columns, values, pole)
         assert out.read_bytes() == _reference_csv(columns, rows)
 
     def test_random_bit_patterns(self, tmp_path):
@@ -497,7 +505,7 @@ class TestTableWriter:
     def test_every_cell_through_percent(self, tmp_path, monkeypatch):
         # The path of a long double no wider than a double: its tie margin
         # exceeds 0.5, so no significand is certain.
-        monkeypatch.setattr(cli, "_TIE_MARGIN", 1.0)
+        monkeypatch.setattr(table, "_TIE_MARGIN", 1.0)
         bits = np.random.default_rng(10).integers(
             0, 2**64, size=2 * 10**4, dtype=np.uint64
         )
@@ -507,8 +515,8 @@ class TestTableWriter:
         self._assert_as_reference(tmp_path, values, np.arange(len(values)) % 4 == 1)
 
     def test_power_table_correctly_rounded(self):
-        powers, _ = cli._layout()
-        for k, power in zip(range(cli._POWERS_FROM, 341), powers):
+        powers, _ = table._layout()
+        for k, power in zip(range(table._POWERS_FROM, 341), powers):
             if not np.isfinite(power):
                 continue
             above = np.nextafter(power, np.longdouble(np.inf))
@@ -518,7 +526,7 @@ class TestTableWriter:
 
     def test_empty_table_is_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"
-        cli._write_table(out, ["a", "pole"], np.empty((0, 1)), np.zeros(0, bool))
+        _write_table(out, ["a", "pole"], np.empty((0, 1)), np.zeros(0, bool))
         assert out.read_bytes() == b"a,pole\n"
 
 
@@ -941,3 +949,41 @@ def test_help_lists_only_config_out_and_series(command, capsys):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         run_cli("frobnicate")
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_run_freezes_after_main_and_exits_with_its_code(self, monkeypatch, code):
+        # Both are stand-ins, so this process is never frozen.
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or code)
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        with pytest.raises(SystemExit) as exited:
+            cli.run()
+        assert exited.value.code == code
+        assert calls == ["main", "freeze"]
+
+    def test_main_does_not_freeze(self, tmp_path):
+        frozen = gc.get_freeze_count()
+        out = tmp_path / "n0.csv"
+        assert run_cli("dispersion-scan", "--config", DEFAULT_CONFIG, "--out", out) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_module_run_reports_config_error(self, tmp_path):
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "dressedprobe",
+                "validate",
+                "--config",
+                str(tmp_path / "missing.json"),
+            ],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=child_env(),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ConfigError: cannot read config")
+        assert not list(tmp_path.iterdir())

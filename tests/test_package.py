@@ -35,7 +35,6 @@ def test_no_function_takes_a_guard():
     takes = [
         f"{fn.__module__}.{fn.__name__}"
         for info in pkgutil.iter_modules(dressedprobe.__path__)
-        if info.name != "__main__"  # importing it runs the CLI
         for fn in vars(importlib.import_module(f"dressedprobe.{info.name}")).values()
         if inspect.isfunction(fn) and "guard" in inspect.signature(fn).parameters
     ]
@@ -81,9 +80,9 @@ def test_cli_set_up_loads_only_the_config_layers(tmp_path):
 @pytest.mark.parametrize(
     "command, layers",
     [
-        ("sweep-frequency", ["dispersion", "modulation"]),
-        ("dispersion-scan", ["dispersion"]),
-        ("evolve", ["dispersion", "modulation", "pulsetrain"]),
+        ("sweep-frequency", ["dispersion", "modulation", "table"]),
+        ("dispersion-scan", ["dispersion", "table"]),
+        ("evolve", ["dispersion", "modulation", "pulsetrain", "table"]),
         ("pulse-stats", ["pulsetrain"]),
         (
             "validate",
