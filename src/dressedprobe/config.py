@@ -68,7 +68,8 @@ class RunConfig:
                 raise ValueError("probe omega must be strictly positive")
         except (ValueError, DressedProbeError) as exc:
             raise ConfigError(f"invalid physical parameters: {exc}") from exc
-        if omega_p - self.delta_stop <= 0:
+        largest = self.delta_stop if self.delta_count > 1 else self.delta_start
+        if omega_p - largest <= 0:
             raise ConfigError("delta grid reaches non-positive probe omega")
 
     def gas(self) -> DressedGas:

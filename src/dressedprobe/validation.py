@@ -233,17 +233,21 @@ def integration_errors(config: RunConfig) -> tuple[list[int], list[float]]:
     return steps, errors
 
 
-def fd_residuals(config: RunConfig, points) -> list[float]:
+#: Grid intervals per period in z and t of the finite-difference study.
+_FD_POINTS = (64, 128, 256)
+
+
+def fd_residuals(config: RunConfig) -> list[float]:
     """``residual_check`` of the closed-form ln A over one period in z and t
-    at each count of grid intervals in ``points``.  Empty without a sideband
-    part, where the residual is rounding only and has no order."""
+    at each count of grid intervals in ``_FD_POINTS``.  Empty without a
+    sideband part, where the residual is rounding only and has no order."""
     period = 2.0 * math.pi / config.omega_prime()
     length = period * CGS.c
     coefs = chars.derive_coefficients(config.gas(), config.probe_omega())
     if coefs.ls == 0 and coefs.rs == 0:
         return []
     residuals = []
-    for n in points:
+    for n in _FD_POINTS:
         z = np.linspace(0.0, length, n + 1)
         t = np.linspace(0.0, period, n + 1)
         grid = chars.log_amplitude_grid(coefs, z, t)
@@ -268,7 +272,8 @@ def check_rk4_convergence(config: RunConfig) -> tuple[bool, str]:
     orders = convergence_orders(steps, errors)
     return (
         all(3.5 < p < 4.5 for p in orders),
-        "orders over 1000/1414/2000 steps per period = "
+        "errors = " + "/".join(f"{e:.2e}" for e in errors)
+        + ", orders over 1000/1414/2000 steps per period = "
         + ", ".join(f"{p:.3f}" for p in orders)
         + " (expect 4)",
     )
@@ -277,7 +282,7 @@ def check_rk4_convergence(config: RunConfig) -> tuple[bool, str]:
 @_check("fd_residual_convergence")
 def check_fd_residual(config: RunConfig) -> tuple[bool, str]:
     """Centered-difference residual converges at second order."""
-    residuals = fd_residuals(config, (64, 128, 256))
+    residuals = fd_residuals(config)
     if not residuals:
         return False, "no sideband part: the residual is rounding only, no order"
     ratios = [residuals[i] / residuals[i + 1] for i in range(2)]

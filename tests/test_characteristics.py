@@ -109,6 +109,8 @@ class TestIntegrateCharacteristic:
         coefs = derive_coefficients(gas_train, probe)
         with pytest.raises(ValueError):
             integrate_characteristic(coefs, -1.0, 0.0, 1000)
+        with pytest.raises(ValueError, match="z must be non-negative"):
+            log_amplitude_grid(coefs, [-1.0], [0.0])
 
     def test_agreement_with_closed_form(
         self, gas_train, probe

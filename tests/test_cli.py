@@ -728,6 +728,16 @@ class TestBadConfigRefused:
         assert run_cli("sweep-frequency", "--config", path, "--out", out) == 2
         assert not out.exists()
 
+    def test_one_offset_past_the_pump_refused(self, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        path.write_text(
+            json.dumps({"grids": {"delta": {"start": 2e15, "stop": 0.0, "count": 1}}})
+        )
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep-frequency", "--config", path, "--out", out) == 2
+        assert not out.exists()
+        assert "non-positive probe" in capsys.readouterr().err
+
     def test_nan_guard_override_refused(self, tmp_path):
         config = write_config(tmp_path, guard=math.nan)
         out = tmp_path / "disp.csv"

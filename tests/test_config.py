@@ -110,6 +110,11 @@ def test_complex_amplitudes_as_pairs():
         # |alpha|^2 overflows a float: found by the config fuzz below.
         ({"state": {"alpha": 1e308}}, "invalid physical"),
         ({"state": {"beta": [0.0, -1e308]}}, "invalid physical"),
+        # One offset: delta_values() holds only start, which is bounded.
+        (
+            {"grids": {"delta": {"start": 2e15, "stop": 0.0, "count": 1}}},
+            "non-positive probe",
+        ),
     ],
 )
 def test_invalid_configs_rejected(raw, fragment):
@@ -138,6 +143,9 @@ def test_grid_values_inclusive_endpoints():
     assert grid.delta_values().tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
     one = RunConfig(delta_start=3.0, delta_stop=3.0, delta_count=1)
     assert one.delta_values().tolist() == [3.0]
+    # One offset leaves stop unused, so a stop past the pump is not refused.
+    far = RunConfig(delta_start=0.0, delta_stop=2e15, delta_count=1)
+    assert far.delta_values().tolist() == [0.0]
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""The package's public names and the scripts that import them."""
+"""The package's public names and the modules each entry point loads."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ import dressedprobe.cli
 from conftest import child_env
 
 REPO = Path(__file__).resolve().parents[1]
-SCRIPTS = REPO / "scripts"
 DEFAULT_CONFIG = REPO / "configs" / "default.json"
 
 
@@ -99,38 +98,3 @@ def test_each_subcommand_loads_only_its_layers(tmp_path, command, layers):
         argv += ["--series", "e.csv"]
     code = f"from dressedprobe import cli\nassert cli.main({argv!r}) == 0"
     assert _loaded_modules(code, tmp_path) == sorted(SET_UP + layers)
-
-
-def _run_script(name: str, *args) -> str:
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / name), *map(str, args)],
-        capture_output=True,
-        text=True,
-        env=child_env(),
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
-def test_oracle_convergence_script(tmp_path):
-    out = tmp_path / "convergence.csv"
-    stdout = _run_script("oracle_convergence.py", "--out", out)
-    orders = {
-        line.split()[0]: [float(p) for p in line.split(":")[1].split(",")]
-        for line in stdout.splitlines()
-        if " orders: " in line
-    }
-    assert orders["characteristic"] == pytest.approx([4.0] * 2, abs=0.5)
-    assert orders["fd_residual"] == pytest.approx([2.0] * 3, abs=0.25)
-    assert len(out.read_text().splitlines()) == 1 + 3 + 4
-
-
-def test_reproduce_figures_script(tmp_path):
-    stdout = _run_script("reproduce_figures.py", "--outdir", tmp_path)
-    assert "pulse-train statistics at theta = pi:" in stdout
-    for name in (
-        "exponent_vs_frequency_difference.csv",
-        "pulse_train.csv",
-        "pulse_train.csv.stats.json",
-    ):
-        assert (tmp_path / name).stat().st_size > 0

@@ -257,14 +257,14 @@ def test_oracle_error_matches_per_plane_reference(name):
     assert validation._oracle_error(*args) == _reference_oracle_error(*args)
 
 
-def _reference_fd_residuals(config, points):
+def _reference_fd_residuals(config):
     """One closed-form ln A, G plus the direct phase, per grid."""
     gas, probe = config.gas(), config.probe_omega()
     period = 2.0 * math.pi / config.omega_prime()
     coefs = chars.derive_coefficients(gas, probe)
     index = disp.refractive_index(gas, probe).n0 - 1.0
     residuals = []
-    for n in points:
+    for n in (64, 128, 256):
         z = np.linspace(0.0, period * CGS.c, n + 1)
         t = np.linspace(0.0, period, n + 1)
         grid = mod.exponent_grid(gas, probe, z=z, t=t)
@@ -276,10 +276,7 @@ def _reference_fd_residuals(config, points):
 @pytest.mark.parametrize("name", sorted(BENCH_CONFIGS))
 def test_fd_residuals_match_per_grid_reference(name):
     config = config_from_dict(BENCH_CONFIGS[name])
-    points = (64, 128, 256)
-    assert validation.fd_residuals(config, points) == _reference_fd_residuals(
-        config, points
-    )
+    assert validation.fd_residuals(config) == _reference_fd_residuals(config)
 
 
 def _reference_integration_errors(config):
@@ -309,7 +306,7 @@ def test_integration_errors_match_per_call_reference(name):
     [
         (validation.check_oracle_randomized, (20, 20)),
         (validation.check_oracle_agreement, (1, 1)),
-        (lambda config: validation.fd_residuals(config, (64, 128, 256)), (1, 1)),
+        (validation.fd_residuals, (1, 1)),
         (validation.integration_errors, (1, 1)),
     ],
     ids=[
