@@ -109,27 +109,38 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _float(value, key: str) -> float:
+    """float(value) of a number; a JSON integer beyond the float range is
+    refused."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(
+            f"{key} must be finite, got an integer too large for a float"
+        ) from None
+
+
 def _number(value, key: str) -> float:
     if not _is_number(value):
         raise ConfigError(f"{key} must be a number")
-    return float(value)
+    return _float(value, key)
 
 
 def _count(value, key: str) -> int:
-    if not (_is_number(value) and float(value).is_integer()):
+    if not (_is_number(value) and _float(value, key).is_integer()):
         raise ConfigError(f"{key} must be a whole number")
     return int(value)
 
 
 def _as_complex(value, key: str) -> complex:
     if _is_number(value):
-        return complex(value)
+        return complex(_float(value, key))
     if (
         isinstance(value, (list, tuple))
         and len(value) == 2
         and all(_is_number(x) for x in value)
     ):
-        return complex(value[0], value[1])
+        return complex(_float(value[0], key), _float(value[1], key))
     raise ConfigError(f"{key} must be a number or a [re, im] pair")
 
 
@@ -200,7 +211,7 @@ def load_config(path: str | Path) -> RunConfig:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(raw)
 

@@ -4,7 +4,8 @@ Every float cell is exactly ``format(v, '.17g')``, so files round-trip
 bit-exactly.  The writer forms it in numpy: 17 digits from the rounded
 extended-precision significand |v| * 10**(16 - e), laid out by the ``g``
 rules, with Python's ``%`` for zero, inf, nan and cells within the rounding
-error of a tie.
+error of a tie.  A table of more than one block is formatted two blocks at
+a time, on the calling thread and one helper thread.
 
 Only the subcommands that write a table import this module, so the others
 do not compile it.
@@ -13,20 +14,23 @@ do not compile it.
 from __future__ import annotations
 
 import functools
+import threading
 from typing import BinaryIO
 
 import numpy as np
 
-#: Rows the CSV table writer formats and writes per block.  A block takes
-#: about 140 bytes a cell while it is formatted.
-_BLOCK_ROWS = 4096
+#: Cells the CSV table writer formats per block; a block takes about 90
+#: bytes a cell while it is formatted.  Blocks this large spend most of their
+#: time in numpy calls that release the GIL, so two of them format in
+#: parallel; with small blocks the two threads mostly wait for each other.
+_BLOCK_CELLS = 32768
 
-#: A cell whose extended-precision significand |v| * 10**(16 - e) lies
-#: closer than this to a rounding tie is formatted by ``%``.  The product
-#: carries two roundings (table entry and product), at most eps relative on
-#: a value below 1e17; the margin is twice that.  Where long double is only
-#: a double it exceeds 0.5, so every cell takes ``%``.
-_TIE_MARGIN = 2.0 * float(np.finfo(np.longdouble).eps) * 1e17
+#: A cell whose extended-precision significand s = |v| * 10**(16 - e) lies
+#: closer than ``_TIE_MARGIN * s`` to a rounding tie is formatted by ``%``.
+#: s carries two roundings (table entry and product), at most eps * s
+#: together; the margin is twice that.  Where long double is only a double
+#: the margin exceeds 0.5 (s >= 1e16), so every cell takes ``%``.
+_TIE_MARGIN = 2.0 * float(np.finfo(np.longdouble).eps)
 
 #: Widest ``.17g`` text of a float64: ``-d.dddddddddddddddde-ddd``.
 _CELL = 24
@@ -84,27 +88,51 @@ def _significands(flat: np.ndarray) -> tuple[np.ndarray, ...]:
 
     e comes from ``log10`` and is moved by one where the product below
     leaves [1e16, 1e17); s is ``rint(|v| * 10**(16 - e))`` in long double,
-    and a rounding up to 1e17 moves e up.
+    and a rounding up to 1e17 moves e up.  e is int16, which holds every
+    decimal exponent of a double.
     """
     powers, _ = _layout()
     mag = np.abs(flat)
     certain = (mag > 0) & (mag < np.inf)
-    mag = np.where(certain, mag, 1.0)
-    exponent = np.floor(np.log10(mag)).astype(np.intp)
-    mag = mag.astype(np.longdouble)
-    scaled = mag * powers[16 - _POWERS_FROM - exponent]
-    exponent += (scaled >= 1e17).astype(np.intp) - (scaled < 1e16)
-    scaled = mag * powers[16 - _POWERS_FROM - exponent]
+    mag[~certain] = 1.0
+    exponent = np.floor(np.log10(mag)).astype(np.int16)
+    # A long-double power times a double: mag is widened in small chunks.
+    scaled = powers[16 - _POWERS_FROM - exponent] * mag
+    exponent += (scaled >= 1e17).astype(np.int16) - (scaled < 1e16)
+    scaled = powers[16 - _POWERS_FROM - exponent] * mag
     nearest = np.rint(scaled)
     # inf - inf where a power of ten overflows a double-only long double.
     with np.errstate(invalid="ignore"):
         off = np.abs((scaled - nearest).astype(np.float64))
-    certain &= off <= 0.5 - _TIE_MARGIN
+    certain &= off <= 0.5 - _TIE_MARGIN * scaled.astype(np.float64)
     significand = np.where(certain, nearest, 1e16).astype(np.uint64)
     carry = significand == 10**17
     significand[carry] = 10**16
     exponent += carry
     return certain, significand, exponent
+
+
+def _digits(flat: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The source table of ``_format_block`` with the 17 significand digits
+    of each cell (see ``_significands``) in ASCII in rows 0..16, the mask of
+    certain cells, the exponents and the digit counts once trailing zeros
+    are stripped.  The significands' intermediates are freed before the
+    table is allocated and on return, which keeps a block's peak down."""
+    certain, significand, exponent = _significands(flat)
+    source = np.empty((_SEP + 1, flat.size), np.uint8)
+    low = (significand % np.uint64(10**8)).astype(np.uint32)
+    high = (significand // np.uint64(10**8)).astype(np.uint32)
+    digits = np.full(flat.size, 17, np.int8)
+    trailing = np.ones(flat.size, bool)
+    for part, places in ((low, range(16, 8, -1)), (high, range(8, -1, -1))):
+        for place in places:
+            quotient = part // np.uint32(10)
+            digit = part - quotient * np.uint32(10)
+            trailing &= digit == 0
+            digits -= trailing
+            source[place] = digit + ord("0")
+            part = quotient
+    return source, certain, exponent, digits
 
 
 def _format_block(values: np.ndarray, end: str) -> np.ndarray:
@@ -119,20 +147,7 @@ def _format_block(values: np.ndarray, end: str) -> np.ndarray:
     """
     n = values.size
     flat = values.ravel()
-    certain, significand, exponent = _significands(flat)
-    source = np.empty((_SEP + 1, n), np.uint8)
-    low = (significand % np.uint64(10**8)).astype(np.uint32)
-    high = (significand // np.uint64(10**8)).astype(np.uint32)
-    digits = np.full(n, 17, np.int8)
-    trailing = np.ones(n, bool)
-    for part, places in ((low, range(16, 8, -1)), (high, range(8, -1, -1))):
-        for place in places:
-            quotient = part // np.uint32(10)
-            digit = part - quotient * np.uint32(10)
-            trailing &= digit == 0
-            digits -= trailing
-            source[place] = digit + ord("0")
-            part = quotient
+    source, certain, exponent, digits = _digits(flat)
     power = np.abs(exponent)
     source[_POINT] = ord(".")
     source[_ZERO] = ord("0")
@@ -150,26 +165,61 @@ def _format_block(values: np.ndarray, end: str) -> np.ndarray:
     )
     row *= 17
     row += digits - 1
-    # One output position at a time keeps the index at 8 bytes a cell.
+    # One output position at a time, into one index array, keeps the index
+    # at 8 bytes a cell; ``take`` without bounds checks (every entry is in
+    # range) fills it in place.
     text = np.empty((n, _CELL + 1), np.uint8)
     cell = np.arange(n)
+    index = np.empty(n, np.intp)
     for position, sources in enumerate(_layout()[1].T * n):
-        index = sources[row]
+        np.take(sources, row, out=index, mode="clip")
         index += cell
         text[:, position] = source.ravel()[index]
 
     rest = np.flatnonzero(~certain)
     if rest.size:
-        cells = ("%.17g\0" * rest.size) % tuple(flat[rest].tolist())
-        text[rest, :_CELL] = (
-            np.array(cells.split("\0")[:-1], dtype=f"S{_CELL}")
-            .view(np.uint8)
-            .reshape(-1, _CELL)
-        )
+        # Left-justified in the cell width, whose padding becomes NUL.
+        cells = (f"%-{_CELL}.17g" * rest.size) % tuple(flat[rest].tolist())
+        padded = np.frombuffer(cells.encode(), np.uint8).reshape(-1, _CELL)
+        text[rest, :_CELL] = np.where(padded == ord(" "), 0, padded)
     return text.reshape(len(values), -1)
 
 
 _MARKER = np.frombuffer(b"\0\0\0\0\nPOLE\n", np.uint8).reshape(2, 5)
+
+
+def _marked_rows(block: np.ndarray, at_pole: np.ndarray) -> np.ndarray:
+    """``_format_block`` of ``block`` with the marker column appended: a
+    row under ``at_pole`` keeps only its first value and reads ``POLE``."""
+    block = block.copy()
+    # Blanked below; 1.0 takes no ``%`` however the cell reads.
+    block[at_pole, 1:] = 1.0
+    cells = _format_block(block, ",").reshape(*block.shape, -1)
+    cells[at_pole, 1:, :_CELL] = 0
+    return np.concatenate(
+        (cells.reshape(len(block), -1), _MARKER[at_pole.astype(np.intp)]),
+        axis=1,
+    )
+
+
+def _block_text(
+    values: np.ndarray, pole: np.ndarray | None, rows: slice
+) -> np.ndarray:
+    """The CSV bytes of ``values[rows]`` (see ``write_table``), as uint8."""
+    if pole is None:
+        text = _format_block(values[rows], "\n")
+    else:
+        text = _marked_rows(values[rows], pole[rows])
+    return text[text != 0]
+
+
+def _format_into(result: list, *args) -> None:
+    """Append ``_block_text(*args)`` to ``result``, or the exception it
+    raised: the body of the helper thread."""
+    try:
+        result.append(_block_text(*args))
+    except BaseException as exc:
+        result.append(exc)
 
 
 def write_table(
@@ -184,23 +234,33 @@ def write_table(
     Every value cell is exactly ``format(v, '.17g')``, so the file reads
     back bit-exactly (see ``_format_block`` for how).  With a ``pole`` mask
     the last column is the marker: empty on ordinary rows, ``POLE`` on
-    masked rows, which keep only their first value.  Each block of
-    ``_BLOCK_ROWS`` rows goes to the file as soon as it is formatted.
+    masked rows, which keep only their first value.
+
+    The rows go in blocks of about ``_BLOCK_CELLS`` cells, two at a time:
+    this thread formats and writes one block while a helper thread formats
+    the next, which is written once the helper is joined.  A table of one
+    block starts no thread, an exception on the helper is raised here, and
+    no thread outlives the call.
     """
     out.write((",".join(columns) + "\n").encode())
-    for start in range(0, len(values), _BLOCK_ROWS):
-        block = values[start : start + _BLOCK_ROWS]
-        if pole is None:
-            text = _format_block(block, "\n")
-        else:
-            at_pole = pole[start : start + _BLOCK_ROWS]
-            block = block.copy()
-            # Blanked below; 1.0 takes no ``%`` however the cell reads.
-            block[at_pole, 1:] = 1.0
-            cells = _format_block(block, ",").reshape(*block.shape, -1)
-            cells[at_pole, 1:, :_CELL] = 0
-            text = np.concatenate(
-                (cells.reshape(len(block), -1), _MARKER[at_pole.astype(np.intp)]),
-                axis=1,
-            )
-        out.write(text[text != 0])
+    _layout()  # built here, before a helper thread reads it
+    rows = max(1, _BLOCK_CELLS // values.shape[1])
+    for start in range(0, len(values), 2 * rows):
+        mine = slice(start, start + rows)
+        if start + rows >= len(values):
+            out.write(_block_text(values, pole, mine))
+            break
+        result: list = []
+        helper = threading.Thread(
+            target=_format_into,
+            args=(result, values, pole, slice(start + rows, start + 2 * rows)),
+        )
+        helper.start()
+        try:
+            out.write(_block_text(values, pole, mine))
+        finally:
+            helper.join()
+        (text,) = result
+        if isinstance(text, BaseException):
+            raise text
+        out.write(text)

@@ -9,6 +9,7 @@ import math
 import re
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -440,9 +441,12 @@ class TestTableWriter:
                 columns, _reference_rows(values, pole)
             )
 
-    @pytest.mark.parametrize("block_rows", [1, 2, 3, 8192])
+    # 11 rows: 11, 6, 4, 3 and 1 blocks, so both threads format blocks
+    # when there are two or more, and an odd count leaves one to this thread.
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 5, 8192])
     def test_edge_values_across_blocks(self, tmp_path, monkeypatch, block_rows):
-        monkeypatch.setattr(table, "_BLOCK_ROWS", block_rows)
+        # Each table below has three value columns.
+        monkeypatch.setattr(table, "_BLOCK_CELLS", 3 * block_rows)
         edges = [
             -0.0,
             5e-324,
@@ -523,6 +527,54 @@ class TestTableWriter:
             ulp = Fraction(*(above - power).as_integer_ratio())
             error = Fraction(*power.as_integer_ratio()) - Fraction(10) ** k
             assert abs(error) <= ulp / 2, k
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_block_error_raised_and_threads_joined(
+        self, tmp_path, monkeypatch, failing
+    ):
+        format_block = table._format_block
+
+        def format_or_fail(values, end):
+            on_helper = threading.current_thread() is not threading.main_thread()
+            if on_helper == (failing == "helper"):
+                raise RuntimeError(f"block failed on the {failing}")
+            return format_block(values, end)
+
+        monkeypatch.setattr(table, "_format_block", format_or_fail)
+        monkeypatch.setattr(table, "_BLOCK_CELLS", 2)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"block failed on the {failing}"):
+            _write_table(tmp_path / "t.csv", ["a", "b"], np.ones((8, 2)))
+        assert threading.active_count() == threads
+
+    def test_concurrent_writers_under_fast_switching(self, tmp_path, monkeypatch):
+        # Four writers, each with its helper thread, on fewer CPUs, with a
+        # thread switch every microsecond: every file still equals the
+        # reference, and every thread ends.
+        monkeypatch.setattr(table, "_BLOCK_CELLS", 512)
+        bits = np.random.default_rng(11).integers(
+            0, 2**64, size=8000, dtype=np.uint64
+        )
+        values = bits.view(np.float64).reshape(-1, 4)
+        columns = ["a", "b", "c", "d"]
+        paths = [tmp_path / f"table{i}.csv" for i in range(4)]
+        writers = [
+            threading.Thread(target=_write_table, args=(path, columns, values))
+            for path in paths
+        ]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for writer in writers:
+                writer.start()
+            for writer in writers:
+                writer.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(writer.is_alive() for writer in writers)
+        expected = _reference_csv(columns, values.tolist())
+        for path in paths:
+            assert path.read_bytes() == expected
 
     def test_empty_table_is_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"
@@ -674,6 +726,19 @@ class TestValidate:
         for check in failed:
             assert check["detail"].startswith("ConfigError: ")
 
+    def test_pump_beyond_k_range_fails_cleanly(self, tmp_path):
+        # w'**3 overflows a double: every check that needs K fails with
+        # ConfigError, and the report is still written.
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"pump": {"rabi": 1e103}}))
+        out = tmp_path / "report.json"
+        assert run_cli("validate", "--config", config, "--out", out) == 1
+        checks = json.loads(out.read_text())["checks"]
+        assert len(checks) == 12
+        failed = [c for c in checks if not c["passed"]]
+        assert failed
+        assert any(c["detail"].startswith("ConfigError: ") for c in failed)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_exponent_fails_cleanly(self, tmp_path):
         # A finite density whose K overflows: every number off the
@@ -737,6 +802,53 @@ class TestBadConfigRefused:
         assert run_cli("sweep-frequency", "--config", path, "--out", out) == 2
         assert not out.exists()
         assert "non-positive probe" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"\xff\xfe{}", "not valid JSON"),
+            (b'{"ensemble": {"rho": 1' + b"0" * 400 + b"}}", "ensemble.rho"),
+            (
+                b'{"grids": {"delta": {"start": -1.0, "stop": 1.0, "count": 1'
+                + b"0" * 400
+                + b"}}}",
+                "grids.delta.count",
+            ),
+        ],
+        ids=["not_utf8", "huge_density", "huge_count"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-frequency"],
+            ["evolve"],
+            ["dispersion-scan"],
+            ["pulse-stats", "--series", "missing.csv"],
+            ["validate"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unparsable_config_refused(
+        self, tmp_path, capsys, content, message, argv
+    ):
+        path = tmp_path / "c.json"
+        path.write_bytes(content)
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--config", path, "--out", out) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and message in err
+
+    @pytest.mark.parametrize("command", ["sweep-frequency", "evolve"])
+    def test_pump_beyond_k_range_refused(self, tmp_path, capsys, command):
+        # w'**3 overflows a double, so the exponent scale K has no value.
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"pump": {"rabi": 1e103}}))
+        out = tmp_path / "table.csv"
+        assert run_cli(command, "--config", path, "--out", out) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "w'" in err
 
     def test_nan_guard_override_refused(self, tmp_path):
         config = write_config(tmp_path, guard=math.nan)

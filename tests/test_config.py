@@ -115,6 +115,14 @@ def test_complex_amplitudes_as_pairs():
             {"grids": {"delta": {"start": 2e15, "stop": 0.0, "count": 1}}},
             "non-positive probe",
         ),
+        # JSON integers beyond the float range, as json.loads returns them.
+        ({"ensemble": {"rho": 10**400}}, "ensemble.rho must be finite"),
+        (
+            {"grids": {"delta": {"start": -1.0, "stop": 1.0, "count": 10**400}}},
+            "grids.delta.count must be finite",
+        ),
+        ({"state": {"alpha": -(10**400)}}, "state.alpha must be finite"),
+        ({"state": {"beta": [0.0, 10**400]}}, "state.beta must be finite"),
     ],
 )
 def test_invalid_configs_rejected(raw, fragment):
@@ -136,6 +144,10 @@ def test_unreadable_and_malformed_files(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(bad)
+    undecodable = tmp_path / "utf16.json"
+    undecodable.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(undecodable)
 
 
 def test_grid_values_inclusive_endpoints():
