@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import gc
 import json
 import math
@@ -175,15 +176,6 @@ def _emit_table(args, name: str, columns: list[str], rows) -> int:
     return 0
 
 
-def _cmd_sweep_frequency(args) -> int:
-    return _emit_table(
-        args,
-        "sweep_frequency",
-        ["delta_rad_per_s", "re_g_solid", "re_g_dashed", "pole"],
-        sweep_frequency_rows,
-    )
-
-
 def _cmd_evolve(args) -> int:
     from .table import write_table
 
@@ -199,15 +191,6 @@ def _cmd_evolve(args) -> int:
     if "error" in stats:
         print(f"stats: {stats['error']}: {stats['message']}")
     return 0
-
-
-def _cmd_dispersion_scan(args) -> int:
-    return _emit_table(
-        args,
-        "dispersion_scan",
-        ["omega_rad_per_s", "n0", "dipole_part", "beyond_dipole_part", "pole"],
-        dispersion_rows,
-    )
 
 
 def read_evolve_csv(path: str | Path) -> TimeSeries:
@@ -306,7 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="Re G versus probe-pump frequency difference",
     )
-    sweep.set_defaults(func=_cmd_sweep_frequency)
+    sweep_table = functools.partial(
+        _emit_table,
+        name="sweep_frequency",
+        columns=["delta_rad_per_s", "re_g_solid", "re_g_dashed", "pole"],
+        rows=sweep_frequency_rows,
+    )
+    sweep.set_defaults(func=sweep_table)
 
     evolve = sub.add_parser(
         "evolve", parents=[common], help="gain versus time plus train stats"
@@ -318,7 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="refractive index versus probe frequency",
     )
-    scan.set_defaults(func=_cmd_dispersion_scan)
+    scan_table = functools.partial(
+        _emit_table,
+        name="dispersion_scan",
+        columns=["omega_rad_per_s", "n0", "dipole_part", "beyond_dipole_part", "pole"],
+        rows=dispersion_rows,
+    )
+    scan.set_defaults(func=scan_table)
 
     stats = sub.add_parser(
         "pulse-stats", parents=[common], help="re-analyze an evolve CSV"

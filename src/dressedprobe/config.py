@@ -12,13 +12,13 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .constants import CGS, DEFAULT_GUARD, MAX_STEPS_PER_PERIOD
-from .dressed import DressedGas, generalized_rabi
+from .constants import CGS, DEFAULT_GUARD, MAX_GRID_SAMPLES, MAX_STEPS_PER_PERIOD
+from .dressed import DressedGas
 from .errors import ConfigError, DressedProbeError
 
 
@@ -44,6 +44,7 @@ class RunConfig:
     guard: float = DEFAULT_GUARD
     steps: int = 4000
     out_dir: str = "out"
+    _gas: DressedGas = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name, (key, _) in _FIELDS.items():
@@ -52,6 +53,11 @@ class RunConfig:
                 raise ConfigError(f"{key} must be finite, got {value!r}")
         if self.delta_count < 1:
             raise ConfigError("grid count must be >= 1")
+        if self.delta_count > MAX_GRID_SAMPLES:
+            raise ConfigError(
+                f"grids.delta.count must be <= {MAX_GRID_SAMPLES}, "
+                f"got {self.delta_count}"
+            )
         if self.delta_count > 1 and self.delta_stop <= self.delta_start:
             raise ConfigError("grid stop must exceed start")
         if self.z_theta < 0:
@@ -62,36 +68,48 @@ class RunConfig:
             )
         if self.t_periods <= 0 or self.t_samples_per_period < 1:
             raise ConfigError("time grid must be non-empty")
+        # validate's train check samples 4 periods whatever the config asks.
+        if self.t_samples_per_period * max(self.t_periods, 4.0) > MAX_GRID_SAMPLES:
+            raise ConfigError(
+                "grids.t.samples_per_period * max(grids.t.periods, 4) must be "
+                f"<= {MAX_GRID_SAMPLES}"
+            )
         try:
-            omega_p = self.gas().omega_p
-            if self.probe_omega() <= 0:
+            if self.d_squared < 0:
+                raise ConfigError("d_squared must be non-negative")
+            gas = DressedGas(
+                omega0=self.omega0,
+                d=math.sqrt(self.d_squared),
+                rho=self.rho,
+                detuning=self.detuning,
+                rabi=self.rabi,
+                alpha=self.alpha,
+                beta=self.beta,
+                guard=self.guard,
+            )
+            if gas.omega_p - self.probe_delta <= 0:
                 raise ValueError("probe omega must be strictly positive")
         except (ValueError, DressedProbeError) as exc:
             raise ConfigError(f"invalid physical parameters: {exc}") from exc
+        object.__setattr__(self, "_gas", gas)
         largest = self.delta_stop if self.delta_count > 1 else self.delta_start
-        if omega_p - largest <= 0:
+        if gas.omega_p - largest <= 0:
             raise ConfigError("delta grid reaches non-positive probe omega")
+        if not math.isfinite(self.omega_prime() * self.z_fixed() / CGS.c):
+            raise ConfigError(
+                f"z.theta = {self.z_theta!r} gives a non-finite phase w' z / c"
+            )
 
     def gas(self) -> DressedGas:
-        if self.d_squared < 0:
-            raise ConfigError("d_squared must be non-negative")
-        return DressedGas(
-            omega0=self.omega0,
-            d=math.sqrt(self.d_squared),
-            rho=self.rho,
-            detuning=self.detuning,
-            rabi=self.rabi,
-            alpha=self.alpha,
-            beta=self.beta,
-            guard=self.guard,
-        )
+        """The gas built and checked at load; ``replace`` builds a new one."""
+        return self._gas
 
     def probe_omega(self) -> float:
         """Probe angular frequency in rad/s, probe.delta below the pump."""
-        return self.gas().omega_p - self.probe_delta
+        return self._gas.omega_p - self.probe_delta
 
     def omega_prime(self) -> float:
-        return generalized_rabi(self.detuning, self.rabi)
+        return self._gas.omega_prime
 
     def z_fixed(self) -> float:
         """Evaluation plane in cm (theta is the phase w' z / c)."""

@@ -2,8 +2,8 @@
 
 ``CGS`` is a plain namespace of four class attributes, read as ``CGS.c``
 and so on; it is never instantiated or configured.  The bounds on the
-characteristic integration's steps live here too, so that loading a config
-does not import the integrator.
+characteristic integration's steps and on the grid sizes live here too, so
+that loading a config does not import the integrator.
 """
 
 from __future__ import annotations
@@ -29,6 +29,10 @@ MIN_STEPS_PER_PERIOD = 1000
 #: e^{+-iw'z/c} terms, (2 pi / n)**4 / 2880 of the span at n steps per
 #: period, is 4.7e-19 here, far below rounding.
 MAX_STEPS_PER_PERIOD = 2**15
+
+#: Most probe offsets, and most time samples, a config may ask for: four
+#: times 2**20 samples, whose ``evolve`` peaks at about 100 MB.
+MAX_GRID_SAMPLES = 2**22
 
 #: Default half-width (rad/s) of the exclusion band around resonance poles.
 #: The model is lossless, so denominators are left unregularized and

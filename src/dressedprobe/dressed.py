@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import DEFAULT_GUARD
-from .errors import DegenerateDressing
+from .errors import ConfigError, DegenerateDressing
 
 
 def generalized_rabi(detuning: float, rabi: float) -> float:
@@ -104,7 +104,8 @@ class DressedGas:
     The pump dresses the atoms only through its detuning and Rabi
     frequency, so the dressed algebra never has to subtract two nearly
     equal optical frequencies.  A gas whose pump frequency
-    omega_p = omega0 + detuning is not strictly positive cannot be built.
+    omega_p = omega0 + detuning is not strictly positive cannot be built,
+    nor (ConfigError) one whose omega0^2, d^2 omega0^2 or w'^3 overflows.
     """
 
     omega0: float
@@ -141,6 +142,17 @@ class DressedGas:
             )
         if not self.guard >= 0:
             raise ValueError("guard must be non-negative")
+        for name, power in (
+            ("omega0**2", lambda: self.omega0**2),
+            ("d**2 * omega0**2", lambda: self.d_squared * self.omega0**2),
+            ("w'**3", lambda: self.omega_prime**3),
+        ):
+            try:
+                finite = math.isfinite(power())
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ConfigError(f"{name} overflows a double")
 
     @property
     def d_squared(self) -> float:

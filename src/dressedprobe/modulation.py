@@ -56,18 +56,7 @@ def _brackets(gas: DressedGas, dens) -> tuple:
 
 
 def k_scale(gas: DressedGas, probe_omega):
-    """Exponent scale K = 2 pi rho d^2 w0^2 rabi/(hbar w w'^3); w may be an array.
-
-    A w' whose cube overflows a double leaves K without a value: that is a
-    ConfigError.
-    """
-    omega_prime = gas.omega_prime
-    try:
-        cube = omega_prime**3
-    except OverflowError:
-        raise ConfigError(
-            f"w' = {omega_prime:.6g} rad/s: w'**3 overflows a double"
-        ) from None
+    """Exponent scale K = 2 pi rho d^2 w0^2 rabi/(hbar w w'^3); w may be an array."""
     return (
         2.0
         * math.pi
@@ -75,7 +64,7 @@ def k_scale(gas: DressedGas, probe_omega):
         * gas.d_squared
         * gas.omega0**2
         * gas.rabi
-        / (CGS.hbar * probe_omega * cube)
+        / (CGS.hbar * probe_omega * gas.omega_prime**3)
     )
 
 

@@ -726,18 +726,19 @@ class TestValidate:
         for check in failed:
             assert check["detail"].startswith("ConfigError: ")
 
-    def test_pump_beyond_k_range_fails_cleanly(self, tmp_path):
-        # w'**3 overflows a double: every check that needs K fails with
-        # ConfigError, and the report is still written.
+    def test_pump_whose_ladder_leaves_k_range_fails_cleanly(self, tmp_path):
+        # w' = 1e101 has a K, but the x100 Rabi ladder of the beyond-dipole
+        # check reaches a gas whose w'**3 overflows: that check fails with
+        # the gas's ConfigError and the report is still written.
         config = tmp_path / "c.json"
-        config.write_text(json.dumps({"pump": {"rabi": 1e103}}))
+        config.write_text(json.dumps({"pump": {"rabi": 1e101}}))
         out = tmp_path / "report.json"
         assert run_cli("validate", "--config", config, "--out", out) == 1
-        checks = json.loads(out.read_text())["checks"]
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
         assert len(checks) == 12
-        failed = [c for c in checks if not c["passed"]]
-        assert failed
-        assert any(c["detail"].startswith("ConfigError: ") for c in failed)
+        beyond = checks["beyond_dipole_non_saturating"]
+        assert not beyond["passed"]
+        assert beyond["detail"].startswith("ConfigError: ")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_exponent_fails_cleanly(self, tmp_path):
@@ -905,6 +906,43 @@ class TestBadConfigRefused:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "ConfigError" in err and "steps" in err
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"ensemble": {"omega0": 1e200}}, "omega0**2"),
+            ({"ensemble": {"d_squared": 1e300}}, "d**2 * omega0**2"),
+            ({"pump": {"rabi": 1e103}}, "w'**3"),
+            (
+                {"grids": {"delta": {"start": -1.0, "stop": 1.0, "count": 2 * 10**18}}},
+                "grids.delta.count",
+            ),
+            ({"grids": {"t": {"periods": 1e15}}}, "grids.t.periods"),
+            ({"z": {"theta": 1e300}}, "z.theta"),
+        ],
+        ids=["omega0", "d_squared", "rabi", "delta_count", "t_periods", "z_theta"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-frequency"],
+            ["evolve"],
+            ["dispersion-scan"],
+            ["pulse-stats", "--series", "missing.csv"],
+            ["validate"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unevaluable_config_refused(self, tmp_path, capsys, raw, message, argv):
+        # A closed-form power that overflows, or a grid or plane out of
+        # range, is refused at load: nothing is evaluated or written.
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--config", path, "--out", out) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and message in err
 
     def test_unknown_key_refused(self, tmp_path, capsys):
         path = tmp_path / "typo.json"

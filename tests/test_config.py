@@ -123,6 +123,13 @@ def test_complex_amplitudes_as_pairs():
         ),
         ({"state": {"alpha": -(10**400)}}, "state.alpha must be finite"),
         ({"state": {"beta": [0.0, 10**400]}}, "state.beta must be finite"),
+        # Grids too large to allocate, and a plane whose phase overflows.
+        (
+            {"grids": {"delta": {"start": -4e11, "stop": 4e11, "count": 2 * 10**18}}},
+            "grids.delta.count must be <= 4194304",
+        ),
+        ({"grids": {"t": {"periods": 1e15}}}, "grids.t.samples_per_period"),
+        ({"z": {"theta": 1e300}}, "z.theta .* non-finite phase"),
     ],
 )
 def test_invalid_configs_rejected(raw, fragment):
@@ -135,6 +142,26 @@ def test_steps_ceiling():
     with pytest.raises(ConfigError, match=r"steps must be in 1\.\.32768, got 32769"):
         config_from_dict({"steps": 32769})
     assert config_from_dict({"steps": 32768}).steps == 32768
+
+
+def test_grid_ceilings():
+    # 2**22 offsets or samples: four times the largest scaled series.
+    assert config_from_dict(
+        {"grids": {"delta": {"start": -1.0, "stop": 1.0, "count": 2**22}}}
+    ).delta_count == 2**22
+    with pytest.raises(ConfigError, match="grids.delta.count"):
+        config_from_dict(
+            {"grids": {"delta": {"start": -1.0, "stop": 1.0, "count": 2**22 + 1}}}
+        )
+    # validate samples 4 periods even where the config asks for fewer.
+    spp = {"samples_per_period": 2**20}
+    assert config_from_dict({"grids": {"t": {"periods": 4.0, **spp}}})
+    with pytest.raises(ConfigError, match="grids.t.samples_per_period"):
+        config_from_dict({"grids": {"t": {"periods": 4.5, **spp}}})
+    with pytest.raises(ConfigError, match="grids.t.samples_per_period"):
+        config_from_dict(
+            {"grids": {"t": {"periods": 3.0, "samples_per_period": 2**21}}}
+        )
 
 
 def test_unreadable_and_malformed_files(tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from dressedprobe import (
     DEFAULT_GUARD,
+    ConfigError,
     DegenerateDressing,
     DressedGas,
     generalized_rabi,
@@ -128,6 +130,21 @@ class TestTypes:
         # |alpha|^2 (or |alpha| itself) overflows a float, or is NaN.
         with pytest.raises(ValueError, match="must equal 1 within"):
             replace(gas_dense, alpha=alpha)
+
+    @pytest.mark.parametrize(
+        "change, power",
+        [
+            ({"omega0": 1e200}, "omega0**2"),
+            ({"d": 1e150}, "d**2 * omega0**2"),
+            ({"rabi": 1e103}, "w'**3"),
+        ],
+        ids=["omega0", "d", "rabi"],
+    )
+    def test_overflowing_power_refused(self, gas_dense, change, power):
+        # The closed form's powers must be finite doubles for the gas to be
+        # built at all; no later evaluation handles their overflow.
+        with pytest.raises(ConfigError, match=re.escape(power)):
+            replace(gas_dense, **change)
 
     def test_variants_keep_the_guard(self, gas_dense):
         assert gas_dense.guard == DEFAULT_GUARD
