@@ -201,7 +201,7 @@ def read_evolve_csv(path: str | Path) -> TimeSeries:
     from . import pulsetrain as pt
 
     try:
-        with open(path) as lines:
+        with open(path, encoding="utf-8") as lines:
             header = lines.readline()
         if header.strip().split(",")[:2] != ["t_s", "intensity_gain"]:
             raise ConfigError(f"{path} is not an evolve series CSV")

@@ -226,7 +226,7 @@ def config_from_dict(raw: dict) -> RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     """Load and validate a JSON run configuration."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

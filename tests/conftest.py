@@ -14,7 +14,9 @@ from pathlib import Path
 import pytest
 
 import dressedprobe
+import refusals
 from dressedprobe import DressedGas
+from dressedprobe.cli import main
 
 # Documented optical-regime parameter set (angular frequencies, rad/s).
 OMEGA0 = 1e15
@@ -83,6 +85,19 @@ def gas_dense() -> DressedGas:
 @pytest.fixture(scope="session")
 def gas_train() -> DressedGas:
     return documented_gas(RHO_TRAIN)
+
+
+@pytest.fixture(scope="session")
+def train_series(tmp_path_factory) -> Path:
+    """One evolve series on the shipped pulse-train config."""
+    path = tmp_path_factory.mktemp("train") / "evolve.csv"
+    assert main(["evolve", "--config", str(refusals.TRAIN_CONFIG), "--out", str(path)]) == 0
+    return path
+
+
+@pytest.fixture
+def refused(tmp_path, capsys, train_series) -> refusals.Refused:
+    return refusals.Refused(tmp_path, capsys, train_series)
 
 
 @pytest.fixture(scope="session")

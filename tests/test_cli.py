@@ -29,6 +29,7 @@ from dressedprobe.dispersion import refractive_index
 from dressedprobe.modulation import exponent_grid
 from dressedprobe.pulsetrain import analyze_train
 
+import refusals
 from conftest import FROZEN, child_env
 
 REPO = Path(__file__).resolve().parents[1]
@@ -256,106 +257,26 @@ class TestPulseStats:
         stats = json.loads((tmp_path / "stats.json").read_text())
         assert stats["source"] == "train/evolve.csv"
 
-    def test_rejects_foreign_csv(self, tmp_path):
-        bogus = tmp_path / "bogus.csv"
-        bogus.write_text("a,b\n1,2\n")
-        assert (
-            run_cli(
-                "pulse-stats",
-                "--config",
-                TRAIN_CONFIG,
-                "--series",
-                bogus,
-                "--out",
-                tmp_path / "stats.json",
-            )
-            == 2
-        )
+    # Named rows of the refusal table, each under a test id of its own.
 
-    def test_rejects_non_uniform_series(self, tmp_path):
-        series_path = tmp_path / "evolve.csv"
-        run_cli("evolve", "--config", TRAIN_CONFIG, "--out", series_path)
-        header, *rows = series_path.read_text().splitlines()
-        thinned = tmp_path / "thinned.csv"
-        kept = [row for i, row in enumerate(rows) if i % 7 != 6]
-        thinned.write_text("\n".join([header, *kept]) + "\n")
-        with pytest.raises(ConfigError, match="uniform"):
-            read_evolve_csv(thinned)
-        assert (
-            run_cli(
-                "pulse-stats",
-                "--config",
-                TRAIN_CONFIG,
-                "--series",
-                thinned,
-                "--out",
-                tmp_path / "stats.json",
-            )
-            == 2
-        )
+    def test_rejects_foreign_csv(self, refused):
+        refused.series("foreign_csv")
 
-    def test_rejects_malformed_rows(self, tmp_path):
-        mangled = tmp_path / "mangled.csv"
-        mangled.write_text("t_s,intensity_gain\n0.0,1.0\n1.0,not-a-number\n")
-        assert (
-            run_cli(
-                "pulse-stats",
-                "--config",
-                TRAIN_CONFIG,
-                "--series",
-                mangled,
-                "--out",
-                tmp_path / "stats.json",
-            )
-            == 2
-        )
+    def test_rejects_non_uniform_series(self, refused):
+        refused.series("thinned")
+
+    def test_rejects_malformed_rows(self, refused):
+        refused.series("malformed_cell")
 
     @pytest.mark.parametrize("target", ["missing", "directory"])
-    def test_refuses_unreadable_series(self, tmp_path, capsys, target):
-        series = tmp_path / "nope.csv"
-        if target == "directory":
-            series.mkdir()
-        out = tmp_path / "stats.json"
-        assert (
-            run_cli(
-                "pulse-stats",
-                "--config",
-                TRAIN_CONFIG,
-                "--series",
-                series,
-                "--out",
-                out,
-            )
-            == 2
-        )
-        assert "ConfigError" in capsys.readouterr().err
-        assert not out.exists()
+    def test_refuses_unreadable_series(self, refused, target):
+        refused.series(target)
 
-
-    @pytest.mark.parametrize("row", [1, 700], ids=["second_row", "interior"])
-    def test_refuses_nan_time(self, tmp_path, capsys, row):
-        series = tmp_path / "evolve.csv"
-        run_cli("evolve", "--config", TRAIN_CONFIG, "--out", series)
-        lines = series.read_text().splitlines()
-        lines[1 + row] = "nan," + lines[1 + row].split(",")[1]
-        series.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConfigError, match="not uniform"):
-            read_evolve_csv(series)
-        out = tmp_path / "stats.json"
-        assert (
-            run_cli(
-                "pulse-stats",
-                "--config",
-                TRAIN_CONFIG,
-                "--series",
-                series,
-                "--out",
-                out,
-            )
-            == 2
-        )
-        assert "ConfigError" in capsys.readouterr().err
-        assert not out.exists()
+    @pytest.mark.parametrize(
+        "name", ["nan_time_second_row", "nan_time_interior"], ids=["second_row", "interior"]
+    )
+    def test_refuses_nan_time(self, refused, name):
+        refused.series(name)
 
 
 def _reference_csv(columns: list[str], rows) -> bytes:
@@ -597,46 +518,9 @@ class TestSeriesReader:
         assert series.t0 == times[0]
         assert series.dt == times[1] - times[0]
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "t_s,intensity_gain\n0.0,1.0\n1.0,not-a-number\n",
-            "t_s,intensity_gain\n0.0,1.0\n1.0\n2.0,1.0\n",
-            "t_s,intensity_gain\n",
-            "t_s,intensity_gain\n0.0,1.0\n",
-            "",
-            "time,gain\n0.0,1.0\n1.0,2.0\n",
-            "t_s,intensity_gain\n0.0,1.0\n1.0,0.0\n2.0,1.0\n",
-            "t_s,intensity_gain\n0.0,1.0\n1.0,nan\n2.0,1.0\n",
-        ],
-        ids=[
-            "malformed_cell",
-            "one_column_row",
-            "header_only",
-            "one_sample",
-            "empty_file",
-            "foreign_header",
-            "zero_gain",
-            "nan_gain",
-        ],
-    )
-    def test_refused_with_exit_2(self, tmp_path, text):
-        series = tmp_path / "series.csv"
-        series.write_text(text)
-        with pytest.raises(ConfigError):
-            read_evolve_csv(series)
-        assert (
-            run_cli(
-                "pulse-stats",
-                "--config",
-                TRAIN_CONFIG,
-                "--series",
-                series,
-                "--out",
-                tmp_path / "stats.json",
-            )
-            == 2
-        )
+    @pytest.mark.parametrize("name", refusals.SERIES)
+    def test_refused_with_exit_2(self, refused, name):
+        refused.series(name)
 
     def test_extra_columns_and_blank_lines_accepted(self, tmp_path):
         series = tmp_path / "series.csv"
@@ -787,93 +671,51 @@ class TestValidate:
 
 
 class TestBadConfigRefused:
-    def test_nan_density_refused(self, tmp_path):
-        path = tmp_path / "nan.json"
-        path.write_text('{"ensemble": {"rho": NaN}}')
-        out = tmp_path / "sweep.csv"
-        assert run_cli("sweep-frequency", "--config", path, "--out", out) == 2
-        assert not out.exists()
+    # Named rows of the refusal table on one subcommand each, under test ids
+    # of their own; test_config.py runs every row on every subcommand.
 
-    def test_one_offset_past_the_pump_refused(self, tmp_path, capsys):
-        path = tmp_path / "one.json"
-        path.write_text(
-            json.dumps({"grids": {"delta": {"start": 2e15, "stop": 0.0, "count": 1}}})
-        )
-        out = tmp_path / "sweep.csv"
-        assert run_cli("sweep-frequency", "--config", path, "--out", out) == 2
-        assert not out.exists()
-        assert "non-positive probe" in capsys.readouterr().err
+    def test_nan_density_refused(self, refused):
+        refused.config("rho-nan", ["sweep-frequency"])
 
-    @pytest.mark.parametrize(
-        "content, message",
-        [
-            (b"\xff\xfe{}", "not valid JSON"),
-            (b'{"ensemble": {"rho": 1' + b"0" * 400 + b"}}", "ensemble.rho"),
-            (
-                b'{"grids": {"delta": {"start": -1.0, "stop": 1.0, "count": 1'
-                + b"0" * 400
-                + b"}}}",
-                "grids.delta.count",
-            ),
-        ],
-        ids=["not_utf8", "huge_density", "huge_count"],
-    )
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["sweep-frequency"],
-            ["evolve"],
-            ["dispersion-scan"],
-            ["pulse-stats", "--series", "missing.csv"],
-            ["validate"],
-        ],
-        ids=lambda argv: argv[0],
-    )
-    def test_unparsable_config_refused(
-        self, tmp_path, capsys, content, message, argv
-    ):
-        path = tmp_path / "c.json"
-        path.write_bytes(content)
-        out = tmp_path / "out"
-        assert run_cli(*argv, "--config", path, "--out", out) == 2
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert "ConfigError" in err and message in err
+    def test_one_offset_past_the_pump_refused(self, refused):
+        refused.config("raw25-non-positive probe", ["sweep-frequency"])
+
+    @pytest.mark.parametrize("name", [
+        "file-utf16", "raw26-ensemble.rho must be finite", "raw27-grids.delta.count must be finite",
+    ], ids=["not_utf8", "huge_density", "huge_count"])
+    @pytest.mark.parametrize("command", refusals.COMMANDS)
+    def test_unparsable_config_refused(self, refused, name, command):
+        refused.config(name, [command])
 
     @pytest.mark.parametrize("command", ["sweep-frequency", "evolve"])
-    def test_pump_beyond_k_range_refused(self, tmp_path, capsys, command):
-        # w'**3 overflows a double, so the exponent scale K has no value.
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps({"pump": {"rabi": 1e103}}))
-        out = tmp_path / "table.csv"
-        assert run_cli(command, "--config", path, "--out", out) == 2
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert "ConfigError" in err and "w'" in err
+    def test_pump_beyond_k_range_refused(self, refused, command):
+        refused.config("rabi-overflow", [command])
 
-    def test_nan_guard_override_refused(self, tmp_path):
-        config = write_config(tmp_path, guard=math.nan)
-        out = tmp_path / "disp.csv"
-        assert run_cli("dispersion-scan", "--config", config, "--out", out) == 2
-        assert not out.exists()
+    def test_nan_guard_override_refused(self, refused):
+        refused.config("guard-nan", ["dispersion-scan"])
 
     @pytest.mark.parametrize(
-        "key, message",
-        [
-            # The plane is set only as the phase theta; cm is not a key.
-            ("z.cm", "unknown key z.cm"),
-            ("z.theta", "z.theta must be non-negative"),
-        ],
-        ids=["z.cm", "z.theta"],
+        "name", ["key-z.cm", "raw10-z.theta must be non-negative"], ids=["z.cm", "z.theta"]
     )
     @pytest.mark.parametrize("command", ["validate", "sweep-frequency"])
-    def test_negative_plane_refused(self, tmp_path, capsys, key, message, command):
-        path = tmp_path / "negative_z.json"
-        path.write_text(json.dumps({"z": {key.split(".")[1]: -1.0}}))
-        out = tmp_path / "out.json"
-        assert run_cli(command, "--config", path, "--out", out) == 2
-        assert not out.exists()
-        assert message in capsys.readouterr().err
+    def test_negative_plane_refused(self, refused, name, command):
+        refused.config(name, [command])
+
+    @pytest.mark.parametrize("command", refusals.COMMANDS)
+    def test_steps_above_ceiling_refused(self, refused, command):
+        refused.config("steps-ceiling", [command])
+
+    @pytest.mark.parametrize("name", [
+        "omega0-overflow", "d_squared-overflow", "rabi-overflow",
+        "raw30-grids.delta.count must be <= 4194304", "raw31-grids.t.samples_per_period",
+        "raw32-z.theta .* non-finite phase",
+    ], ids=["omega0", "d_squared", "rabi", "delta_count", "t_periods", "z_theta"])
+    @pytest.mark.parametrize("command", refusals.COMMANDS)
+    def test_unevaluable_config_refused(self, refused, name, command):
+        refused.config(name, [command])
+
+    def test_unknown_key_refused(self, refused):
+        refused.config("key-rhoo", ["validate"])
 
     @pytest.mark.parametrize("command", ["sweep-frequency", "dispersion-scan"])
     def test_non_finite_table_refused(self, tmp_path, capsys, command):
@@ -887,70 +729,6 @@ class TestBadConfigRefused:
         err = capsys.readouterr().err
         assert "ConfigError" in err and "non-finite" in err
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["sweep-frequency"],
-            ["evolve"],
-            ["dispersion-scan"],
-            ["pulse-stats", "--series", "missing.csv"],
-            ["validate"],
-        ],
-        ids=lambda argv: argv[0],
-    )
-    def test_steps_above_ceiling_refused(self, tmp_path, capsys, argv):
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps({"steps": 32769}))
-        out = tmp_path / "out"
-        assert run_cli(*argv, "--config", path, "--out", out) == 2
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert "ConfigError" in err and "steps" in err
-
-    @pytest.mark.parametrize(
-        "raw, message",
-        [
-            ({"ensemble": {"omega0": 1e200}}, "omega0**2"),
-            ({"ensemble": {"d_squared": 1e300}}, "d**2 * omega0**2"),
-            ({"pump": {"rabi": 1e103}}, "w'**3"),
-            (
-                {"grids": {"delta": {"start": -1.0, "stop": 1.0, "count": 2 * 10**18}}},
-                "grids.delta.count",
-            ),
-            ({"grids": {"t": {"periods": 1e15}}}, "grids.t.periods"),
-            ({"z": {"theta": 1e300}}, "z.theta"),
-        ],
-        ids=["omega0", "d_squared", "rabi", "delta_count", "t_periods", "z_theta"],
-    )
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["sweep-frequency"],
-            ["evolve"],
-            ["dispersion-scan"],
-            ["pulse-stats", "--series", "missing.csv"],
-            ["validate"],
-        ],
-        ids=lambda argv: argv[0],
-    )
-    def test_unevaluable_config_refused(self, tmp_path, capsys, raw, message, argv):
-        # A closed-form power that overflows, or a grid or plane out of
-        # range, is refused at load: nothing is evaluated or written.
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(raw))
-        out = tmp_path / "out"
-        assert run_cli(*argv, "--config", path, "--out", out) == 2
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert "ConfigError" in err and message in err
-
-    def test_unknown_key_refused(self, tmp_path, capsys):
-        path = tmp_path / "typo.json"
-        path.write_text('{"ensemble": {"rhoo": 1}}')
-        out = tmp_path / "report.json"
-        assert run_cli("validate", "--config", path, "--out", out) == 2
-        assert "ensemble.rhoo" in capsys.readouterr().err
-
     @pytest.mark.parametrize("target", ["under_a_file", "a_directory"])
     @pytest.mark.parametrize(
         "argv",
@@ -963,11 +741,8 @@ class TestBadConfigRefused:
         ],
         ids=lambda argv: argv[0],
     )
-    def test_unwritable_out_refused(self, tmp_path, capsys, argv, target):
-        series = tmp_path / "evolve.csv"
-        if "SERIES" in argv:
-            run_cli("evolve", "--config", TRAIN_CONFIG, "--out", series)
-            argv = [series if a == "SERIES" else a for a in argv]
+    def test_unwritable_out_refused(self, tmp_path, capsys, train_series, argv, target):
+        argv = [train_series if a == "SERIES" else a for a in argv]
         if target == "a_directory":
             out = tmp_path / "out"
             out.mkdir()
