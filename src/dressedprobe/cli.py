@@ -201,7 +201,8 @@ def read_evolve_csv(path: str | Path) -> TimeSeries:
     from . import pulsetrain as pt
 
     try:
-        with open(path, encoding="utf-8") as lines:
+        # A header byte that is not UTF-8 fails the name check, not a row.
+        with open(path, encoding="utf-8", errors="replace") as lines:
             header = lines.readline()
         if header.strip().split(",")[:2] != ["t_s", "intensity_gain"]:
             raise ConfigError(f"{path} is not an evolve series CSV")

@@ -52,14 +52,14 @@ class RunConfig:
             if isinstance(value, (float, complex)) and not cmath.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value!r}")
         if self.delta_count < 1:
-            raise ConfigError("grid count must be >= 1")
+            raise ConfigError(f"grids.delta.count must be >= 1, got {self.delta_count}")
         if self.delta_count > MAX_GRID_SAMPLES:
             raise ConfigError(
                 f"grids.delta.count must be <= {MAX_GRID_SAMPLES}, "
                 f"got {self.delta_count}"
             )
         if self.delta_count > 1 and self.delta_stop <= self.delta_start:
-            raise ConfigError("grid stop must exceed start")
+            raise ConfigError("grids.delta.stop must exceed grids.delta.start")
         if self.z_theta < 0:
             raise ConfigError(f"z.theta must be non-negative, got {self.z_theta!r}")
         if not 1 <= self.steps <= MAX_STEPS_PER_PERIOD:
@@ -67,7 +67,7 @@ class RunConfig:
                 f"steps must be in 1..{MAX_STEPS_PER_PERIOD}, got {self.steps}"
             )
         if self.t_periods <= 0 or self.t_samples_per_period < 1:
-            raise ConfigError("time grid must be non-empty")
+            raise ConfigError("grids.t.periods and samples_per_period must be positive")
         # validate's train check samples 4 periods whatever the config asks.
         if self.t_samples_per_period * max(self.t_periods, 4.0) > MAX_GRID_SAMPLES:
             raise ConfigError(
@@ -88,13 +88,14 @@ class RunConfig:
                 guard=self.guard,
             )
             if gas.omega_p - self.probe_delta <= 0:
-                raise ValueError("probe omega must be strictly positive")
+                raise ValueError("probe.delta must be below omega_p")
         except (ValueError, DressedProbeError) as exc:
             raise ConfigError(f"invalid physical parameters: {exc}") from exc
         object.__setattr__(self, "_gas", gas)
         largest = self.delta_stop if self.delta_count > 1 else self.delta_start
         if gas.omega_p - largest <= 0:
-            raise ConfigError("delta grid reaches non-positive probe omega")
+            key = "stop" if self.delta_count > 1 else "start"
+            raise ConfigError(f"grids.delta.{key} reaches a non-positive probe omega")
         if not math.isfinite(self.omega_prime() * self.z_fixed() / CGS.c):
             raise ConfigError(
                 f"z.theta = {self.z_theta!r} gives a non-finite phase w' z / c"

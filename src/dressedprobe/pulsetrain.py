@@ -75,51 +75,41 @@ class PulseTrainStats:
     depth: float
 
 
-def _refine(ln: np.ndarray, idx: int, t0: float, dt: float) -> tuple[float, float]:
-    """Log-parabola refinement of an extremum through three samples."""
+def _vertices(
+    ln: np.ndarray, idx: np.ndarray, t0: float, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Times and values of the log-parabolas through the three samples
+    around each extremum index in ``idx``."""
     y0, y1, y2 = ln[idx - 1], ln[idx], ln[idx + 1]
-    curvature = y0 - 2.0 * y1 + y2
-    if curvature == 0.0:
-        return t0 + idx * dt, y1
-    offset = 0.5 * (y0 - y2) / curvature
-    value = y1 - 0.25 * (y0 - y2) * offset
-    return t0 + (idx + offset) * dt, value
-
-
-def _half_max_crossings(
-    ln: np.ndarray, peak_idx: int, level: float, t0: float, dt: float
-) -> tuple[float, float] | None:
-    """Linearly interpolated (in log gain) crossings around one peak."""
-    left = peak_idx
-    while left > 0 and ln[left - 1] > level:
-        left -= 1
-    right = peak_idx
-    last = len(ln) - 1
-    while right < last and ln[right + 1] > level:
-        right += 1
-    if left == 0 or right == last:
-        return None
-    t_left = t0 + dt * (left - (level - ln[left]) / (ln[left - 1] - ln[left]))
-    t_right = t0 + dt * (
-        right + (ln[right] - level) / (ln[right] - ln[right + 1])
-    )
-    return t_left, t_right
+    offset = 0.5 * (y0 - y2) / (y0 - 2.0 * y1 + y2)
+    return t0 + (idx + offset) * dt, y1 - 0.25 * (y0 - y2) * offset
 
 
 def analyze_train(series: TimeSeries, omega_prime: float) -> PulseTrainStats:
     """Measure pulse-train statistics from a sampled gain series.
 
     The series must span at least two nominal periods 2 pi / omega_prime
-    with at least 64 samples per period.  The repetition period comes from
-    the mean spacing of refined local maxima; the width from half-maximum
-    crossings around the tallest peak (earliest peak on ties); the depth
-    from the log-extrema, depth = (ln peak - ln min) / 4.
+    with at least 64 samples per period.  Each interior extremum of the log
+    gain is refined to the vertex of the parabola through it and its two
+    neighbours.  That parabola's curvature y0 - 2 y1 + y2 cannot vanish:
+    at a peak y0 <= y1 > y2, and since rounding is monotonic the computed
+    curvature is at most fl(y2 - y1) < 0; at a minimum it is positive.
+    The repetition period is the mean spacing of the refined peaks; the
+    depth comes from the log-extrema, depth = (ln peak - ln min) / 4.
+
+    The width is measured on the tallest refined peak, earliest on ties,
+    whose half-maximum level ln peak - ln 2 is crossed on both sides
+    inside the series.  Each crossing is bracketed by the sample at or
+    below the level nearest the peak and its neighbour towards the peak,
+    and interpolated linearly in log gain between the two.
 
     Raises
     ------
     UnderSampled
-        If span or sampling density is insufficient, or fewer than two
-        interior peaks are resolved.
+        If span or sampling density is insufficient, fewer than two interior
+        peaks are resolved, the measured peak's own sample is not above its
+        half-maximum level (so no sample brackets a crossing), or the
+        tallest refined peak gain overflows a double.
     ShallowModulation
         If the half-maximum level does not separate the pulses.
     """
@@ -145,47 +135,53 @@ def analyze_train(series: TimeSeries, omega_prime: float) -> PulseTrainStats:
             f"(log-gain swing {ln.max() - ln.min():.3g} <= ln 2)"
         )
 
-    # A two-sample plateau is one extremum, found at its right sample, where
-    # _refine puts the vertex at the midpoint.
+    # A two-sample plateau is one extremum, found at its right sample, with
+    # its vertex at the midpoint.
     interior = ln[1:-1]
-    peak_idx = (
-        np.nonzero((interior >= ln[:-2]) & (interior > ln[2:]))[0] + 1
-    )
-    min_idx = np.nonzero((interior <= ln[:-2]) & (interior < ln[2:]))[0] + 1
+    peak_idx = np.flatnonzero((interior >= ln[:-2]) & (interior > ln[2:])) + 1
+    min_idx = np.flatnonzero((interior <= ln[:-2]) & (interior < ln[2:])) + 1
     if len(peak_idx) < 2 or len(min_idx) < 1:
         raise UnderSampled("fewer than two interior pulse peaks resolved")
 
-    refined_peaks = [_refine(ln, i, series.t0, series.dt) for i in peak_idx]
-    refined_mins = [_refine(ln, i, series.t0, series.dt) for i in min_idx]
-    peak_times = np.array([t for t, _ in refined_peaks])
-    period = float(np.mean(np.diff(peak_times)))
+    t0, dt = series.t0, series.dt
+    peak_t, peak_ln = _vertices(ln, peak_idx, t0, dt)
+    ln_min = _vertices(ln, min_idx, t0, dt)[1].min()
+    period = float(np.mean(np.diff(peak_t)))
 
     # Tallest peak, earliest on ties, that has both half-max crossings
     # inside the series.
-    order = sorted(
-        range(len(peak_idx)),
-        key=lambda k: (-refined_peaks[k][1], refined_peaks[k][0]),
-    )
-    ln_peak = refined_peaks[order[0]][1]
-    fwhm = None
+    order = np.lexsort((peak_t, -peak_ln))
     for k in order:
-        level = refined_peaks[k][1] - _LN2
-        crossings = _half_max_crossings(
-            ln, int(peak_idx[k]), level, series.t0, series.dt
-        )
-        if crossings is not None:
-            fwhm = crossings[1] - crossings[0]
+        p, level = peak_idx[k], peak_ln[k] - _LN2
+        if ln[p] <= level:
+            raise UnderSampled(
+                f"peak sample at log gain {ln[p]:.6g} is not above its "
+                f"half-maximum level {level:.6g}; the samples do not resolve "
+                "the pulse"
+            )
+        below_left = np.flatnonzero(ln[:p] <= level)
+        below_right = np.flatnonzero(ln[p + 1:] <= level)
+        if below_left.size and below_right.size:
             break
-    if fwhm is None:
+    else:
         raise ShallowModulation(
             "no pulse has both half-maximum crossings inside the series"
         )
+    left, right = below_left[-1] + 1, p + below_right[0]
+    t_left = t0 + dt * (left - (level - ln[left]) / (ln[left - 1] - ln[left]))
+    t_right = t0 + dt * (right + (ln[right] - level) / (ln[right] - ln[right + 1]))
 
-    ln_min = min(v for _, v in refined_mins)
+    ln_peak = peak_ln[order[0]]
+    try:
+        peak_gain = math.exp(ln_peak)
+    except OverflowError:
+        raise UnderSampled(
+            f"refined peak log gain {ln_peak:.6g} overflows a double"
+        ) from None
     return PulseTrainStats(
-        period=float(period),
-        fwhm=float(fwhm),
-        peak_gain=math.exp(ln_peak),
+        period=period,
+        fwhm=float(t_right - t_left),
+        peak_gain=peak_gain,
         min_gain=math.exp(ln_min),
         depth=float(0.25 * (ln_peak - ln_min)),
     )

@@ -11,11 +11,12 @@ import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dressedprobe
 import refusals
-from dressedprobe import DressedGas
+from dressedprobe import DressedGas, TimeSeries
 from dressedprobe.cli import main
 
 # Documented optical-regime parameter set (angular frequencies, rad/s).
@@ -48,6 +49,25 @@ FROZEN = {
     "beyond_dipole_fraction": 6.6770815385428077442e-7,
     "rs_over_ls": 81.035808906482648628,
 }
+
+
+#: Log-gain patterns whose pulse the samples do not resolve, each with the
+#: fragment of its UnderSampled refusal: the refined peak lies more than ln 2
+#: above its own sample, or beyond the double range.
+UNRESOLVED = {
+    "plateau": ([10.0, 12.0, 12.0, 5.0], "not above its half-maximum level"),
+    "spike": ([60.0, 70.0, 69.0], "not above its half-maximum level"),
+    "overflow": ([709.7, 709.7, 708.0], "overflows a double"),
+}
+
+
+def spiked(values) -> TimeSeries:
+    """Log gain 0 over 3 periods of 2 pi / w' at 64 samples per period,
+    except ``values`` once per period."""
+    ln = np.zeros(3 * 64)
+    for start in range(30, len(ln), 64):
+        ln[start:start + len(values)] = values
+    return TimeSeries(t0=0.0, dt=2.0 * math.pi / FROZEN["omega_prime"] / 64, gains=np.exp(ln))
 
 
 def child_env() -> dict:

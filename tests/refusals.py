@@ -5,9 +5,10 @@ value, which ``load_config`` and the subcommands get written with
 ``json.dumps`` (NaN, Infinity and integers beyond the float range survive
 the round trip); the raw bytes of a file that is not UTF-8 JSON; or None, a
 path with no file.  ``SERIES`` maps a row's id to ``(series, fragment)``.
-The series is the text of the ``--series`` file, or ``make(path, lines)``,
-which makes that file from the lines of a real ``evolve`` series.  The
-fragment is a literal part of the ConfigError message.
+The series is the text or the raw bytes of the ``--series`` file, or
+``make(path, lines)``, which makes that file from the lines of a real
+``evolve`` series.  The fragment is a literal part of the ConfigError
+message.
 
 ``test_config.py::test_invalid_configs_rejected`` runs every config row
 through ``config_from_dict`` (JSON values), ``load_config`` and all five
@@ -35,8 +36,9 @@ BIG = 10**400  # a JSON integer beyond the float range, as json.loads returns it
 TOO_BIG = "must be finite, got an integer too large for a float"
 PHYSICAL = "invalid physical parameters: "
 NORM = PHYSICAL + "|alpha|^2 + |beta|^2 = {} must equal 1 within 1e-12"
-PAST_THE_PUMP = "delta grid reaches non-positive probe omega"
+PAST_THE_PUMP = "grids.delta.{} reaches a non-positive probe omega"
 PAIR = "must be a number or a [re, im] pair"
+NON_EMPTY = "grids.t.periods and samples_per_period must be positive"
 TRAIN_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "pulse_train.json"
 COMMANDS = ["sweep-frequency", "evolve", "dispersion-scan", "pulse-stats", "validate"]
 
@@ -56,14 +58,14 @@ CONFIG = {
         "missing key grids.delta.start"),
     "raw1-guard": ({"guard": -1.0}, PHYSICAL + "guard must be non-negative"),
     "raw2-steps": ({"steps": 0}, "steps must be in 1..32768, got 0"),
-    "raw3-count": (_delta(0.0, 1.0, 0), "grid count must be >= 1"),
+    "raw3-count": (_delta(0.0, 1.0, 0), "grids.delta.count must be >= 1, got 0"),
     "raw4-number": ({"ensemble": {"omega0": "fast"}}, "ensemble.omega0 must be a number"),
     "raw5-invalid physical": ({"state": {"alpha": 1.0, "beta": 1.0}}, NORM.format("2.0")),
     "raw6-invalid physical": ({"pump": {"detuning": 0.0, "rabi": 0.0}},
         PHYSICAL + "detuning and Rabi frequency cannot both vanish"),
-    "raw7-non-positive probe": (_delta(0.0, 2e15, 2), PAST_THE_PUMP),
+    "raw7-non-positive probe": (_delta(0.0, 2e15, 2), PAST_THE_PUMP.format("stop")),
     "raw8-probe omega must be strictly positive": ({"probe": {"delta": 2e15}},
-        PHYSICAL + "probe omega must be strictly positive"),
+        PHYSICAL + "probe.delta must be below omega_p"),
     "raw9-missing key grids.delta.count": ({"grids": {"delta": {"start": -1.0, "stop": 1.0}}},
         "missing key grids.delta.count"),
     "raw10-z.theta must be non-negative": ({"z": {"theta": -1.0}},
@@ -72,7 +74,8 @@ CONFIG = {
         PHYSICAL + "omega_p must be strictly positive"),
     "raw12-missing key grids.delta.stop": ({"grids": {"delta": {"start": -1.0, "count": 3}}},
         "missing key grids.delta.stop"),
-    "raw13-grid stop must exceed start": (_delta(1.0, -1.0), "grid stop must exceed start"),
+    "raw13-grid stop must exceed start": (_delta(1.0, -1.0),
+        "grids.delta.stop must exceed grids.delta.start"),
     "raw14-grids.delta.start must be finite, got -inf": (_delta(-INF),
         "grids.delta.start must be finite, got -inf"),
     "raw15-section z must be an object": ({"z": 1.0}, "section z must be an object"),
@@ -84,14 +87,13 @@ CONFIG = {
     "raw19-out_dir must be a string": ({"out_dir": 1}, "out_dir must be a string"),
     "raw20-d_squared must be non-negative": ({"ensemble": {"d_squared": -1.0}},
         PHYSICAL + "d_squared must be non-negative"),
-    "raw21-time grid must be non-empty": (_t(periods=0.0), "time grid must be non-empty"),
-    "raw22-time grid must be non-empty": (_t(samples_per_period=0),
-        "time grid must be non-empty"),
+    "raw21-time grid must be non-empty": (_t(periods=0.0), NON_EMPTY),
+    "raw22-time grid must be non-empty": (_t(samples_per_period=0), NON_EMPTY),
     # |alpha|^2 overflows a float: found by the config fuzz.
     "raw23-invalid physical": ({"state": {"alpha": 1e308}}, NORM.format("inf")),
     "raw24-invalid physical": ({"state": {"beta": [0.0, -1e308]}}, NORM.format("inf")),
     # One offset: delta_values() holds only start, which is bounded.
-    "raw25-non-positive probe": (_delta(2e15, 0.0, 1), PAST_THE_PUMP),
+    "raw25-non-positive probe": (_delta(2e15, 0.0, 1), PAST_THE_PUMP.format("start")),
     "raw26-ensemble.rho must be finite": ({"ensemble": {"rho": BIG}}, f"ensemble.rho {TOO_BIG}"),
     "raw27-grids.delta.count must be finite": (_delta(count=BIG),
         f"grids.delta.count {TOO_BIG}"),
@@ -148,7 +150,7 @@ CONFIG = {
     "omega0-zero": ({"ensemble": {"omega0": 0.0}},
         PHYSICAL + "omega0 must be strictly positive"),
     "rabi-negative": ({"pump": {"rabi": -1.0}}, PHYSICAL + "rabi must be non-negative"),
-    "count-negative": (_delta(0.0, 1.0, -3), "grid count must be >= 1"),
+    "count-negative": (_delta(0.0, 1.0, -3), "grids.delta.count must be >= 1, got -3"),
     "a0-string": ({"probe": {"a0": "x"}}, "probe.a0 must be a number"),
     "alpha-string": ({"state": {"alpha": "x"}}, f"state.alpha {PAIR}"),
     "rabi-string": ({"pump": {"rabi": "x"}}, "pump.rabi must be a number"),
@@ -192,6 +194,11 @@ SERIES = {
     "missing": (lambda path, lines: None, "cannot read series"),
     "directory": (lambda path, lines: path.mkdir(), "cannot read series"),
     "foreign_csv": ("a,b\n1,2\n", "is not an evolve series CSV"),
+    # A header that is not UTF-8: a Latin-1 byte, and a UTF-16 file.
+    "latin1_header": (b"t_s,intensity_gain\xe9\n0.0,1.0\n1.0,2.0\n",
+        "is not an evolve series CSV"),
+    "utf16_file": ("t_s,intensity_gain\n0.0,1.0\n1.0,2.0\n".encode("utf-16"),
+        "is not an evolve series CSV"),
 }
 
 
@@ -247,6 +254,8 @@ class Refused:
         path = self.tmp_path / "series.csv"
         if isinstance(make, str):
             path.write_text(make)
+        elif isinstance(make, bytes):
+            path.write_bytes(make)
         else:
             make(path, self.train_series.read_text().splitlines())
         with pytest.raises(ConfigError, match=re.escape(fragment)):

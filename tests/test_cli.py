@@ -30,7 +30,7 @@ from dressedprobe.modulation import exponent_grid
 from dressedprobe.pulsetrain import analyze_train
 
 import refusals
-from conftest import FROZEN, child_env
+from conftest import FROZEN, UNRESOLVED, child_env, spiked
 
 REPO = Path(__file__).resolve().parents[1]
 DEFAULT_CONFIG = REPO / "configs" / "default.json"
@@ -192,6 +192,22 @@ class TestEvolve:
         report = tmp_path / "report.json"
         assert run_cli("validate", "--config", config, "--out", report) == 0
 
+    def test_unresolved_pulse_surfaces_under_sampled(self, tmp_path):
+        # 2R = 592 at 64 samples per period: under one sample per FWHM, and
+        # the tallest refined peak lies more than ln 2 above its own sample.
+        config = write_config(tmp_path, **{
+            "ensemble.rho": 2.64e15, "z.theta": 2.65,
+            "grids.t": {"periods": 4.0, "samples_per_period": 64},
+        })
+        out = tmp_path / "evolve.csv"
+        assert run_cli("evolve", "--config", config, "--out", out) == 0
+        stats = json.loads((tmp_path / "evolve.csv.stats.json").read_text())
+        assert stats["error"] == "UnderSampled" and "fwhm_s" not in stats
+        again = tmp_path / "pulse_stats.json"
+        argv = ["--config", config, "--series", out, "--out", again]
+        assert run_cli("pulse-stats", *argv) == 1
+        assert json.loads(again.read_text())["error"] == "UnderSampled"
+
     @pytest.mark.parametrize("off", [1e-7, 1e-5])
     def test_period_off_two_pi_over_w_prime_refused(self, monkeypatch, off):
         # A measured period more than 1e-6 relative from 2 pi / w' is no
@@ -256,6 +272,18 @@ class TestPulseStats:
         assert run_cli("pulse-stats", "--config", TRAIN_CONFIG, *argv) == 0
         stats = json.loads((tmp_path / "stats.json").read_text())
         assert stats["source"] == "train/evolve.csv"
+
+    @pytest.mark.parametrize("name", UNRESOLVED)
+    def test_unresolved_peak_exits_1(self, tmp_path, name):
+        series = spiked(UNRESOLVED[name][0])
+        path = tmp_path / "series.csv"
+        _write_table(path, ["t_s", "intensity_gain"], np.column_stack((series.times, series.gains)))
+        out = tmp_path / "stats.json"
+        argv = ["--config", TRAIN_CONFIG, "--series", path, "--out", out]
+        assert run_cli("pulse-stats", *argv) == 1
+        stats = json.loads(out.read_text())
+        assert stats["error"] == "UnderSampled" and "fwhm_s" not in stats
+        assert UNRESOLVED[name][1] in stats["message"]
 
     # Named rows of the refusal table, each under a test id of its own.
 
@@ -674,12 +702,6 @@ class TestBadConfigRefused:
     # Named rows of the refusal table on one subcommand each, under test ids
     # of their own; test_config.py runs every row on every subcommand.
 
-    def test_nan_density_refused(self, refused):
-        refused.config("rho-nan", ["sweep-frequency"])
-
-    def test_one_offset_past_the_pump_refused(self, refused):
-        refused.config("raw25-non-positive probe", ["sweep-frequency"])
-
     @pytest.mark.parametrize("name", [
         "file-utf16", "raw26-ensemble.rho must be finite", "raw27-grids.delta.count must be finite",
     ], ids=["not_utf8", "huge_density", "huge_count"])
@@ -690,9 +712,6 @@ class TestBadConfigRefused:
     @pytest.mark.parametrize("command", ["sweep-frequency", "evolve"])
     def test_pump_beyond_k_range_refused(self, refused, command):
         refused.config("rabi-overflow", [command])
-
-    def test_nan_guard_override_refused(self, refused):
-        refused.config("guard-nan", ["dispersion-scan"])
 
     @pytest.mark.parametrize(
         "name", ["key-z.cm", "raw10-z.theta must be non-negative"], ids=["z.cm", "z.theta"]
@@ -713,9 +732,6 @@ class TestBadConfigRefused:
     @pytest.mark.parametrize("command", refusals.COMMANDS)
     def test_unevaluable_config_refused(self, refused, name, command):
         refused.config(name, [command])
-
-    def test_unknown_key_refused(self, refused):
-        refused.config("key-rhoo", ["validate"])
 
     @pytest.mark.parametrize("command", ["sweep-frequency", "dispersion-scan"])
     def test_non_finite_table_refused(self, tmp_path, capsys, command):

@@ -128,11 +128,6 @@ def test_unknown_keys_rejected(refused, name):
     refused.at_load(name)
 
 
-def test_unreadable_and_malformed_files(refused):
-    for name in ["file-missing", "file-not-json", "file-utf16"]:
-        refused.at_load(name)
-
-
 def test_steps_ceiling():
     # 2**15 steps per period: Simpson's error there is far below rounding.
     with pytest.raises(ConfigError, match=r"steps must be in 1\.\.32768, got 32769"):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +19,14 @@ from dressedprobe import (
     fwhm_closed_form,
     modulation_depth,
 )
+from dressedprobe.config import load_config
+from dressedprobe.modulation import gain_series
 
-from conftest import FROZEN
+from conftest import FROZEN, UNRESOLVED, spiked
 
 OMEGA_PRIME = FROZEN["omega_prime"]
 PERIOD = 2.0 * math.pi / OMEGA_PRIME
+TRAIN_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "pulse_train.json"
 
 
 def synthetic_series(depth, samples_per_period=512, periods=3, phase=0.0):
@@ -30,6 +35,63 @@ def synthetic_series(depth, samples_per_period=512, periods=3, phase=0.0):
     t = dt * np.arange(round(periods * samples_per_period))
     gains = np.exp(2.0 * depth * np.cos(OMEGA_PRIME * t + phase))
     return TimeSeries(t0=0.0, dt=dt, gains=tuple(gains))
+
+
+def tiled_cycle(sign):
+    """Four periods of exp(6 sign cos) at an odd count per period, which puts
+    every minimum (or, for sign -1, every maximum) midway between two
+    bit-equal samples."""
+    samples_per_period = 129
+    k = np.arange(samples_per_period)
+    phase = 2.0 * math.pi / samples_per_period * np.minimum(k, k[::-1] + 1)
+    cycle = np.exp(sign * 6.0 * np.cos(phase))
+    return TimeSeries(t0=0.0, dt=PERIOD / samples_per_period, gains=np.tile(cycle, 4))
+
+
+def log_gain_series(ln, samples_per_period=64):
+    return TimeSeries(t0=0.0, dt=PERIOD / samples_per_period, gains=np.exp(ln))
+
+
+def equal_peaks():
+    """Two pulses whose three top samples, and so whose refined peaks, are
+    bit-equal; the later one is wider at half maximum."""
+    ln = np.zeros(192)
+    ln[61:68] = [5.0, 9.5, 9.9, 10.0, 9.9, 9.5, 5.0]
+    ln[125:132] = [5.0, 9.8, 9.9, 10.0, 9.9, 9.8, 5.0]
+    return log_gain_series(ln)
+
+
+def edge_peak():
+    """A decaying train that starts one sample before its tallest peak, so
+    that peak has no left half-maximum crossing inside the series."""
+    i = np.arange(4 * 64)
+    return log_gain_series(6.0 * (1.0 - 0.01 * i / 64) * np.cos(2.0 * math.pi * (i - 1) / 64))
+
+
+def pulse_train_series():
+    config = load_config(TRAIN_CONFIG)
+    return gain_series(config, config.t_periods, 1024)
+
+
+def bits(stats):
+    return tuple(repr(value) for value in dataclasses.astuple(stats))
+
+
+# PulseTrainStats fields (period, fwhm, peak_gain, min_gain, depth), frozen
+# bit for bit as repr.
+PINNED = {
+    "pulse_train_series": ("3.126001526812331e-11", "9.944265128052541e-13",
+                           "1.9222735168874868e+60", "5.2021733182860644e-61",
+                           "69.4043070942701"),
+    "minima": ("3.126001526812332e-11", "4.829418792413353e-12", "403.4287934927351",
+               "0.0024787541380863146", "2.999999802176757"),
+    "maxima": ("3.126001526812331e-11", "4.8246410649661785e-12", "403.4284742624919",
+               "0.0024787521766663585", "2.999999802176757"),
+    "equal_peaks": ("3.126001526812331e-11", "1.995680008516723e-12", "22026.465794806718",
+                    "0.5352614285189903", "2.65625"),
+    "edge_peak": ("3.1259933938625083e-11", "4.852520708091163e-12", "403.05379254779376",
+                  "0.002556617786486919", "2.992035026118671"),
+}
 
 
 class TestAnalyzeTrain:
@@ -66,19 +128,25 @@ class TestAnalyzeTrain:
 
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["minima", "maxima"])
     def test_extremum_between_two_equal_samples(self, sign):
-        # An odd count per period puts every minimum (or, flipped, every
-        # maximum) midway between two bit-equal samples.
-        samples_per_period = 129
-        k = np.arange(samples_per_period)
-        phase = 2.0 * math.pi / samples_per_period * np.minimum(k, k[::-1] + 1)
-        cycle = np.exp(sign * 6.0 * np.cos(phase))
-        series = TimeSeries(
-            t0=0.0, dt=PERIOD / samples_per_period, gains=np.tile(cycle, 4)
-        )
-        stats = analyze_train(series, OMEGA_PRIME)
+        stats = analyze_train(tiled_cycle(sign), OMEGA_PRIME)
         assert stats.period == pytest.approx(PERIOD, rel=1e-12)
         assert stats.depth == pytest.approx(3.0, rel=1e-3)
         assert stats.peak_gain * stats.min_gain == pytest.approx(1.0, rel=1e-2)
+        assert bits(stats) == PINNED["minima" if sign > 0 else "maxima"]
+
+    @pytest.mark.parametrize(
+        "series", [pulse_train_series, equal_peaks, edge_peak], ids=lambda f: f.__name__
+    )
+    def test_stats_pinned_bit_for_bit(self, series):
+        assert bits(analyze_train(series(), OMEGA_PRIME)) == PINNED[series.__name__]
+
+    @pytest.mark.parametrize("name", UNRESOLVED)
+    def test_unresolved_peak_refused(self, name):
+        # The refined peak lies more than ln 2 above its own sample, so no
+        # sample is above the half-maximum level; or it is beyond a double.
+        values, fragment = UNRESOLVED[name]
+        with pytest.raises(UnderSampled, match=fragment):
+            analyze_train(spiked(values), OMEGA_PRIME)
 
     def test_undersampled_density(self):
         with pytest.raises(UnderSampled):
