@@ -15,8 +15,11 @@ pulse-stats
 validate
     Run the invariant suite and exit non-zero on any failure.
 
-Every subcommand reads its run parameters from ``--config`` only and
-writes to ``--out`` (default: under the config's ``out_dir``).
+Each subcommand is one row of the table in ``build_parser``: its name,
+help line, default file name and runner.  ``main`` loads the config for
+every one of them (``--config``, else the compiled-in ``RunConfig()``) and
+names the output (``--out``, else the default file name under the config's
+``out_dir``), then calls the runner with the arguments, config and path.
 
 Each sweep is one array call.  Rows that would hit a resonance pole are
 emitted with empty value cells and a POLE marker instead of aborting the
@@ -67,16 +70,6 @@ def _create(path: Path):
 def _write_json(path: Path, payload: dict) -> None:
     with _create(path) as out:
         out.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
-
-
-def _out_path(args, config: RunConfig, default_name: str) -> Path:
-    if args.out is not None:
-        return Path(args.out)
-    return Path(config.out_dir) / default_name
-
-
-def _load(args) -> RunConfig:
-    return load_config(args.config) if args.config else RunConfig()
 
 
 def sweep_frequency_rows(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -159,30 +152,27 @@ def dispersion_rows(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     return values, pole
 
 
-def _emit_table(args, name: str, columns: list[str], rows) -> int:
-    """Write the (values, pole mask) table ``rows`` makes of the config as
-    ``name``.csv.  A NaN or infinite value outside the pole rows is a
-    ConfigError, raised before the file is opened."""
+def _emit_table(columns: list[str], rows, args, config: RunConfig, path: Path) -> int:
+    """Write the (values, pole mask) table ``rows`` makes of the config to
+    ``path`` under the header ``columns``.  A NaN or infinite value outside
+    the pole rows is a ConfigError, raised before the file is opened."""
     from .table import write_table
 
-    config = _load(args)
     values, pole = rows(config)
     if not np.isfinite(values[~pole]).all():
+        name = args.default_name.removesuffix(".csv")
         raise ConfigError(f"{name} has non-finite values outside its POLE rows")
-    path = _out_path(args, config, f"{name}.csv")
     with _create(path) as out:
         write_table(out, columns, values, pole)
     print(f"wrote {len(values)} rows to {path}")
     return 0
 
 
-def _cmd_evolve(args) -> int:
+def _cmd_evolve(args, config: RunConfig, path: Path) -> int:
     from .table import write_table
 
-    config = _load(args)
     series, stats = evolve_series(config)
     values = np.column_stack((series.times, series.gains))
-    path = _out_path(args, config, "evolve.csv")
     with _create(path) as out:
         write_table(out, ["t_s", "intensity_gain"], values)
     stats_path = path.with_suffix(path.suffix + ".stats.json")
@@ -234,23 +224,20 @@ def read_evolve_csv(path: str | Path) -> TimeSeries:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _cmd_pulse_stats(args) -> int:
-    config = _load(args)
+def _cmd_pulse_stats(args, config: RunConfig, path: Path) -> int:
     series = read_evolve_csv(args.series)
     omega_prime = config.omega_prime()
     stats: dict = {"omega_prime_rad_per_s": omega_prime, "source": str(args.series)}
     _measure_train(series, omega_prime, stats)
-    path = _out_path(args, config, "pulse_stats.json")
     _write_json(path, stats)
     print(f"wrote stats to {path}")
     return 0 if "error" not in stats else 1
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args, config: RunConfig, path: Path) -> int:
     from .validation import run_all
 
     started = time.perf_counter()
-    config = _load(args)
     results = run_all(config)
     elapsed = time.perf_counter() - started
     for result in results:
@@ -266,7 +253,6 @@ def _cmd_validate(args) -> int:
         "checks": [dataclasses.asdict(r) for r in results],
         "config": config_to_dict(config),
     }
-    path = _out_path(args, config, "validate_report.json")
     _write_json(path, report)
     print(f"wrote report to {path}")
     return 0 if passed else 1
@@ -280,59 +266,52 @@ def build_parser() -> argparse.ArgumentParser:
             "atoms (Gaussian-CGS units, angular frequencies in rad/s)"
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON run configuration")
-    common.add_argument("--out", help="output file path")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sweep = sub.add_parser(
-        "sweep-frequency",
-        parents=[common],
-        help="Re G versus probe-pump frequency difference",
+    # Each subcommand's name, help line, default file name and runner.  The
+    # table is built per call, so it binds this module's functions as they
+    # are then, patched ones included.
+    sweep = ["delta_rad_per_s", "re_g_solid", "re_g_dashed", "pole"]
+    scan = ["omega_rad_per_s", "n0", "dipole_part", "beyond_dipole_part", "pole"]
+    commands = [
+        (
+            "sweep-frequency",
+            "Re G versus probe-pump frequency difference",
+            "sweep_frequency.csv",
+            functools.partial(_emit_table, sweep, sweep_frequency_rows),
+        ),
+        ("evolve", "gain versus time plus train stats", "evolve.csv", _cmd_evolve),
+        (
+            "dispersion-scan",
+            "refractive index versus probe frequency",
+            "dispersion_scan.csv",
+            functools.partial(_emit_table, scan, dispersion_rows),
+        ),
+        (
+            "pulse-stats",
+            "re-analyze an evolve CSV",
+            "pulse_stats.json",
+            _cmd_pulse_stats,
+        ),
+        ("validate", "run the invariant suite", "validate_report.json", _cmd_validate),
+    ]
+    for name, help_line, default_name, runner in commands:
+        command = sub.add_parser(name, help=help_line)
+        command.add_argument("--config", help="JSON run configuration")
+        command.add_argument("--out", help="output file path")
+        command.set_defaults(func=runner, default_name=default_name)
+    sub.choices["pulse-stats"].add_argument(
+        "--series", required=True, help="evolve CSV to analyze"
     )
-    sweep_table = functools.partial(
-        _emit_table,
-        name="sweep_frequency",
-        columns=["delta_rad_per_s", "re_g_solid", "re_g_dashed", "pole"],
-        rows=sweep_frequency_rows,
-    )
-    sweep.set_defaults(func=sweep_table)
-
-    evolve = sub.add_parser(
-        "evolve", parents=[common], help="gain versus time plus train stats"
-    )
-    evolve.set_defaults(func=_cmd_evolve)
-
-    scan = sub.add_parser(
-        "dispersion-scan",
-        parents=[common],
-        help="refractive index versus probe frequency",
-    )
-    scan_table = functools.partial(
-        _emit_table,
-        name="dispersion_scan",
-        columns=["omega_rad_per_s", "n0", "dipole_part", "beyond_dipole_part", "pole"],
-        rows=dispersion_rows,
-    )
-    scan.set_defaults(func=scan_table)
-
-    stats = sub.add_parser(
-        "pulse-stats", parents=[common], help="re-analyze an evolve CSV"
-    )
-    stats.add_argument("--series", required=True, help="evolve CSV to analyze")
-    stats.set_defaults(func=_cmd_pulse_stats)
-
-    validate = sub.add_parser(
-        "validate", parents=[common], help="run the invariant suite"
-    )
-    validate.set_defaults(func=_cmd_validate)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config = load_config(args.config) if args.config else RunConfig()
+        default = Path(config.out_dir) / args.default_name
+        path = Path(args.out) if args.out is not None else default
+        return args.func(args, config, path)
     except DressedProbeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

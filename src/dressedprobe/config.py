@@ -5,6 +5,10 @@ is supplied squared in CGS units (esu^2 cm^2).  The compiled-in defaults
 are the parameter set used throughout the documentation: a 1e15 rad/s
 transition driven 2e11 rad/s below resonance with a 2e10 rad/s Rabi
 frequency, probed 2e9 rad/s below the pump.
+
+Each setting is one ``RunConfig`` field that carries its dotted key in the
+config file and its default; the field's type annotation picks the parser
+of its value.
 """
 
 from __future__ import annotations
@@ -12,42 +16,53 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .constants import CGS, DEFAULT_GUARD, MAX_GRID_SAMPLES, MAX_STEPS_PER_PERIOD
+from .constants import (
+    CGS,
+    DEFAULT_GUARD,
+    MAX_GRID_SAMPLES,
+    MAX_PLANE_SAMPLES,
+    MAX_STEPS_PER_PERIOD,
+)
 from .dressed import DressedGas
 from .errors import ConfigError, DressedProbeError
+
+
+def _setting(key: str, default):
+    """A RunConfig field set by ``key`` of the config file."""
+    return field(default=default, metadata={"key": key})
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Validated parameters for every experiment subcommand."""
 
-    omega0: float = 1e15
-    d_squared: float = 2e-34
-    rho: float = 2e15
-    detuning: float = -2e11
-    rabi: float = 2e10
-    alpha: complex = math.sqrt(0.99)
-    beta: complex = 0.1
-    probe_delta: float = 2e9
-    a0: float = 1.0
-    z_theta: float = math.pi
-    delta_start: float = -4e11
-    delta_stop: float = 4e11
-    delta_count: int = 401
-    t_periods: float = 3.0
-    t_samples_per_period: int = 1024
-    guard: float = DEFAULT_GUARD
-    steps: int = 4000
-    out_dir: str = "out"
+    omega0: float = _setting("ensemble.omega0", 1e15)
+    d_squared: float = _setting("ensemble.d_squared", 2e-34)
+    rho: float = _setting("ensemble.rho", 2e15)
+    detuning: float = _setting("pump.detuning", -2e11)
+    rabi: float = _setting("pump.rabi", 2e10)
+    alpha: complex = _setting("state.alpha", math.sqrt(0.99))
+    beta: complex = _setting("state.beta", 0.1)
+    probe_delta: float = _setting("probe.delta", 2e9)
+    a0: float = _setting("probe.a0", 1.0)
+    z_theta: float = _setting("z.theta", math.pi)
+    delta_start: float = _setting("grids.delta.start", -4e11)
+    delta_stop: float = _setting("grids.delta.stop", 4e11)
+    delta_count: int = _setting("grids.delta.count", 401)
+    t_periods: float = _setting("grids.t.periods", 3.0)
+    t_samples_per_period: int = _setting("grids.t.samples_per_period", 1024)
+    guard: float = _setting("guard", DEFAULT_GUARD)
+    steps: int = _setting("steps", 4000)
+    out_dir: str = _setting("out_dir", "out")
     _gas: DressedGas = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name, (key, _) in _FIELDS.items():
+        for name, key, _ in _SETTINGS:
             value = getattr(self, name)
             if isinstance(value, (float, complex)) and not cmath.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value!r}")
@@ -99,6 +114,14 @@ class RunConfig:
         if not math.isfinite(self.omega_prime() * self.z_fixed() / CGS.c):
             raise ConfigError(
                 f"z.theta = {self.z_theta!r} gives a non-finite phase w' z / c"
+            )
+        # evolve's time column starts at theta / w'; past this bound its ulp
+        # nears the 1e-9 dt that pulse-stats allows a step to deviate.
+        plane_samples = self.z_theta * self.t_samples_per_period
+        if plane_samples > MAX_PLANE_SAMPLES:
+            raise ConfigError(
+                "z.theta * grids.t.samples_per_period must be <= "
+                f"{MAX_PLANE_SAMPLES}, got {plane_samples!r}"
             )
 
     def gas(self) -> DressedGas:
@@ -169,27 +192,13 @@ def _string(value, key: str) -> str:
     return value
 
 
-#: RunConfig field -> (its key in the config file, parser of the value).
-_FIELDS = {
-    "omega0": ("ensemble.omega0", _number),
-    "d_squared": ("ensemble.d_squared", _number),
-    "rho": ("ensemble.rho", _number),
-    "detuning": ("pump.detuning", _number),
-    "rabi": ("pump.rabi", _number),
-    "alpha": ("state.alpha", _as_complex),
-    "beta": ("state.beta", _as_complex),
-    "probe_delta": ("probe.delta", _number),
-    "a0": ("probe.a0", _number),
-    "z_theta": ("z.theta", _number),
-    "delta_start": ("grids.delta.start", _number),
-    "delta_stop": ("grids.delta.stop", _number),
-    "delta_count": ("grids.delta.count", _count),
-    "t_periods": ("grids.t.periods", _number),
-    "t_samples_per_period": ("grids.t.samples_per_period", _count),
-    "guard": ("guard", _number),
-    "steps": ("steps", _count),
-    "out_dir": ("out_dir", _string),
-}
+#: Parser of a setting's value, by the annotation of its RunConfig field.
+_PARSERS = {"float": _number, "int": _count, "complex": _as_complex, "str": _string}
+
+#: (RunConfig field, its key in the config file, parser of its value).
+_SETTINGS = [
+    (f.name, f.metadata["key"], _PARSERS[f.type]) for f in fields(RunConfig) if f.init
+]
 
 
 def _flatten(raw: dict, where: str = "") -> dict:
@@ -198,7 +207,7 @@ def _flatten(raw: dict, where: str = "") -> dict:
     flat = {}
     for key, value in raw.items():
         name = where + key
-        under = [k for k, _ in _FIELDS.values() if (k + ".").startswith(name + ".")]
+        under = [k for _, k, _ in _SETTINGS if (k + ".").startswith(name + ".")]
         if "." in key or not under:
             raise ConfigError(f"unknown key {name}")
         if under == [name]:
@@ -220,7 +229,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     flat = _flatten(raw)
-    kwargs = {n: parse(flat[k], k) for n, (k, parse) in _FIELDS.items() if k in flat}
+    kwargs = {n: parse(flat[k], k) for n, k, parse in _SETTINGS if k in flat}
     return RunConfig(**kwargs)
 
 
@@ -238,7 +247,7 @@ def load_config(path: str | Path) -> RunConfig:
 def config_to_dict(config: RunConfig) -> dict:
     """Round-trippable JSON form of a configuration."""
     out: dict = {}
-    for name, (key, _) in _FIELDS.items():
+    for name, key, _ in _SETTINGS:
         value = getattr(config, name)
         if isinstance(value, complex):
             value = value.real if value.imag == 0.0 else [value.real, value.imag]

@@ -34,6 +34,13 @@ MAX_STEPS_PER_PERIOD = 2**15
 #: times 2**20 samples, whose ``evolve`` peaks at about 100 MB.
 MAX_GRID_SAMPLES = 2**22
 
+#: Most z.theta * grids.t.samples_per_period a config may ask for.  evolve
+#: writes times from t0 = theta / w' in steps dt = 2 pi / (w' spp), and
+#: pulse-stats refuses a step off by more than 1e-9 dt.  ulp(t0) reaches
+#: that near theta * spp = 2 pi 1e-9 2**52 = 2.8e7; steps were refused
+#: from 4.9e7, so this keeps about 5 times margin.
+MAX_PLANE_SAMPLES = 10**7
+
 #: Default half-width (rad/s) of the exclusion band around resonance poles.
 #: The model is lossless, so denominators are left unregularized and
 #: evaluation inside the band is refused instead.

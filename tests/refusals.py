@@ -158,6 +158,9 @@ CONFIG = {
         "ensemble.d_squared must be finite, got nan"),
     "detuning-nan": ({"pump": {"detuning": NAN}}, "pump.detuning must be finite, got nan"),
     "probe.delta-inf": ({"probe": {"delta": INF}}, "probe.delta must be finite, got inf"),
+    # A plane so deep that the written time column fails pulse-stats.
+    "theta-deep": ({"z": {"theta": 1e5}, "grids": {"t": {"samples_per_period": 1024}}},
+        "z.theta * grids.t.samples_per_period must be <= 10000000, got 102400000.0"),
 }
 
 

@@ -103,14 +103,6 @@ class TestSweepFrequency:
         ]
         assert markers == ["POLE", "POLE", "POLE"]
 
-    def test_default_out_path_under_out_dir(self, tmp_path):
-        out_dir = tmp_path / "results"
-        config = write_config(tmp_path, out_dir=str(out_dir))
-        assert run_cli("sweep-frequency", "--config", config) == 0
-        assert (out_dir / "sweep_frequency.csv").read_text().startswith(
-            "delta_rad_per_s,"
-        )
-
     def test_byte_identical_reruns(self, tmp_path):
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
@@ -272,6 +264,17 @@ class TestPulseStats:
         assert run_cli("pulse-stats", "--config", TRAIN_CONFIG, *argv) == 0
         stats = json.loads((tmp_path / "stats.json").read_text())
         assert stats["source"] == "train/evolve.csv"
+
+    def test_series_at_the_plane_bound_reanalyzed(self, tmp_path):
+        # The deepest plane at 1,024 samples per period; row theta-deep of
+        # the refusal table lies past it.
+        config = write_config(tmp_path, **{"z.theta": 1e7 / 1024})
+        series = tmp_path / "evolve.csv"
+        assert run_cli("evolve", "--config", config, "--out", series) == 0
+        out = tmp_path / "stats.json"
+        argv = ["--config", config, "--series", series, "--out", out]
+        assert run_cli("pulse-stats", *argv) == 0
+        assert "error" not in json.loads(out.read_text())
 
     @pytest.mark.parametrize("name", UNRESOLVED)
     def test_unresolved_peak_exits_1(self, tmp_path, name):
@@ -895,6 +898,35 @@ def test_help_lists_only_config_out_and_series(command, capsys):
     assert exited.value.code == 0
     flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
     assert flags == {"--help", "--config", "--out", *command[1:2]}
+
+
+_DEFAULT_FILES = {
+    "sweep-frequency": ["sweep_frequency.csv"],
+    "evolve": ["evolve.csv", "evolve.csv.stats.json"],
+    "dispersion-scan": ["dispersion_scan.csv"],
+    "pulse-stats": ["pulse_stats.json"],
+    "validate": ["validate_report.json"],
+}
+
+
+@pytest.mark.parametrize("command", _DEFAULT_FILES)
+def test_default_out_path_under_out_dir(tmp_path, train_series, command):
+    out_dir = tmp_path / "results"
+    argv = [command, "--config", write_config(tmp_path, out_dir=str(out_dir))]
+    if command == "pulse-stats":
+        argv += ["--series", train_series]
+    assert run_cli(*argv) == 0
+    assert sorted(path.name for path in out_dir.iterdir()) == _DEFAULT_FILES[command]
+    assert all(path.read_text() for path in out_dir.iterdir())
+
+
+def test_empty_out_not_replaced_by_the_default(tmp_path, capsys):
+    # An empty --out names the working directory, which cannot be written.
+    out_dir = tmp_path / "results"
+    config = write_config(tmp_path, out_dir=str(out_dir))
+    assert run_cli("sweep-frequency", "--config", config, "--out", "") == 2
+    assert not out_dir.exists()
+    assert "ConfigError: cannot write" in capsys.readouterr().err
 
 
 def test_unknown_command_rejected():
