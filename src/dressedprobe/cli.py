@@ -24,7 +24,10 @@ names the output (``--out``, else the default file name under the config's
 Each sweep is one array call.  Rows that would hit a resonance pole are
 emitted with empty value cells and a POLE marker instead of aborting the
 sweep.  Every CSV float cell is exactly ``format(v, '.17g')``, so files
-round-trip bit-exactly (the writer is ``table.write_table``).
+round-trip bit-exactly (the writer is ``table.write_table``).  ``evolve``
+also leaves the samples it wrote, with the CSV's byte length and CRC-32, in
+the side-car ``<out>.samples.npz``; ``pulse-stats`` reads them from there
+instead of parsing a CSV that they match (see ``read_evolve_csv``).
 
 Each function imports the layers it runs at its top, so a run loads only
 the modules of its subcommand: without cached bytecode, Python compiles
@@ -45,6 +48,8 @@ import math
 import sys
 import time
 import warnings
+import zipfile
+import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -168,13 +173,73 @@ def _emit_table(columns: list[str], rows, args, config: RunConfig, path: Path) -
     return 0
 
 
+def _write_samples(path: Path, values: np.ndarray, size: int, crc: int) -> None:
+    """Write the side-car ``path`` of an evolve CSV: the C-contiguous samples
+    ``values`` it holds with their own CRC-32, and its byte length ``size``
+    and CRC-32 ``crc``, as the arrays of an ``.npz`` archive.
+
+    Each array's buffer is written as it is: ``np.savez`` would first copy
+    the samples whole, and that copy could lift the peak memory of evolve.
+    Every member is dated 1980-01-01, so reruns write the same bytes.
+    """
+    values_crc = zlib.crc32(values)
+    arrays = {"values": values, "values_crc": values_crc, "size": size, "crc": crc}
+    with _create(path) as out, zipfile.ZipFile(out, "w") as archive:
+        for key, value in arrays.items():
+            array = np.asarray(value)
+            name = zipfile.ZipInfo(f"{key}.npy")
+            with archive.open(name, "w", force_zip64=True) as member:
+                header = np.lib.format.header_data_from_array_1_0(array)
+                np.lib.format.write_array_header_1_0(member, header)
+                member.write(memoryview(array).cast("B"))
+
+
+def _read_samples(series: str | Path) -> np.ndarray | None:
+    """The samples of the evolve CSV ``series`` from its side-car, or None
+    when the side-car is missing, unreadable, pickled, not an (n, 2)
+    float64 array or not the samples it has the CRC-32 of, or when the
+    CSV's byte length or CRC-32 is not the one it records.
+
+    The checks catch a damaged side-car, one left by another run and a CSV
+    edited since, not a forged side-car: it is trusted as far as the CSV
+    beside it.  The samples' own CRC-32 is needed because a damaged array
+    header can make numpy read other bytes than the archive's checksum
+    covers.
+    """
+    try:
+        # Opened here: np.load leaks the file it opens if the archive is broken.
+        with open(f"{series}.samples.npz", "rb") as raw:
+            with np.load(raw, allow_pickle=False) as side_car:
+                values, values_crc, size, crc = (
+                    side_car[key] for key in ("values", "values_crc", "size", "crc")
+                )
+        if values.dtype != np.float64 or values.ndim != 2 or values.shape[1] != 2:
+            return None
+        if zlib.crc32(values) != values_crc.item():
+            return None
+        size, crc = size.item(), crc.item()
+    except Exception:
+        # What a damaged archive raises is open-ended (zipfile, struct and
+        # tokenize errors among others); every failure is a miss.
+        return None
+    if size != Path(series).stat().st_size:
+        return None
+    check = 0
+    with open(series, "rb") as csv:
+        while chunk := csv.read(1 << 20):
+            check = zlib.crc32(chunk, check)
+    return values if crc == check else None
+
+
 def _cmd_evolve(args, config: RunConfig, path: Path) -> int:
-    from .table import write_table
+    from .table import Checksum, write_table
 
     series, stats = evolve_series(config)
     values = np.column_stack((series.times, series.gains))
     with _create(path) as out:
-        write_table(out, ["t_s", "intensity_gain"], values)
+        written = Checksum(out)
+        write_table(written, ["t_s", "intensity_gain"], values)
+    _write_samples(Path(f"{path}.samples.npz"), values, written.size, written.crc)
     stats_path = path.with_suffix(path.suffix + ".stats.json")
     _write_json(stats_path, stats)
     print(f"wrote {len(values)} rows to {path}, stats to {stats_path}")
@@ -186,7 +251,10 @@ def _cmd_evolve(args, config: RunConfig, path: Path) -> int:
 def read_evolve_csv(path: str | Path) -> TimeSeries:
     """Parse a CSV produced by the evolve subcommand back into a series.
 
-    Only the first two columns are read; blank lines are skipped.
+    Only the first two columns are read; blank lines are skipped.  Once the
+    header is checked, the samples come from the CSV's side-car where it
+    matches the CSV (see ``_read_samples``), bit-equal to the parse, which
+    runs otherwise; the checks after it are the same either way.
     """
     from . import pulsetrain as pt
 
@@ -196,17 +264,19 @@ def read_evolve_csv(path: str | Path) -> TimeSeries:
             header = lines.readline()
         if header.strip().split(",")[:2] != ["t_s", "intensity_gain"]:
             raise ConfigError(f"{path} is not an evolve series CSV")
-        with warnings.catch_warnings():
-            # A header-only file is refused below, not warned about.
-            warnings.simplefilter("ignore", UserWarning)
-            body = np.loadtxt(
-                path,
-                delimiter=",",
-                skiprows=1,
-                usecols=(0, 1),
-                ndmin=2,
-                comments=None,
-            )
+        body = _read_samples(path)
+        if body is None:
+            with warnings.catch_warnings():
+                # A header-only file is refused below, not warned about.
+                warnings.simplefilter("ignore", UserWarning)
+                body = np.loadtxt(
+                    path,
+                    delimiter=",",
+                    skiprows=1,
+                    usecols=(0, 1),
+                    ndmin=2,
+                    comments=None,
+                )
     except OSError as exc:
         raise ConfigError(f"cannot read series: {exc}") from exc
     except ValueError as exc:

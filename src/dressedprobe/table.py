@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import threading
+import zlib
 from typing import BinaryIO
 
 import numpy as np
@@ -87,9 +88,9 @@ def _significands(flat: np.ndarray) -> tuple[np.ndarray, ...]:
     s is certain: zero, inf, nan and the near-ties of ``_TIE_MARGIN`` are not.
 
     e comes from ``log10`` and is moved by one where the product below
-    leaves [1e16, 1e17); s is ``rint(|v| * 10**(16 - e))`` in long double,
-    and a rounding up to 1e17 moves e up.  e is int16, which holds every
-    decimal exponent of a double.
+    leaves [1e16, 1e17), and the product is redone there; s is
+    ``rint(|v| * 10**(16 - e))`` in long double, and a rounding up to 1e17
+    moves e up.  e is int16, which holds every decimal exponent of a double.
     """
     powers, _ = _layout()
     mag = np.abs(flat)
@@ -98,8 +99,11 @@ def _significands(flat: np.ndarray) -> tuple[np.ndarray, ...]:
     exponent = np.floor(np.log10(mag)).astype(np.int16)
     # A long-double power times a double: mag is widened in small chunks.
     scaled = powers[16 - _POWERS_FROM - exponent] * mag
-    exponent += (scaled >= 1e17).astype(np.int16) - (scaled < 1e16)
-    scaled = powers[16 - _POWERS_FROM - exponent] * mag
+    # Only the few cells whose e moves are multiplied again; the others
+    # keep their operands, so their product is the same.
+    moved = np.flatnonzero((scaled >= 1e17) | (scaled < 1e16))
+    exponent[moved] += np.where(scaled[moved] >= 1e17, 1, -1).astype(np.int16)
+    scaled[moved] = powers[16 - _POWERS_FROM - exponent[moved]] * mag[moved]
     nearest = np.rint(scaled)
     # inf - inf where a power of ten overflows a double-only long double.
     with np.errstate(invalid="ignore"):
@@ -220,6 +224,19 @@ def _format_into(result: list, *args) -> None:
         result.append(_block_text(*args))
     except BaseException as exc:
         result.append(exc)
+
+
+class Checksum:
+    """A binary sink that passes every write on to ``out`` and keeps the
+    byte count ``size`` and the ``zlib.crc32`` ``crc`` of what it wrote."""
+
+    def __init__(self, out: BinaryIO) -> None:
+        self.out, self.size, self.crc = out, 0, 0
+
+    def write(self, data) -> None:
+        self.out.write(data)
+        self.size += memoryview(data).nbytes
+        self.crc = zlib.crc32(data, self.crc)
 
 
 def write_table(

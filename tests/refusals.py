@@ -13,14 +13,16 @@ message.
 ``test_config.py::test_invalid_configs_rejected`` runs every config row
 through ``config_from_dict`` (JSON values), ``load_config`` and all five
 subcommands; ``test_cli.py::TestSeriesReader::test_refused_with_exit_2``
-runs every series row through ``read_evolve_csv`` and ``pulse-stats``.  A
-new row goes last, so the ids of the rows before it stay.
+runs every series row through ``read_evolve_csv`` and ``pulse-stats``,
+without and with a side-car of another series beside it.  A new row goes
+last, so the ids of the rows before it stay.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -252,7 +254,9 @@ class Refused:
             self.by(command, path, self.train_series, CONFIG[name][1])
 
     def series(self, name: str) -> None:
-        """Series row ``name`` refused by read_evolve_csv and pulse-stats."""
+        """Series row ``name`` refused by read_evolve_csv and pulse-stats,
+        then again with the real series' samples side-car copied beside it:
+        a side-car never rescues a CSV that it was not written with."""
         make, fragment = SERIES[name]
         path = self.tmp_path / "series.csv"
         if isinstance(make, str):
@@ -261,6 +265,11 @@ class Refused:
             path.write_bytes(make)
         else:
             make(path, self.train_series.read_text().splitlines())
-        with pytest.raises(ConfigError, match=re.escape(fragment)):
-            read_evolve_csv(path)
-        self.by("pulse-stats", TRAIN_CONFIG, path, fragment)
+        for side_car in (False, True):
+            if side_car:
+                shutil.copyfile(
+                    f"{self.train_series}.samples.npz", f"{path}.samples.npz"
+                )
+            with pytest.raises(ConfigError, match=re.escape(fragment)):
+                read_evolve_csv(path)
+            self.by("pulse-stats", TRAIN_CONFIG, path, fragment)

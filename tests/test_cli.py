@@ -7,9 +7,11 @@ import gc
 import json
 import math
 import re
+import shutil
 import subprocess
 import sys
 import threading
+import zlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -290,15 +292,6 @@ class TestPulseStats:
 
     # Named rows of the refusal table, each under a test id of its own.
 
-    def test_rejects_foreign_csv(self, refused):
-        refused.series("foreign_csv")
-
-    def test_rejects_non_uniform_series(self, refused):
-        refused.series("thinned")
-
-    def test_rejects_malformed_rows(self, refused):
-        refused.series("malformed_cell")
-
     @pytest.mark.parametrize("target", ["missing", "directory"])
     def test_refuses_unreadable_series(self, refused, target):
         refused.series(target)
@@ -561,6 +554,151 @@ class TestSeriesReader:
         parsed = read_evolve_csv(series)
         assert (parsed.t0, parsed.dt) == (0.0, 1.0)
         assert parsed.gains.tolist() == [1.0, 2.0, 1.5]
+
+
+def _side_car(series: Path) -> Path:
+    return Path(f"{series}.samples.npz")
+
+
+def _parsed(series: Path) -> np.ndarray:
+    """The samples of an evolve CSV as the reader parses them."""
+    return np.loadtxt(
+        series, delimiter=",", skiprows=1, usecols=(0, 1), ndmin=2, comments=None
+    )
+
+
+def _edit_one_cell(series: Path) -> None:
+    """Change the last digit of one gain cell: same length, other bytes."""
+    lines = series.read_text().splitlines(keepends=True)
+    row = lines[100].rstrip("\n")
+    digit = (int(row[-1]) + 1) % 10
+    lines[100] = f"{row[:-1]}{digit}\n"
+    series.write_text("".join(lines))
+
+
+_BENCH_CONFIGS = json.loads((REPO / "tests" / "data" / "bench_configs.json").read_text())
+
+
+class TestSamplesSideCar:
+    """evolve leaves the samples it wrote in ``<out>.samples.npz``, with the
+    CSV's byte length and CRC-32; the reader takes them from there only
+    when both match the CSV beside it, and parses the CSV otherwise."""
+
+    @pytest.fixture
+    def series(self, tmp_path, train_series) -> Path:
+        path = tmp_path / "evolve.csv"
+        shutil.copyfile(train_series, path)
+        shutil.copyfile(_side_car(train_series), _side_car(path))
+        return path
+
+    @pytest.fixture
+    def loadtxt_calls(self, monkeypatch) -> list:
+        calls = []
+        parse = np.loadtxt
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        return calls
+
+    def test_evolve_writes_side_car(self, tmp_path, train_series):
+        again = tmp_path / "evolve.csv"
+        assert run_cli("evolve", "--config", TRAIN_CONFIG, "--out", again) == 0
+        assert _side_car(again).read_bytes() == _side_car(train_series).read_bytes()
+
+    def test_matching_side_car_skips_the_parse(self, series, monkeypatch):
+        body = _parsed(series)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("np.loadtxt called with a matching side-car")
+
+        monkeypatch.setattr(np, "loadtxt", refused)
+        read = read_evolve_csv(series)
+        assert read.gains.tobytes() == body[:, 1].tobytes()
+        assert (read.t0, read.dt) == (body[0, 0], body[1, 0] - body[0, 0])
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            DEFAULT_CONFIG,
+            TRAIN_CONFIG,
+            _BENCH_CONFIGS["pulse_train-seed1-train"],
+            _BENCH_CONFIGS["pulse_train-seed1-side"],
+        ],
+        ids=["default", "pulse_train", "bench_train", "bench_side"],
+    )
+    def test_side_car_bit_equal_to_the_parse(self, tmp_path, config):
+        if isinstance(config, dict):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            config = path
+        series = tmp_path / "evolve.csv"
+        assert run_cli("evolve", "--config", config, "--out", series) == 0
+        samples = cli._read_samples(series)
+        assert samples is not None
+        assert samples.tobytes() == _parsed(series).tobytes()
+
+    def test_pulse_stats_independent_of_side_car(self, tmp_path, series):
+        other = tmp_path / "other.csv"
+        assert run_cli("evolve", "--config", DEFAULT_CONFIG, "--out", other) == 0
+        outputs = []
+        for case in ("present", "deleted", "stale"):
+            if case == "deleted":
+                _side_car(series).unlink()
+            elif case == "stale":
+                shutil.copyfile(_side_car(other), _side_car(series))
+            out = tmp_path / f"{case}.json"
+            argv = ["--config", TRAIN_CONFIG, "--series", series, "--out", out]
+            assert run_cli("pulse-stats", *argv) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "matching",
+            "edited_cell",
+            "truncated",
+            "short_header",
+            "int64",
+            "three_columns",
+            "flat",
+            "objects",
+        ],
+    )
+    def test_side_car_trusted_only_when_it_matches(self, series, case, loadtxt_calls):
+        values = _parsed(series)
+        size, crc = series.stat().st_size, zlib.crc32(series.read_bytes())
+        side_car = _side_car(series)
+        if case == "edited_cell":
+            _edit_one_cell(series)
+            assert series.stat().st_size == size
+        elif case == "truncated":
+            side_car.write_bytes(side_car.read_bytes()[: side_car.stat().st_size // 2])
+        elif case == "short_header":
+            # The header length of the first array, the samples, cut by 8:
+            # numpy reads 8 bytes of padding and stops 8 bytes short of the
+            # end, where the archive would check its CRC-32.
+            raw = bytearray(side_car.read_bytes())
+            raw[raw.index(b"\x93NUMPY\x01\x00") + 8] -= 8
+            side_car.write_bytes(raw)
+        elif case == "objects":
+            with side_car.open("wb") as out:
+                np.save(out, values.astype(object), allow_pickle=True)
+        else:
+            written = {
+                "matching": lambda: values,
+                "int64": lambda: values.view(np.int64),  # the same bytes
+                "three_columns": lambda: np.column_stack((values, values[:, 1])),
+                "flat": values.ravel,
+            }[case]()
+            cli._write_samples(side_car, written, size, crc)
+        loadtxt_calls.clear()
+        read = read_evolve_csv(series)
+        assert len(loadtxt_calls) == (case != "matching")
+        assert read.gains.tobytes() == _parsed(series)[:, 1].tobytes()
 
 
 class TestDispersionScan:
@@ -902,7 +1040,7 @@ def test_help_lists_only_config_out_and_series(command, capsys):
 
 _DEFAULT_FILES = {
     "sweep-frequency": ["sweep_frequency.csv"],
-    "evolve": ["evolve.csv", "evolve.csv.stats.json"],
+    "evolve": ["evolve.csv", "evolve.csv.samples.npz", "evolve.csv.stats.json"],
     "dispersion-scan": ["dispersion_scan.csv"],
     "pulse-stats": ["pulse_stats.json"],
     "validate": ["validate_report.json"],
@@ -917,7 +1055,7 @@ def test_default_out_path_under_out_dir(tmp_path, train_series, command):
         argv += ["--series", train_series]
     assert run_cli(*argv) == 0
     assert sorted(path.name for path in out_dir.iterdir()) == _DEFAULT_FILES[command]
-    assert all(path.read_text() for path in out_dir.iterdir())
+    assert all(path.read_bytes() for path in out_dir.iterdir())
 
 
 def test_empty_out_not_replaced_by_the_default(tmp_path, capsys):
