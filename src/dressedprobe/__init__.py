@@ -16,11 +16,13 @@ the pump that dresses them (detuning, rabi) and the prepared superposition
 frequency ``omega_p = omega0 + detuning`` is strictly positive by
 construction.
 
-The envelope is evaluated on arrays: ``exponent_grid(gas, omega, z, t)``
-gives G and ``log_amplitude_grid(derive_coefficients(gas, omega), z, t)``
-ln A over a (z, t) grid, a single value being the [0, 0] cell of a
-one-point grid; ``modulation_depth`` and ``refractive_index`` give the
-depth and index at one plane and frequency.
+The envelope is evaluated on arrays from one input, ``coefs =
+derive_coefficients(gas, omega)``, the gas's response at one probe
+frequency or an array of them: ``exponent_grid(coefs, z, t)`` gives G and
+``log_amplitude_grid(coefs, z, t)`` ln A over a (z, t) grid, a single value
+being the [0, 0] cell of a one-point grid; ``modulation_depth(coefs, z)``
+and ``refractive_index`` give the depth and index at one plane and
+frequency.
 
 Units are Gaussian-CGS; every frequency is angular (rad/s).
 
@@ -37,15 +39,16 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "characteristics": "RweCoefficients derive_coefficients "
-        "integrate_characteristic log_amplitude_grid residual_check",
+        "characteristics": "integrate_characteristic log_amplitude_grid "
+        "residual_check",
         "config": "RunConfig config_from_dict load_config",
         "constants": "CGS DEFAULT_GUARD",
         "dispersion": "DispersionResult beyond_dipole_fraction refractive_index",
         "dressed": "DressedGas generalized_rabi",
         "errors": "ConfigError DegenerateDressing DressedProbeError GridTooCoarse "
         "ResonancePole ShallowModulation StepTooCoarse UnderSampled ZeroDipole",
-        "modulation": "exponent_grid k_scale modulation_depth",
+        "modulation": "RweCoefficients derive_coefficients exponent_grid k_scale "
+        "modulation_depth",
         "pulsetrain": "PulseTrainStats TimeSeries analyze_train fwhm_closed_form",
     }.items()
     for name in names.split()

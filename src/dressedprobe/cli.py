@@ -85,13 +85,10 @@ def sweep_frequency_rows(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     gas = config.gas()
     omega_prime = config.omega_prime()
     deltas = config.delta_values()
-    g, pole = mod.exponent_sweep(
-        gas,
-        gas.omega_p - deltas,
-        config.z_fixed(),
-        [math.pi / omega_prime, 2.0 * math.pi / omega_prime],
-    )
-    return np.column_stack((deltas, g.real)), pole
+    coefs = mod.derive_coefficients(gas, gas.omega_p - deltas, strict=False)
+    times = [math.pi / omega_prime, 2.0 * math.pi / omega_prime]
+    g = mod.exponent_sweep(coefs, config.z_fixed(), times)
+    return np.column_stack((deltas, g.real)), coefs.pole
 
 
 def _measure_train(series: TimeSeries, omega_prime: float, stats: dict):
@@ -121,7 +118,10 @@ def evolve_series(config: RunConfig) -> tuple[TimeSeries, dict]:
 
     if config.t_periods < 3.0:
         raise ConfigError("evolve needs a time span of >= 3 periods")
-    series = mod.gain_series(config, config.t_periods, config.t_samples_per_period)
+    coefs = mod.derive_coefficients(config.gas(), config.probe_omega())
+    series = mod.gain_series(
+        coefs, config.z_fixed(), config.t_periods, config.t_samples_per_period
+    )
     omega_prime = config.omega_prime()
     period = 2.0 * math.pi / omega_prime
     stats: dict = {

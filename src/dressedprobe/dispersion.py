@@ -100,9 +100,14 @@ def index_parts(
     Also returns the pole mask; the parts are meaningless under it.
     """
     omega = np.asarray(probe_omega, dtype=float)
-    (_, den_plus, den_minus), pole = resonance_denominators(
-        gas, omega, rayleigh=False, strict=strict
-    )
+    dens, pole = resonance_denominators(gas, omega, rayleigh=False, strict=strict)
+    return (*_index_terms(gas, omega, dens), pole)
+
+
+def _index_terms(gas: DressedGas, omega: np.ndarray, dens) -> tuple:
+    """The dipole and beyond-dipole parts of n0 - 1 from the resonance
+    denominators ``dens`` of the probe frequencies ``omega``."""
+    _, den_plus, den_minus = dens
     dip_plus, dip_minus, beyond = _numerators(gas)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # libm pow, which Python's float ** 2 uses; numpy's x**2 is x*x.
@@ -114,7 +119,7 @@ def index_parts(
         )
         dipole_part = prefactor * (dip_plus / den_plus - dip_minus / den_minus)
         beyond_part = prefactor * beyond * (1.0 / den_plus - 1.0 / den_minus)
-    return dipole_part, beyond_part, pole
+    return dipole_part, beyond_part
 
 
 def refractive_index(gas: DressedGas, probe_omega: float) -> DispersionResult:

@@ -17,31 +17,60 @@ is pure phase modulation.  The exponent is proportional to the coherence
 alpha * beta, so a gas prepared in a single dressed state is not modulated
 at all.
 
-The probe frequency enters only through a1 = K conj(alpha) beta b1 and
-a2 = K alpha conj(beta) b2.  ``sideband_amplitudes`` evaluates them for an
-array of probe frequencies and marks poles in a mask (``strict`` raises
-ResonancePole instead).  ``exponent_grid`` gives G over a (z, t) grid and
-``exponent_sweep`` over probe frequencies and t; a single value is the
-[0, 0] cell of a one-point grid.  ``modulation_depth`` is the closed-form
-amplitude of Re G, ``intensity_gain`` turns G into exp(2 Re G), and
-``gain_series`` samples that gain over time at a config's fixed plane.
+The probe frequency enters only through a1 = K conj(alpha) beta b1,
+a2 = K alpha conj(beta) b2 and, in ln A, the index n0 - 1.
+``derive_coefficients`` evaluates them once, at one probe frequency or an
+array of them; the functions below read its result and evaluate nothing
+else.  ``exponent_grid`` gives G over a (z, t) grid and ``exponent_sweep``
+over an array's frequencies and t; a single value is the [0, 0] cell of a
+one-point grid.  ``modulation_depth`` is the closed-form amplitude of Re G,
+``intensity_gain`` turns G into exp(2 Re G), and ``gain_series`` samples
+that gain over time at one plane.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .constants import CGS
-from .dispersion import resonance_denominators
+from .dispersion import _index_terms, resonance_denominators
 from .dressed import DressedGas, _split_offsets
 from .errors import ConfigError
 
 if TYPE_CHECKING:
-    from .config import RunConfig
     from .pulsetrain import TimeSeries
+
+
+@dataclass(frozen=True)
+class RweCoefficients:
+    """The closed form's inputs at one probe frequency or an array of them:
+    the index n0 - 1, the sideband amplitudes a1, a2, and the pole mask under
+    which they are meaningless.  The oracle reads only the coefficients
+    d_coef, ls and rs derived from them, independent of z and t.
+    """
+
+    omega_prime: float
+    probe_omega: float | np.ndarray
+    index: float | np.ndarray
+    a1: complex | np.ndarray
+    a2: complex | np.ndarray
+    pole: bool | np.ndarray = False
+
+    @property
+    def d_coef(self):
+        return self.probe_omega * self.index / CGS.c
+
+    @property
+    def ls(self):
+        return self.omega_prime / CGS.c * self.a1
+
+    @property
+    def rs(self):
+        return self.omega_prime / CGS.c * self.a2
 
 
 def _brackets(gas: DressedGas, dens) -> tuple:
@@ -68,40 +97,53 @@ def k_scale(gas: DressedGas, probe_omega):
     )
 
 
-def sideband_amplitudes(
-    gas: DressedGas,
-    probe_omega,
-    *,
-    strict: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """a1 = K conj(alpha) beta b1 and a2 = K alpha conj(beta) b2.
+def derive_coefficients(
+    gas: DressedGas, probe_omega, *, strict: bool = True
+) -> RweCoefficients:
+    """The closed form's inputs at the probe angular frequency
+    ``probe_omega`` in rad/s, a scalar or an array, with fields of its shape.
 
-    Also returns the pole mask of all three resonance denominators; the
-    amplitudes are meaningless under it, and ``strict`` raises instead.
+    One pass over the resonance denominators, Rayleigh first, marks the
+    poles; ``strict`` raises ResonancePole at the first.  A scalar is
+    evaluated as a one-element array, as the operand shapes of
+    ``_exponent`` require.
     """
-    omega = np.asarray(probe_omega, dtype=float)
+    scalar = np.ndim(probe_omega) == 0
+    omega = np.asarray([probe_omega] if scalar else probe_omega, dtype=float)
     dens, pole = resonance_denominators(gas, omega, strict=strict)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dipole, beyond = _index_terms(gas, omega, dens)
+        index = 1.0 + dipole + beyond - 1.0
         b1, b2 = _brackets(gas, dens)
         scale = k_scale(gas, omega)
         a1 = scale * gas.alpha.conjugate() * gas.beta * b1
         a2 = scale * gas.alpha * gas.beta.conjugate() * b2
-    return a1, a2, pole
+    fields = (index, a1, a2, pole)
+    if scalar:
+        omega, fields = probe_omega, [field[0] for field in fields]
+    return RweCoefficients(gas.omega_prime, omega, *fields)
 
 
-def modulation_depth(gas: DressedGas, probe_omega: float, z: float) -> float:
-    """Amplitude R(z) of the sinusoid Re G(z, t) = R cos(w' t + psi) for
-    the probe angular frequency ``probe_omega`` in rad/s.
+def _plane(z) -> np.ndarray:
+    """The planes ``z`` as a float array, refused unless each is finite and
+    non-negative (a NaN fails both comparisons)."""
+    z = np.asarray(z, dtype=float)
+    if not np.all((z >= 0) & (z < math.inf)):
+        raise ValueError("z must be non-negative and finite")
+    return z
+
+
+def modulation_depth(coefs: RweCoefficients, z: float) -> float:
+    """Amplitude R(z) of the sinusoid Re G(z, t) = R cos(w' t + psi) at the
+    one probe frequency of ``coefs``.
 
     R controls the intensity contrast exp(+-2R) of the pulse train and is
     periodic in z with the spatial modulation period 2 pi c / w'.
     """
-    if z < 0:
-        raise ValueError("z must be non-negative")
-    a1, a2, _ = sideband_amplitudes(gas, [probe_omega], strict=True)
+    _plane(z)
     # |c1 + conj(c2)| = |1 - exp(-i w' z / c)| |a1 - conj(a2)|
-    ramp = 2.0 * abs(math.sin(0.5 * gas.omega_prime * z / CGS.c))
-    return ramp * float(abs(a1[0] - np.conj(a2[0])))
+    ramp = 2.0 * abs(math.sin(0.5 * coefs.omega_prime * z / CGS.c))
+    return ramp * float(abs(coefs.a1 - np.conj(coefs.a2)))
 
 
 def _exponent(a1, a2, omega_prime: float, z, t) -> np.ndarray:
@@ -118,39 +160,24 @@ def _exponent(a1, a2, omega_prime: float, z, t) -> np.ndarray:
         return a1 * ramp_red * wt - a2 * ramp_blue * np.conj(wt)
 
 
-def exponent_grid(
-    gas: DressedGas,
-    probe_omega: float,
-    z: np.ndarray,
-    t: np.ndarray,
-) -> np.ndarray:
+def exponent_grid(coefs: RweCoefficients, z: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Vectorized G over the outer product of z and t grids.
 
-    Returns a complex array of shape (len(z), len(t)) for one probe
-    frequency, for residual checks and time series.
+    Returns a complex array of shape (len(z), len(t)) for the one probe
+    frequency of ``coefs``, for residual checks and time series.
     """
-    if np.any(np.asarray(z) < 0):
-        raise ValueError("z must be non-negative")
-    a1, a2, _ = sideband_amplitudes(gas, [probe_omega], strict=True)
-    return _exponent(a1[0], a2[0], gas.omega_prime, z, t)
+    return _exponent(coefs.a1, coefs.a2, coefs.omega_prime, _plane(z), t)
 
 
-def exponent_sweep(
-    gas: DressedGas,
-    probe_omega: np.ndarray,
-    z: float,
-    t: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """G at plane z, shape (len(probe_omega), len(t)), and the pole mask.
+def exponent_sweep(coefs: RweCoefficients, z: float, t: np.ndarray) -> np.ndarray:
+    """G at plane z over the probe frequencies of array ``coefs`` and t,
+    shape (len(coefs.a1), len(t)).
 
-    Row i equals ``exponent_grid`` at probe_omega[i]; rows under the mask
-    of ``sideband_amplitudes`` are meaningless.
+    Row i equals ``exponent_grid`` at the i-th frequency; rows under
+    ``coefs.pole`` are meaningless.
     """
-    if z < 0:
-        raise ValueError("z must be non-negative")
-    a1, a2, pole = sideband_amplitudes(gas, probe_omega)
-    g = _exponent(a1[:, None], a2[:, None], gas.omega_prime, [z], t)
-    return g, pole
+    a1, a2 = coefs.a1[:, None], coefs.a2[:, None]
+    return _exponent(a1, a2, coefs.omega_prime, _plane([z]), t)
 
 
 def intensity_gain(g: np.ndarray) -> np.ndarray:
@@ -171,15 +198,14 @@ def intensity_gain(g: np.ndarray) -> np.ndarray:
 
 
 def gain_series(
-    config: RunConfig, periods: float, samples_per_period: int
+    coefs: RweCoefficients, z: float, periods: float, samples_per_period: int
 ) -> TimeSeries:
-    """Intensity gain at the fixed plane from the arrival time z / c, over
+    """Intensity gain at plane z from the arrival time z / c, over
     ``periods`` modulation periods of ``samples_per_period`` samples."""
     from .pulsetrain import TimeSeries  # here, so a sweep does not load it
 
-    z = config.z_fixed()
     t0 = z / CGS.c
-    dt = 2.0 * math.pi / config.omega_prime() / samples_per_period
+    dt = 2.0 * math.pi / coefs.omega_prime / samples_per_period
     t = t0 + dt * np.arange(round(periods * samples_per_period))
-    g = exponent_grid(config.gas(), config.probe_omega(), z=[z], t=t)[0]
+    g = exponent_grid(coefs, z=[z], t=t)[0]
     return TimeSeries(t0=t0, dt=dt, gains=intensity_gain(g))

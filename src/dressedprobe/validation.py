@@ -55,7 +55,8 @@ def check_boundary_identity(config: RunConfig) -> tuple[bool, str]:
     """|exp(G(0, t)) - 1| stays below 1e-12 over 1024 samples."""
     period = 2.0 * math.pi / config.omega_prime()
     t = np.linspace(0.0, period, 1024, endpoint=False)
-    g = mod.exponent_grid(config.gas(), config.probe_omega(), z=[0.0], t=t)
+    coefs = mod.derive_coefficients(config.gas(), config.probe_omega())
+    g = mod.exponent_grid(coefs, z=[0.0], t=t)
     worst = float(np.max(np.abs(np.exp(g) - 1.0)))
     return worst < 1e-12, f"max |F(0,t)-1| = {worst:.3e}"
 
@@ -63,14 +64,13 @@ def check_boundary_identity(config: RunConfig) -> tuple[bool, str]:
 @_check("antiperiodicity")
 def check_antiperiodicity(config: RunConfig) -> tuple[bool, str]:
     """G(z, t + half period) = -G(z, t) on a 64 x 64 grid."""
-    gas, probe_omega = config.gas(), config.probe_omega()
-    omega_prime = config.omega_prime()
-    period = 2.0 * math.pi / omega_prime
+    coefs = mod.derive_coefficients(config.gas(), config.probe_omega())
+    period = 2.0 * math.pi / config.omega_prime()
     length = period * CGS.c
     z = np.linspace(0.0, length, 64, endpoint=False)
     t = np.linspace(0.0, period, 64, endpoint=False)
-    g = mod.exponent_grid(gas, probe_omega, z=z, t=t)
-    g_shift = mod.exponent_grid(gas, probe_omega, z=z, t=t + 0.5 * period)
+    g = mod.exponent_grid(coefs, z=z, t=t)
+    g_shift = mod.exponent_grid(coefs, z=z, t=t + 0.5 * period)
     worst = float(np.max(np.abs(g + g_shift) / (1.0 + np.abs(g))))
     return worst < 1e-9, f"max |G(t+T/2)+G|/(1+|G|) = {worst:.3e}"
 
@@ -82,15 +82,14 @@ def check_modulation_periods(config: RunConfig) -> tuple[bool, str]:
     period = 2.0 * math.pi / omega_prime
     length = period * CGS.c
 
+    coefs = mod.derive_coefficients(config.gas(), config.probe_omega())
     spp = 512
-    stats = pt.analyze_train(mod.gain_series(config, 3, spp), omega_prime)
+    series = mod.gain_series(coefs, config.z_fixed(), 3, spp)
+    stats = pt.analyze_train(series, omega_prime)
     err_t = abs(stats.period - period) / period
 
     z = np.arange(3 * spp) * (length / spp)
-    t_fix = math.pi / omega_prime
-    gz = mod.exponent_grid(
-        config.gas(), config.probe_omega(), z=z, t=[t_fix]
-    )[:, 0]
+    gz = mod.exponent_grid(coefs, z=z, t=[math.pi / omega_prime])[:, 0]
     # Scaling moves no extremum, and keeps a z-series that passes a deeper
     # plane than the config's below the gain limit 709 even after rounding.
     scale = 708.0 / max(708.0, float(np.max(np.abs(2.0 * gz.real))))
@@ -112,9 +111,8 @@ def check_zero_mean_jensen(config: RunConfig) -> tuple[bool, str]:
     """Time-mean Re G vanishes; mean gain >= 1; peak*min gain = 1."""
     period = 2.0 * math.pi / config.omega_prime()
     t = np.linspace(0.0, period, 4096, endpoint=False)
-    g = mod.exponent_grid(
-        config.gas(), config.probe_omega(), z=[config.z_fixed()], t=t
-    )[0]
+    coefs = mod.derive_coefficients(config.gas(), config.probe_omega())
+    g = mod.exponent_grid(coefs, z=[config.z_fixed()], t=t)[0]
     mean_re = abs(float(np.mean(g.real)))
     gains = mod.intensity_gain(g)
     peak = float(np.max(gains))
@@ -134,7 +132,7 @@ def _oracle_error(gas, probe_omega, steps_per_period: int) -> float:
     any error is."""
     omega_prime = gas.omega_prime
     length = 2.0 * math.pi * CGS.c / omega_prime
-    coefs = chars.derive_coefficients(gas, probe_omega)
+    coefs = mod.derive_coefficients(gas, probe_omega)
     t_entry = 0.37 * 2.0 * math.pi / omega_prime
     fracs = (0.25, 0.5, 1.0)
     z_ends = [frac * length for frac in fracs]
@@ -223,7 +221,7 @@ def integration_errors(config: RunConfig) -> tuple[list[int], list[float]]:
     gas, probe_omega = config.gas(), config.probe_omega()
     length = 2.0 * math.pi * CGS.c / config.omega_prime()
     z_end = 0.37 * length
-    coefs = replace(chars.derive_coefficients(gas, probe_omega), index=0.0)
+    coefs = replace(mod.derive_coefficients(gas, probe_omega), index=0.0)
     closed = complex(chars.log_amplitude_grid(coefs, [z_end], [z_end / CGS.c])[0, 0])
     steps = [math.ceil(0.37 * per_period) for per_period in (1000, 1414, 2000)]
     errors = [
@@ -243,7 +241,7 @@ def fd_residuals(config: RunConfig) -> list[float]:
     sideband part, where the residual is rounding only and has no order."""
     period = 2.0 * math.pi / config.omega_prime()
     length = period * CGS.c
-    coefs = chars.derive_coefficients(config.gas(), config.probe_omega())
+    coefs = mod.derive_coefficients(config.gas(), config.probe_omega())
     if coefs.ls == 0 and coefs.rs == 0:
         return []
     residuals = []
@@ -353,9 +351,11 @@ def check_train_stats(config: RunConfig) -> tuple[bool, str]:
     the default parameters, i.e. it does not reproduce a 250 fs pulse.
     """
     omega_prime = config.omega_prime()
-    series = mod.gain_series(config, 4, max(config.t_samples_per_period, 512))
+    coefs = mod.derive_coefficients(config.gas(), config.probe_omega())
+    z = config.z_fixed()
+    series = mod.gain_series(coefs, z, 4, max(config.t_samples_per_period, 512))
     stats = pt.analyze_train(series, omega_prime)
-    depth = mod.modulation_depth(config.gas(), config.probe_omega(), config.z_fixed())
+    depth = mod.modulation_depth(coefs, z)
     fwhm_ref = pt.fwhm_closed_form(depth, omega_prime)
     depth_err = abs(stats.depth - depth) / depth
     fwhm_err = abs(stats.fwhm - fwhm_ref) / fwhm_ref
@@ -393,7 +393,7 @@ def check_guard_behavior(config: RunConfig) -> tuple[bool, str]:
     except ResonancePole as exc:
         details.append(f"pole caught ({exc.denominator})")
 
-    coefs = chars.derive_coefficients(gas, config.probe_omega())
+    coefs = mod.derive_coefficients(gas, config.probe_omega())
     length = 2.0 * math.pi * CGS.c / omega_prime
     try:
         chars.integrate_characteristic(coefs, length, 0.0, steps=10)

@@ -63,7 +63,7 @@ def test_criterion_1_boundary_identity(gas_dense, probe):
     started = time.perf_counter()
     t = np.linspace(0.0, PERIOD, 1024, endpoint=False)
     g = exponent_grid(
-        gas_dense, probe, np.array([0.0]), t
+        derive_coefficients(gas_dense, probe), z=np.array([0.0]), t=t
     )
     worst = float(np.max(np.abs(np.exp(g) - 1.0)))
     elapsed = time.perf_counter() - started
@@ -80,10 +80,9 @@ def test_criterion_2_antiperiodicity_and_sweep_mirror(
     started = time.perf_counter()
     z = np.linspace(0.0, LENGTH, 64, endpoint=False)
     t = np.linspace(0.0, PERIOD, 64, endpoint=False)
-    g = exponent_grid(gas_dense, probe, z, t)
-    g_shift = exponent_grid(
-        gas_dense, probe, z, t + 0.5 * PERIOD
-    )
+    coefs = derive_coefficients(gas_dense, probe)
+    g = exponent_grid(coefs, z=z, t=t)
+    g_shift = exponent_grid(coefs, z=z, t=t + 0.5 * PERIOD)
     worst = float(np.max(np.abs(g + g_shift) / (1.0 + np.abs(g))))
 
     values, pole = sweep_frequency_rows(RunConfig())
@@ -115,7 +114,7 @@ def test_criterion_3_modulation_periods(gas_dense, probe):
     t0 = Z_HALF / CGS.c
     t = t0 + (PERIOD / spp) * np.arange(3 * spp)
     g = exponent_grid(
-        gas_dense, probe, np.array([Z_HALF]), t
+        derive_coefficients(gas_dense, probe), z=np.array([Z_HALF]), t=t
     )[0]
     series = TimeSeries(
         t0=t0, dt=PERIOD / spp, gains=tuple(np.exp(2.0 * g.real))
@@ -125,10 +124,9 @@ def test_criterion_3_modulation_periods(gas_dense, probe):
 
     z = (LENGTH / spp) * np.arange(3 * spp)
     gz = exponent_grid(
-        gas_dense,
-        probe,
-        z,
-        np.array([math.pi / OMEGA_PRIME]),
+        derive_coefficients(gas_dense, probe),
+        z=z,
+        t=np.array([math.pi / OMEGA_PRIME]),
     )[:, 0]
     series_z = TimeSeries(
         t0=0.0, dt=LENGTH / spp, gains=tuple(np.exp(2.0 * gz.real))
@@ -152,7 +150,7 @@ def test_criterion_4_zero_mean_jensen_geometric(
     jensen_ok = True
     for z in (0.2 * LENGTH, Z_HALF, 0.8 * LENGTH):
         g = exponent_grid(
-            gas_dense, probe, np.array([z]), t
+            derive_coefficients(gas_dense, probe), z=np.array([z]), t=t
         )[0]
         worst_mean = max(worst_mean, abs(float(np.mean(g.real))))
         gains = np.exp(2.0 * g.real)
@@ -236,14 +234,13 @@ def test_criterion_6_pulse_train_fidelity(gas_train, probe):
     spp = 1024
     t0 = Z_HALF / CGS.c
     t = t0 + (PERIOD / spp) * np.arange(4 * spp)
-    g = exponent_grid(
-        gas_train, probe, np.array([Z_HALF]), t
-    )[0]
+    coefs = derive_coefficients(gas_train, probe)
+    g = exponent_grid(coefs, z=np.array([Z_HALF]), t=t)[0]
     series = TimeSeries(
         t0=t0, dt=PERIOD / spp, gains=tuple(np.exp(2.0 * g.real))
     )
     stats = analyze_train(series, OMEGA_PRIME)
-    depth = modulation_depth(gas_train, probe, Z_HALF)
+    depth = modulation_depth(coefs, Z_HALF)
 
     period_ok = abs(stats.period - FROZEN["t_mod"]) < 1e-6 * FROZEN["t_mod"]
     depth_ok = (

@@ -150,7 +150,7 @@ class TestIntegrateCharacteristic:
         z_end = 0.37 * LENGTH
         closed = complex(
             exponent_grid(
-                gas_train, probe, [z_end], [z_end / CGS.c]
+                derive_coefficients(gas_train, probe), z=[z_end], t=[z_end / CGS.c]
             )[0, 0]
         )
         steps = [math.ceil(0.37 * n) for n in (1000, 1414, 2000)]

@@ -28,7 +28,7 @@ from dressedprobe.cli import (
 )
 from dressedprobe.config import RunConfig, load_config
 from dressedprobe.dispersion import refractive_index
-from dressedprobe.modulation import exponent_grid
+from dressedprobe.modulation import derive_coefficients, exponent_grid
 from dressedprobe.pulsetrain import analyze_train
 
 import refusals
@@ -289,18 +289,6 @@ class TestPulseStats:
         stats = json.loads(out.read_text())
         assert stats["error"] == "UnderSampled" and "fwhm_s" not in stats
         assert UNRESOLVED[name][1] in stats["message"]
-
-    # Named rows of the refusal table, each under a test id of its own.
-
-    @pytest.mark.parametrize("target", ["missing", "directory"])
-    def test_refuses_unreadable_series(self, refused, target):
-        refused.series(target)
-
-    @pytest.mark.parametrize(
-        "name", ["nan_time_second_row", "nan_time_interior"], ids=["second_row", "interior"]
-    )
-    def test_refuses_nan_time(self, refused, name):
-        refused.series(name)
 
 
 def _reference_csv(columns: list[str], rows) -> bytes:
@@ -962,10 +950,9 @@ def test_array_rows_equal_scalar_wrappers(tmp_path, grid):
     for i, (delta, solid, dashed, marker) in enumerate(_table(sweep)):
         try:
             expected = exponent_grid(
-                gas,
-                gas.omega_p - float(delta),
-                [z],
-                [math.pi / omega_prime, 2.0 * math.pi / omega_prime],
+                derive_coefficients(gas, gas.omega_p - float(delta)),
+                z=[z],
+                t=[math.pi / omega_prime, 2.0 * math.pi / omega_prime],
             )[0].real.tolist()
         except ResonancePole:
             assert (marker, solid, dashed) == ("POLE", "", "")

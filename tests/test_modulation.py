@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,17 +16,16 @@ from dressedprobe import (
     CGS,
     ConfigError,
     DressedGas,
+    config_from_dict,
     ResonancePole,
+    derive_coefficients,
     exponent_grid,
     k_scale,
+    log_amplitude_grid,
     modulation_depth,
 )
 from dressedprobe.dispersion import resonance_denominators
-from dressedprobe.modulation import (
-    exponent_sweep,
-    intensity_gain,
-    sideband_amplitudes,
-)
+from dressedprobe.modulation import exponent_sweep, intensity_gain
 
 import oracles
 from conftest import (
@@ -38,6 +39,16 @@ from conftest import (
     RHO_TRAIN,
     documented_gas,
 )
+
+TESTS = Path(__file__).resolve().parent
+#: The shipped configs and the bench configs, each as its config dict.
+CONFIGS = {
+    **{
+        path.stem: json.loads(path.read_text())
+        for path in sorted((TESTS.parent / "configs").glob("*.json"))
+    },
+    **json.loads((TESTS / "data" / "bench_configs.json").read_text()),
+}
 
 
 @pytest.fixture(scope="module")
@@ -54,18 +65,18 @@ def geometry(gas_dense):
 
 def _brackets(gas, probe_omega):
     """b1 and b2 read off a1 = K conj(alpha) beta b1, a2 = K alpha conj(beta) b2."""
-    a1, a2, _ = sideband_amplitudes(gas, [probe_omega], strict=True)
+    coefs = derive_coefficients(gas, probe_omega)
     scale = k_scale(gas, probe_omega)
     alpha, beta = gas.alpha, gas.beta
     return (
-        a1[0] / (scale * alpha.conjugate() * beta),
-        a2[0] / (scale * alpha * beta.conjugate()),
+        coefs.a1 / (scale * alpha.conjugate() * beta),
+        coefs.a2 / (scale * alpha * beta.conjugate()),
     )
 
 
 def _g(gas, probe, z, t):
     """G(z, t) as the one cell of a one-point ``exponent_grid``."""
-    return complex(exponent_grid(gas, probe, [z], [t])[0, 0])
+    return complex(exponent_grid(derive_coefficients(gas, probe), z=[z], t=[t])[0, 0])
 
 
 class TestSidebandBrackets:
@@ -115,13 +126,44 @@ class TestSidebandBrackets:
         assert info.value.denominator == "omega_p - omega"
 
 
+class TestDeriveCoefficients:
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_array_equals_scalar_bit_for_bit(self, name):
+        # Over the config's delta grid: the mask is true exactly where the
+        # scalar strict call raises, and every other offset has its bits.
+        config = config_from_dict(CONFIGS[name])
+        gas = config.gas()
+        omegas = gas.omega_p - config.delta_values()
+        coefs = derive_coefficients(gas, omegas, strict=False)
+        for i, omega in enumerate(omegas.tolist()):
+            try:
+                one = derive_coefficients(gas, omega)
+            except ResonancePole:
+                assert coefs.pole[i], i
+                continue
+            assert not coefs.pole[i], i
+            for field in ("index", "a1", "a2"):
+                bits = getattr(coefs, field)[i].tobytes()
+                assert bits == getattr(one, field).tobytes(), (i, field)
+
+    def test_rayleigh_pole_named_first(self, gas_dense):
+        # A guard of w' puts omega_p - omega and omega_p - omega + w' inside
+        # it at once; the one pass checks the Rayleigh denominator first.
+        omega_prime = gas_dense.omega_prime
+        gas = replace(gas_dense, guard=omega_prime)
+        probe = gas.omega_p + 0.5 * omega_prime
+        with pytest.raises(ResonancePole) as info:
+            derive_coefficients(gas, probe)
+        assert info.value.denominator == "omega_p - omega"
+
+
 class TestExponent:
     def test_entry_face_is_exactly_zero(
         self, gas_dense, probe
     ):
         for t in (0.0, 1e-12, 3.7e-11):
             assert _g(gas_dense, probe, 0.0, t) == 0.0
-        assert modulation_depth(gas_dense, probe, 0.0) == 0.0
+        assert modulation_depth(derive_coefficients(gas_dense, probe), 0.0) == 0.0
 
     def test_pure_dressed_state_is_unmodulated(
         self, gas_dense, probe, geometry
@@ -156,17 +198,40 @@ class TestExponent:
         with pytest.raises(ValueError):
             _g(gas_dense, probe, -1.0, 0.0)
         with pytest.raises(ValueError):
-            modulation_depth(gas_dense, probe, -1.0)
+            modulation_depth(derive_coefficients(gas_dense, probe), -1.0)
         with pytest.raises(ValueError, match="z must be non-negative"):
-            exponent_sweep(gas_dense, [probe], -1.0, [0.0])
+            exponent_sweep(
+                derive_coefficients(gas_dense, [probe], strict=False), -1.0, [0.0]
+            )
+
+    @pytest.mark.parametrize(
+        "name",
+        ["exponent_grid", "exponent_sweep", "modulation_depth", "log_amplitude_grid"],
+    )
+    def test_non_finite_z_rejected(self, gas_dense, probe, name):
+        coefs = derive_coefficients(gas_dense, probe)
+        sweep = derive_coefficients(gas_dense, [probe], strict=False)
+        call = {
+            "exponent_grid": lambda z: exponent_grid(coefs, z=[z], t=[0.0]),
+            "exponent_sweep": lambda z: exponent_sweep(sweep, z, [0.0]),
+            "modulation_depth": lambda z: modulation_depth(coefs, z),
+            "log_amplitude_grid": lambda z: log_amplitude_grid(coefs, [z], [0.0]),
+        }[name]
+        for z in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="z must be non-negative and finite"):
+                call(z)
 
     @pytest.mark.parametrize("omega", [0.0, -1e15])
     def test_non_positive_probe_frequency_rejected(self, gas_dense, omega):
         calls = (
-            lambda: exponent_grid(gas_dense, omega, [0.0], [0.0]),
-            lambda: exponent_sweep(gas_dense, [omega], 0.0, [0.0]),
-            lambda: sideband_amplitudes(gas_dense, [omega]),
-            lambda: modulation_depth(gas_dense, omega, 0.0),
+            lambda: exponent_grid(
+                derive_coefficients(gas_dense, omega), z=[0.0], t=[0.0]
+            ),
+            lambda: exponent_sweep(
+                derive_coefficients(gas_dense, [omega], strict=False), 0.0, [0.0]
+            ),
+            lambda: derive_coefficients(gas_dense, [omega], strict=False),
+            lambda: modulation_depth(derive_coefficients(gas_dense, omega), 0.0),
         )
         for call in calls:
             with pytest.raises(
@@ -179,13 +244,9 @@ class TestExponent:
     ):
         z = np.linspace(0.0, geometry["length"], 64, endpoint=False)
         t = np.linspace(0.0, geometry["period"], 64, endpoint=False)
-        g = exponent_grid(gas_dense, probe, z, t)
-        g_shifted = exponent_grid(
-            gas_dense,
-            probe,
-            z,
-            t + 0.5 * geometry["period"],
-        )
+        coefs = derive_coefficients(gas_dense, probe)
+        g = exponent_grid(coefs, z=z, t=t)
+        g_shifted = exponent_grid(coefs, z=z, t=t + 0.5 * geometry["period"])
         assert np.max(np.abs(g + g_shifted) / (1.0 + np.abs(g))) < 1e-9
 
     def test_periodicity_in_time_and_space(
@@ -207,10 +268,9 @@ class TestExponent:
     ):
         t = np.linspace(0.0, geometry["period"], 1024, endpoint=False)
         g = exponent_grid(
-            gas_dense,
-            probe,
-            np.array([0.4 * geometry["length"]]),
-            t,
+            derive_coefficients(gas_dense, probe),
+            z=np.array([0.4 * geometry["length"]]),
+            t=t,
         )[0]
         assert abs(float(np.mean(g.real))) < 1e-9
 
@@ -220,8 +280,8 @@ class TestExponent:
         z, t = 0.23 * geometry["length"], 0.71 * geometry["period"]
         assert _g(hi_gas, probe, z, t) == 2.0 * _g(lo_gas, probe, z, t)
         assert modulation_depth(
-            hi_gas, probe, z
-        ) == 2.0 * modulation_depth(lo_gas, probe, z)
+            derive_coefficients(hi_gas, probe), z
+        ) == 2.0 * modulation_depth(derive_coefficients(lo_gas, probe), z)
 
     def test_pure_function_bit_identical(
         self, gas_dense, probe, geometry
@@ -253,11 +313,11 @@ class TestExponent:
 
 class TestDepth:
     def test_zero_at_entry(self, gas_train, probe):
-        assert modulation_depth(gas_train, probe, 0.0) == 0.0
+        assert modulation_depth(derive_coefficients(gas_train, probe), 0.0) == 0.0
 
     def test_documented_value(self, gas_train, probe, geometry):
         depth = modulation_depth(
-            gas_train, probe, geometry["z_half"]
+            derive_coefficients(gas_train, probe), geometry["z_half"]
         )
         assert depth == pytest.approx(FROZEN["depth_train"], rel=1e-12)
 
@@ -275,14 +335,14 @@ class TestDepth:
             * abs(1.0 - cmath.exp(-1j * theta))
             * abs(b1 - b2)
         )
-        depth = modulation_depth(gas_train, probe, z)
+        depth = modulation_depth(derive_coefficients(gas_train, probe), z)
         assert depth == pytest.approx(expected, rel=1e-12)
 
     def test_periodic_in_z(self, gas_train, probe, geometry):
         z = 0.37 * geometry["length"]
-        a = modulation_depth(gas_train, probe, z)
+        a = modulation_depth(derive_coefficients(gas_train, probe), z)
         b = modulation_depth(
-            gas_train, probe, z + geometry["length"]
+            derive_coefficients(gas_train, probe), z + geometry["length"]
         )
         assert b == pytest.approx(a, rel=1e-9)
 
@@ -290,10 +350,10 @@ class TestDepth:
         self, gas_train, probe, geometry
     ):
         z = 0.41 * geometry["length"]
-        depth = modulation_depth(gas_train, probe, z)
+        depth = modulation_depth(derive_coefficients(gas_train, probe), z)
         t = np.linspace(0.0, geometry["period"], 4096, endpoint=False)
         g = exponent_grid(
-            gas_train, probe, np.array([z]), t
+            derive_coefficients(gas_train, probe), z=np.array([z]), t=t
         )[0]
         assert float(np.max(g.real)) == pytest.approx(depth, rel=1e-6)
         assert float(np.min(g.real)) == pytest.approx(-depth, rel=1e-6)
@@ -305,7 +365,7 @@ class TestDepth:
         t0 = z / CGS.c
         t = t0 + np.linspace(0.0, geometry["period"], 4096, endpoint=False)
         g = exponent_grid(
-            gas_train, probe, np.array([z]), t
+            derive_coefficients(gas_train, probe), z=np.array([z]), t=t
         )[0]
         gains = np.exp(2.0 * g.real)
         assert float(np.mean(gains)) >= 1.0
@@ -320,7 +380,7 @@ class TestIntensityGain:
     ):
         t = np.linspace(0.0, geometry["period"], 256, endpoint=False)
         z = np.array([0.0, geometry["z_half"]])
-        g = exponent_grid(gas_train, probe, z, t)
+        g = exponent_grid(derive_coefficients(gas_train, probe), z=z, t=t)
         assert np.array_equal(intensity_gain(g), np.exp(2.0 * g.real))
 
     @pytest.mark.parametrize("re_g", [354.6, -354.6])

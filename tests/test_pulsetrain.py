@@ -15,6 +15,7 @@ from dressedprobe import (
     TimeSeries,
     UnderSampled,
     analyze_train,
+    derive_coefficients,
     exponent_grid,
     fwhm_closed_form,
     modulation_depth,
@@ -70,7 +71,8 @@ def edge_peak():
 
 def pulse_train_series():
     config = load_config(TRAIN_CONFIG)
-    return gain_series(config, config.t_periods, 1024)
+    coefs = derive_coefficients(config.gas(), config.probe_omega())
+    return gain_series(coefs, config.z_fixed(), config.t_periods, 1024)
 
 
 def bits(stats):
@@ -269,13 +271,12 @@ def train_stats(gas_train, probe):
     spp = 1024
     t0 = z / CGS.c
     t = t0 + (period / spp) * np.arange(4 * spp)
-    g = exponent_grid(
-        gas_train, probe, np.array([z]), t
-    )[0]
+    coefs = derive_coefficients(gas_train, probe)
+    g = exponent_grid(coefs, z=np.array([z]), t=t)[0]
     series = TimeSeries(
         t0=t0, dt=period / spp, gains=tuple(np.exp(2.0 * g.real))
     )
-    depth = modulation_depth(gas_train, probe, z)
+    depth = modulation_depth(coefs, z)
     return analyze_train(series, omega_prime), depth
 
 

@@ -235,7 +235,7 @@ def test_validate_does_not_import_numpy_random(tmp_path):
 def _reference_oracle_error(gas, probe, steps_per_period):
     """One one-point log_amplitude_grid and one integration per plane."""
     length = 2.0 * math.pi * CGS.c / gas.omega_prime
-    coefs = chars.derive_coefficients(gas, probe)
+    coefs = mod.derive_coefficients(gas, probe)
     t_entry = 0.37 * 2.0 * math.pi / gas.omega_prime
     worst = 0.0
     for frac in (0.25, 0.5, 1.0):
@@ -261,13 +261,13 @@ def _reference_fd_residuals(config):
     """One closed-form ln A, G plus the direct phase, per grid."""
     gas, probe = config.gas(), config.probe_omega()
     period = 2.0 * math.pi / config.omega_prime()
-    coefs = chars.derive_coefficients(gas, probe)
+    coefs = mod.derive_coefficients(gas, probe)
     index = disp.refractive_index(gas, probe).n0 - 1.0
     residuals = []
     for n in (64, 128, 256):
         z = np.linspace(0.0, period * CGS.c, n + 1)
         t = np.linspace(0.0, period, n + 1)
-        grid = mod.exponent_grid(gas, probe, z=z, t=t)
+        grid = mod.exponent_grid(coefs, z=z, t=t)
         grid = grid + (1j * probe * index * z / CGS.c)[:, None]
         residuals.append(chars.residual_check(grid, z, t, coefs))
     return residuals
@@ -283,11 +283,11 @@ def _reference_integration_errors(config):
     """One closed-form G and one D-free integration per step count."""
     gas, probe = config.gas(), config.probe_omega()
     z_end = 0.37 * (2.0 * math.pi * CGS.c / config.omega_prime())
-    coefs = replace(chars.derive_coefficients(gas, probe), index=0.0)
+    coefs = replace(mod.derive_coefficients(gas, probe), index=0.0)
     steps = [math.ceil(0.37 * n) for n in (1000, 1414, 2000)]
     errors = []
     for n in steps:
-        closed = mod.exponent_grid(gas, probe, z=[z_end], t=[z_end / CGS.c])
+        closed = mod.exponent_grid(coefs, z=[z_end], t=[z_end / CGS.c])
         numeric = chars.integrate_characteristic(coefs, z_end, 0.0, n)
         errors.append(abs(numeric - complex(closed[0, 0])))
     return steps, errors
@@ -302,40 +302,47 @@ def test_integration_errors_match_per_call_reference(name):
 
 
 @pytest.mark.parametrize(
-    "call, counts",
+    "call, count",
     [
-        (validation.check_oracle_randomized, (20, 20)),
-        (validation.check_oracle_agreement, (1, 1)),
-        (validation.fd_residuals, (1, 1)),
-        (validation.integration_errors, (1, 1)),
+        (validation.check_oracle_randomized, 20),
+        (validation.check_oracle_agreement, 1),
+        (validation.fd_residuals, 1),
+        (validation.integration_errors, 1),
+        (validation.check_boundary_identity, 1),
+        (validation.check_antiperiodicity, 1),
+        (validation.check_modulation_periods, 1),
+        (validation.check_zero_mean_jensen, 1),
+        (validation.check_train_stats, 1),
     ],
     ids=[
         "oracle_randomized",
         "oracle_agreement",
         "fd_residuals",
         "integration_errors",
+        "boundary_identity",
+        "antiperiodicity",
+        "modulation_periods",
+        "zero_mean_jensen_geometric",
+        "train_stats_closed_form",
     ],
 )
 def test_one_coefficient_evaluation_per_gas_and_frequency(
-    monkeypatch, call, counts
+    monkeypatch, call, count
 ):
-    # (index_parts, sideband_amplitudes) calls on the documented set: the
-    # closed form and the oracle read one derive_coefficients per (gas, w).
-    calls = {"index_parts": 0, "sideband_amplitudes": 0}
+    # resonance_denominators passes on the documented set: each
+    # derive_coefficients makes one full pole test (rayleigh=True), and
+    # nothing else tests the poles, so a check reads one per (gas, w).
+    rayleigh = []
+    original = disp.resonance_denominators
 
-    def counted(original):
-        def wrapper(*args, **kwargs):
-            calls[original.__name__] += 1
-            return original(*args, **kwargs)
+    def counted(*args, **kwargs):
+        rayleigh.append(kwargs.get("rayleigh", True))
+        return original(*args, **kwargs)
 
-        return wrapper
-
-    monkeypatch.setattr(disp, "index_parts", counted(disp.index_parts))
-    amplitudes = counted(mod.sideband_amplitudes)
-    monkeypatch.setattr(mod, "sideband_amplitudes", amplitudes)
-    monkeypatch.setattr(chars, "sideband_amplitudes", amplitudes)
+    monkeypatch.setattr(disp, "resonance_denominators", counted)
+    monkeypatch.setattr(mod, "resonance_denominators", counted)
     call(config_from_dict({}))
-    assert (calls["index_parts"], calls["sideband_amplitudes"]) == counts
+    assert rayleigh == [True] * count
 
 
 def test_jensen_mean_gain_is_finite_near_the_gain_limit():
