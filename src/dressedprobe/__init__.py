@@ -20,9 +20,10 @@ The envelope is evaluated on arrays from one input, ``coefs =
 derive_coefficients(gas, omega)``, the gas's response at one probe
 frequency or an array of them: ``exponent_grid(coefs, z, t)`` gives G and
 ``log_amplitude_grid(coefs, z, t)`` ln A over a (z, t) grid, a single value
-being the [0, 0] cell of a one-point grid; ``modulation_depth(coefs, z)``
-and ``refractive_index`` give the depth and index at one plane and
-frequency.
+being the [0, 0] cell of a one-point grid, and ``modulation_depth(coefs, z)``
+gives the depth at one plane and frequency.  ``index_parts(gas, omega)``
+gives the dipole and beyond-dipole parts of n0 - 1 over an array of probe
+frequencies.
 
 Units are Gaussian-CGS; every frequency is angular (rad/s).
 
@@ -43,7 +44,7 @@ _EXPORTS = {
         "residual_check",
         "config": "RunConfig config_from_dict load_config",
         "constants": "CGS DEFAULT_GUARD",
-        "dispersion": "DispersionResult beyond_dipole_fraction refractive_index",
+        "dispersion": "beyond_dipole_fraction index_parts",
         "dressed": "DressedGas generalized_rabi",
         "errors": "ConfigError DegenerateDressing DressedProbeError GridTooCoarse "
         "ResonancePole ShallowModulation StepTooCoarse UnderSampled ZeroDipole",

@@ -118,7 +118,7 @@ def evolve_series(config: RunConfig) -> tuple[TimeSeries, dict]:
 
     if config.t_periods < 3.0:
         raise ConfigError("evolve needs a time span of >= 3 periods")
-    coefs = mod.derive_coefficients(config.gas(), config.probe_omega())
+    coefs = config.coefficients
     series = mod.gain_series(
         coefs, config.z_fixed(), config.t_periods, config.t_samples_per_period
     )

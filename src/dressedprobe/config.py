@@ -14,10 +14,12 @@ of its value.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,6 +32,9 @@ from .constants import (
 )
 from .dressed import DressedGas
 from .errors import ConfigError, DressedProbeError
+
+if TYPE_CHECKING:
+    from .modulation import RweCoefficients
 
 
 def _setting(key: str, default):
@@ -131,6 +136,15 @@ class RunConfig:
     def probe_omega(self) -> float:
         """Probe angular frequency in rad/s, probe.delta below the pump."""
         return self._gas.omega_p - self.probe_delta
+
+    @functools.cached_property
+    def coefficients(self) -> RweCoefficients:
+        """The closed form's inputs at the probe frequency, derived on the
+        first read and kept; a ResonancePole is not kept, so every read
+        raises it again."""
+        from . import modulation  # here, so pulse-stats does not load it
+
+        return modulation.derive_coefficients(self._gas, self.probe_omega())
 
     def omega_prime(self) -> float:
         return self._gas.omega_prime

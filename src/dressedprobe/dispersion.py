@@ -13,34 +13,20 @@ poles (``DressedGas.guard``, set from the config key ``guard``) is refused
 rather than regularized.
 
 ``resonance_denominators`` owns the guard rule for these and the
-modulation's denominators, and refuses a non-positive probe frequency;
-it and ``index_parts`` take arrays of probe frequencies and
-mark poles in a mask, which ``refractive_index`` raises.
+modulation's denominators, and refuses a non-positive probe frequency.
+It and ``index_parts``, the one evaluation of the index, take arrays of
+probe frequencies and mark poles in a mask.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import CGS
 from .dressed import DressedGas, _split_offsets
 from .errors import ResonancePole, ZeroDipole
-
-
-@dataclass(frozen=True)
-class DispersionResult:
-    """Refractive index split into its two physical contributions.
-
-    n0 is ``1.0 + dipole_part + beyond_dipole_part`` rounded; the split lets
-    the non-saturating beyond-dipole term be explored parametrically.
-    """
-
-    n0: float
-    dipole_part: float
-    beyond_dipole_part: float
 
 
 def resonance_denominators(
@@ -95,9 +81,12 @@ def index_parts(
     *,
     strict: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dipole and beyond-dipole parts of n0 - 1 at each probe frequency.
+    """Dipole and beyond-dipole parts of n0 - 1 at each probe frequency;
+    n0 is ``1.0 + dipole + beyond``, summed in that order.
 
     Also returns the pole mask; the parts are meaningless under it.
+    ``strict`` raises ResonancePole instead, naming the first sideband
+    denominator within ``gas.guard`` of zero.
     """
     omega = np.asarray(probe_omega, dtype=float)
     dens, pole = resonance_denominators(gas, omega, rayleigh=False, strict=strict)
@@ -120,29 +109,6 @@ def _index_terms(gas: DressedGas, omega: np.ndarray, dens) -> tuple:
         dipole_part = prefactor * (dip_plus / den_plus - dip_minus / den_minus)
         beyond_part = prefactor * beyond * (1.0 / den_plus - 1.0 / den_minus)
     return dipole_part, beyond_part
-
-
-def refractive_index(gas: DressedGas, probe_omega: float) -> DispersionResult:
-    """Evaluate the probe refractive index n0(omega).
-
-    Parameters
-    ----------
-    probe_omega : float
-        Probe angular frequency, rad/s.
-
-    Raises
-    ------
-    ResonancePole
-        If a sideband denominator lies within ``gas.guard`` of zero; the
-        message names the offending denominator.
-    """
-    dipole, beyond, _ = index_parts(gas, [probe_omega], strict=True)
-    dipole, beyond = float(dipole[0]), float(beyond[0])
-    return DispersionResult(
-        n0=1.0 + dipole + beyond,
-        dipole_part=dipole,
-        beyond_dipole_part=beyond,
-    )
 
 
 def beyond_dipole_fraction(gas: DressedGas) -> float:

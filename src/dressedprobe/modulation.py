@@ -18,12 +18,14 @@ alpha * beta, so a gas prepared in a single dressed state is not modulated
 at all.
 
 The probe frequency enters only through a1 = K conj(alpha) beta b1,
-a2 = K alpha conj(beta) b2 and, in ln A, the index n0 - 1.
-``derive_coefficients`` evaluates them once, at one probe frequency or an
-array of them; the functions below read its result and evaluate nothing
-else.  ``exponent_grid`` gives G over a (z, t) grid and ``exponent_sweep``
-over an array's frequencies and t; a single value is the [0, 0] cell of a
-one-point grid.  ``modulation_depth`` is the closed-form amplitude of Re G,
+a2 = K alpha conj(beta) b2 and, in ln A, the index n0 - 1, the sum of the
+parts ``dispersion.index_parts`` gives.  ``derive_coefficients`` evaluates
+them once, at one probe frequency or an array of them, and a config keeps
+those at its probe frequency (``RunConfig.coefficients``); the functions
+below read its result and evaluate nothing else.  ``exponent_grid`` gives
+G over a (z, t) grid and ``exponent_sweep`` over an array's frequencies
+and t; a single value is the [0, 0] cell of a one-point grid.
+``modulation_depth`` is the closed-form amplitude of Re G,
 ``intensity_gain`` turns G into exp(2 Re G), and ``gain_series`` samples
 that gain over time at one plane.
 """

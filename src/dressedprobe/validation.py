@@ -7,6 +7,9 @@ orders, dispersion identities) and reports a measured number next to its
 threshold.  Checks run independently; a physics error in one (for example
 a probe parked on a resonance pole) is reported as a clean failure line
 instead of aborting the suite.
+
+The checks read the config's coefficients from ``RunConfig.coefficients``,
+derived once per config; the randomized oracle derives one per set.
 """
 
 from __future__ import annotations
@@ -50,13 +53,20 @@ def _check(name: str):
     return decorate
 
 
+def _measured_train(config: RunConfig, periods: int, spp: int) -> pt.PulseTrainStats:
+    """Train statistics of the gain at the config's plane over ``periods``
+    modulation periods of ``spp`` samples; every check that measures a
+    train samples it here."""
+    series = mod.gain_series(config.coefficients, config.z_fixed(), periods, spp)
+    return pt.analyze_train(series, config.omega_prime())
+
+
 @_check("boundary_identity")
 def check_boundary_identity(config: RunConfig) -> tuple[bool, str]:
     """|exp(G(0, t)) - 1| stays below 1e-12 over 1024 samples."""
     period = 2.0 * math.pi / config.omega_prime()
     t = np.linspace(0.0, period, 1024, endpoint=False)
-    coefs = mod.derive_coefficients(config.gas(), config.probe_omega())
-    g = mod.exponent_grid(coefs, z=[0.0], t=t)
+    g = mod.exponent_grid(config.coefficients, z=[0.0], t=t)
     worst = float(np.max(np.abs(np.exp(g) - 1.0)))
     return worst < 1e-12, f"max |F(0,t)-1| = {worst:.3e}"
 
@@ -64,7 +74,7 @@ def check_boundary_identity(config: RunConfig) -> tuple[bool, str]:
 @_check("antiperiodicity")
 def check_antiperiodicity(config: RunConfig) -> tuple[bool, str]:
     """G(z, t + half period) = -G(z, t) on a 64 x 64 grid."""
-    coefs = mod.derive_coefficients(config.gas(), config.probe_omega())
+    coefs = config.coefficients
     period = 2.0 * math.pi / config.omega_prime()
     length = period * CGS.c
     z = np.linspace(0.0, length, 64, endpoint=False)
@@ -82,14 +92,12 @@ def check_modulation_periods(config: RunConfig) -> tuple[bool, str]:
     period = 2.0 * math.pi / omega_prime
     length = period * CGS.c
 
-    coefs = mod.derive_coefficients(config.gas(), config.probe_omega())
     spp = 512
-    series = mod.gain_series(coefs, config.z_fixed(), 3, spp)
-    stats = pt.analyze_train(series, omega_prime)
+    stats = _measured_train(config, 3, spp)
     err_t = abs(stats.period - period) / period
 
     z = np.arange(3 * spp) * (length / spp)
-    gz = mod.exponent_grid(coefs, z=z, t=[math.pi / omega_prime])[:, 0]
+    gz = mod.exponent_grid(config.coefficients, z=z, t=[math.pi / omega_prime])[:, 0]
     # Scaling moves no extremum, and keeps a z-series that passes a deeper
     # plane than the config's below the gain limit 709 even after rounding.
     scale = 708.0 / max(708.0, float(np.max(np.abs(2.0 * gz.real))))
@@ -111,8 +119,7 @@ def check_zero_mean_jensen(config: RunConfig) -> tuple[bool, str]:
     """Time-mean Re G vanishes; mean gain >= 1; peak*min gain = 1."""
     period = 2.0 * math.pi / config.omega_prime()
     t = np.linspace(0.0, period, 4096, endpoint=False)
-    coefs = mod.derive_coefficients(config.gas(), config.probe_omega())
-    g = mod.exponent_grid(coefs, z=[config.z_fixed()], t=t)[0]
+    g = mod.exponent_grid(config.coefficients, z=[config.z_fixed()], t=t)[0]
     mean_re = abs(float(np.mean(g.real)))
     gains = mod.intensity_gain(g)
     peak = float(np.max(gains))
@@ -127,12 +134,11 @@ def check_zero_mean_jensen(config: RunConfig) -> tuple[bool, str]:
     )
 
 
-def _oracle_error(gas, probe_omega, steps_per_period: int) -> float:
-    """Worst oracle-vs-closed-form error over z in {L/4, L/2, L}; NaN if
-    any error is."""
-    omega_prime = gas.omega_prime
+def _oracle_error(coefs: mod.RweCoefficients, steps_per_period: int) -> float:
+    """Worst oracle-vs-closed-form error of ``coefs`` over z in
+    {L/4, L/2, L}; NaN if any error is."""
+    omega_prime = coefs.omega_prime
     length = 2.0 * math.pi * CGS.c / omega_prime
-    coefs = mod.derive_coefficients(gas, probe_omega)
     t_entry = 0.37 * 2.0 * math.pi / omega_prime
     fracs = (0.25, 0.5, 1.0)
     z_ends = [frac * length for frac in fracs]
@@ -149,7 +155,7 @@ def _oracle_error(gas, probe_omega, steps_per_period: int) -> float:
 @_check("oracle_agreement")
 def check_oracle_agreement(config: RunConfig) -> tuple[bool, str]:
     """Characteristic integration matches the closed form to 1e-6."""
-    worst = _oracle_error(config.gas(), config.probe_omega(), config.steps)
+    worst = _oracle_error(config.coefficients, config.steps)
     return (
         worst < 1e-6,
         f"max rel log-amplitude error = {worst:.3e} at z in L/4, L/2, L",
@@ -200,7 +206,7 @@ def check_oracle_randomized(config: RunConfig) -> tuple[bool, str]:
             beta=b * complex(math.cos(phase), math.sin(phase)),
         )
         probe_omega = varied.omega_p - offset * varied.omega_prime
-        errors.append(_oracle_error(varied, probe_omega, 1000))
+        errors.append(_oracle_error(mod.derive_coefficients(varied, probe_omega), 1000))
     worst = float(np.max(errors))
     return (
         worst < 1e-6,
@@ -218,10 +224,9 @@ def integration_errors(config: RunConfig) -> tuple[list[int], list[float]]:
     terms cancel spectrally; at 1000-2000 steps per period truncation stays
     far above the rounding floor.
     """
-    gas, probe_omega = config.gas(), config.probe_omega()
     length = 2.0 * math.pi * CGS.c / config.omega_prime()
     z_end = 0.37 * length
-    coefs = replace(mod.derive_coefficients(gas, probe_omega), index=0.0)
+    coefs = replace(config.coefficients, index=0.0)
     closed = complex(chars.log_amplitude_grid(coefs, [z_end], [z_end / CGS.c])[0, 0])
     steps = [math.ceil(0.37 * per_period) for per_period in (1000, 1414, 2000)]
     errors = [
@@ -241,7 +246,7 @@ def fd_residuals(config: RunConfig) -> list[float]:
     sideband part, where the residual is rounding only and has no order."""
     period = 2.0 * math.pi / config.omega_prime()
     length = period * CGS.c
-    coefs = mod.derive_coefficients(config.gas(), config.probe_omega())
+    coefs = config.coefficients
     if coefs.ls == 0 and coefs.rs == 0:
         return []
     residuals = []
@@ -295,27 +300,25 @@ def check_fd_residual(config: RunConfig) -> tuple[bool, str]:
 @_check("dispersion_identities")
 def check_dispersion_identities(config: RunConfig) -> tuple[bool, str]:
     """n0 = 1 for balanced states and empty cells; n0 - 1 linear in rho,
-    measured on dipole_part + beyond_dipole_part since n0 - 1.0 carries the
-    rounding of n0 (eps / |n0 - 1| relative); n0 is exactly their sum + 1."""
+    measured on the dipole plus beyond-dipole part since n0 - 1.0 carries
+    the rounding of n0 (eps / |n0 - 1| relative)."""
     gas, probe_omega = config.gas(), config.probe_omega()
 
     def index(**change):
-        return disp.refractive_index(replace(gas, **change), probe_omega)
+        """n0 and the dipole plus beyond-dipole part of the changed gas."""
+        dipole, beyond, _ = disp.index_parts(
+            replace(gas, **change), [probe_omega], strict=True
+        )
+        dipole, beyond = float(dipole[0]), float(beyond[0])
+        return 1.0 + dipole + beyond, dipole + beyond
 
-    n_balanced = index(alpha=math.sqrt(0.5), beta=math.sqrt(0.5)).n0
-    n_empty = index(rho=0.0).n0
-    base = index()
-    doubled = index(rho=2.0 * gas.rho)
-    offset = base.dipole_part + base.beyond_dipole_part
-    doubled_offset = doubled.dipole_part + doubled.beyond_dipole_part
+    n_balanced, _ = index(alpha=math.sqrt(0.5), beta=math.sqrt(0.5))
+    n_empty, _ = index(rho=0.0)
+    _, offset = index()
+    _, doubled_offset = index(rho=2.0 * gas.rho)
     # Relative unless n0 = 1 exactly, then raw as in ``residual_check``.
     lin_err = abs(doubled_offset - 2.0 * offset) / (abs(doubled_offset) or 1.0)
-    ok = (
-        n_balanced == 1.0
-        and n_empty == 1.0
-        and lin_err < 1e-12
-        and base.n0 == 1.0 + base.dipole_part + base.beyond_dipole_part
-    )
+    ok = n_balanced == 1.0 and n_empty == 1.0 and lin_err < 1e-12
     return (
         ok,
         f"n0(balanced) - 1 = {n_balanced - 1.0:.1e}, "
@@ -351,11 +354,8 @@ def check_train_stats(config: RunConfig) -> tuple[bool, str]:
     the default parameters, i.e. it does not reproduce a 250 fs pulse.
     """
     omega_prime = config.omega_prime()
-    coefs = mod.derive_coefficients(config.gas(), config.probe_omega())
-    z = config.z_fixed()
-    series = mod.gain_series(coefs, z, 4, max(config.t_samples_per_period, 512))
-    stats = pt.analyze_train(series, omega_prime)
-    depth = mod.modulation_depth(coefs, z)
+    stats = _measured_train(config, 4, max(config.t_samples_per_period, 512))
+    depth = mod.modulation_depth(config.coefficients, config.z_fixed())
     fwhm_ref = pt.fwhm_closed_form(depth, omega_prime)
     depth_err = abs(stats.depth - depth) / depth
     fwhm_err = abs(stats.fwhm - fwhm_ref) / fwhm_ref
@@ -393,10 +393,9 @@ def check_guard_behavior(config: RunConfig) -> tuple[bool, str]:
     except ResonancePole as exc:
         details.append(f"pole caught ({exc.denominator})")
 
-    coefs = mod.derive_coefficients(gas, config.probe_omega())
     length = 2.0 * math.pi * CGS.c / omega_prime
     try:
-        chars.integrate_characteristic(coefs, length, 0.0, steps=10)
+        chars.integrate_characteristic(config.coefficients, length, 0.0, steps=10)
         ok = False
         details.append("coarse stepping NOT caught")
     except StepTooCoarse:

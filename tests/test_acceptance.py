@@ -28,10 +28,10 @@ from dressedprobe import (
     exponent_grid,
     fwhm_closed_form,
     generalized_rabi,
+    index_parts,
     integrate_characteristic,
     log_amplitude_grid,
     modulation_depth,
-    refractive_index,
     residual_check,
 )
 from dressedprobe.cli import sweep_frequency_rows
@@ -268,10 +268,14 @@ def test_criterion_6_pulse_train_fidelity(gas_train, probe):
 
 def test_criterion_7_dispersion(gas_dense, probe):
     balanced = replace(gas_dense, alpha=math.sqrt(0.5), beta=math.sqrt(0.5))
-    n_balanced = refractive_index(balanced, probe).n0
-    vacuum = refractive_index(replace(gas_dense, rho=0.0), probe).n0
+    (dipole_part,), (beyond_part,), _ = index_parts(balanced, [probe], strict=True)
+    n_balanced = 1.0 + dipole_part + beyond_part
+    empty = replace(gas_dense, rho=0.0)
+    (dipole_part,), (beyond_part,), _ = index_parts(empty, [probe], strict=True)
+    vacuum = 1.0 + dipole_part + beyond_part
 
-    result = refractive_index(gas_dense, probe)
+    (dipole_part,), (beyond_part,), _ = index_parts(gas_dense, [probe], strict=True)
+    n0 = 1.0 + dipole_part + beyond_part
     dipole, beyond = oracles.refractive_index_offset(
         OMEGA0,
         D_SQUARED,
@@ -283,15 +287,15 @@ def test_criterion_7_dispersion(gas_dense, probe):
     )
     oracle_offset = float(dipole + beyond)
     oracle_ok = (
-        abs(result.n0 - 1.0 - oracle_offset) < 1e-9 * abs(oracle_offset)
+        abs(n0 - 1.0 - oracle_offset) < 1e-9 * abs(oracle_offset)
         and abs(oracle_offset - FROZEN["n0_minus_1_dense"])
         < 1e-12 * FROZEN["n0_minus_1_dense"]
     )
 
-    doubled = refractive_index(replace(gas_dense, rho=2 * RHO_DENSE), probe)
-    linear_err = abs(doubled.n0 - 1.0 - 2.0 * (result.n0 - 1.0)) / abs(
-        doubled.n0 - 1.0
-    )
+    doubled = replace(gas_dense, rho=2 * RHO_DENSE)
+    (dipole_part,), (beyond_part,), _ = index_parts(doubled, [probe], strict=True)
+    n0_doubled = 1.0 + dipole_part + beyond_part
+    linear_err = abs(n0_doubled - 1.0 - 2.0 * (n0 - 1.0)) / abs(n0_doubled - 1.0)
     _report(
         "criterion 7 (dispersion)",
         n_balanced == 1.0
@@ -299,7 +303,7 @@ def test_criterion_7_dispersion(gas_dense, probe):
         and oracle_ok
         and linear_err < 1e-12,
         f"n0(balanced) = {n_balanced}, n0(vacuum) = {vacuum}, n0 - 1 = "
-        f"{result.n0 - 1.0:.6e} vs independent oracle {oracle_offset:.6e}, "
+        f"{n0 - 1.0:.6e} vs independent oracle {oracle_offset:.6e}, "
         f"rho-linearity rel err = {linear_err:.2e}",
     )
 

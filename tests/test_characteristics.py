@@ -20,7 +20,7 @@ from dressedprobe import (
     generalized_rabi,
     integrate_characteristic,
     log_amplitude_grid,
-    refractive_index,
+    index_parts,
     residual_check,
 )
 
@@ -37,9 +37,12 @@ class TestDeriveCoefficients:
         coefs = derive_coefficients(pure, probe)
         assert coefs.ls == 0.0
         assert coefs.rs == 0.0
-        disp = refractive_index(pure, probe)
+        (dipole_part,), (beyond_dipole_part,), _ = index_parts(
+            pure, [probe], strict=True
+        )
+        n0 = 1.0 + dipole_part + beyond_dipole_part
         assert coefs.d_coef == pytest.approx(
-            probe * (disp.n0 - 1.0) / CGS.c, rel=1e-12
+            probe * (n0 - 1.0) / CGS.c, rel=1e-12
         )
 
     def test_balanced_state_has_no_direct_term(self, gas_dense, probe):

@@ -27,7 +27,7 @@ from dressedprobe.cli import (
     sweep_frequency_rows,
 )
 from dressedprobe.config import RunConfig, load_config
-from dressedprobe.dispersion import refractive_index
+from dressedprobe.dispersion import index_parts
 from dressedprobe.modulation import derive_coefficients, exponent_grid
 from dressedprobe.pulsetrain import analyze_train
 
@@ -919,8 +919,8 @@ def _table(path: Path) -> list[list[str]]:
     "grid", ["default", "three_poles", "guard_edge", "complex_state"]
 )
 def test_array_rows_equal_scalar_wrappers(tmp_path, grid):
-    """Every value cell equals a one-frequency ``exponent_grid`` or
-    ``refractive_index`` call with ==; POLE rows sit exactly where that call
+    """Every value cell equals a one-frequency ``exponent_grid`` or strict
+    ``index_parts`` call with ==; POLE rows sit exactly where that call
     raises ResonancePole."""
     omega_prime = RunConfig().omega_prime()
     if grid == "default":
@@ -964,16 +964,18 @@ def test_array_rows_equal_scalar_wrappers(tmp_path, grid):
     scan_poles = set()
     for i, (omega, n0, dipole, beyond, marker) in enumerate(_table(scan)):
         try:
-            result = refractive_index(gas, float(omega))
+            (dipole_part,), (beyond_dipole_part,), _ = index_parts(
+                gas, [float(omega)], strict=True
+            )
         except ResonancePole:
             assert (marker, n0, dipole, beyond) == ("POLE", "", "", "")
             scan_poles.add(i)
             continue
         assert marker == ""
         assert [float(n0), float(dipole), float(beyond)] == [
-            result.n0,
-            result.dipole_part,
-            result.beyond_dipole_part,
+            1.0 + dipole_part + beyond_dipole_part,
+            dipole_part,
+            beyond_dipole_part,
         ]
 
     # The sweep also guards omega_p - omega, so its poles include the scan's.

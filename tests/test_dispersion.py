@@ -12,7 +12,7 @@ from dressedprobe import (
     ResonancePole,
     ZeroDipole,
     beyond_dipole_fraction,
-    refractive_index,
+    index_parts,
 )
 
 import oracles
@@ -32,20 +32,28 @@ from conftest import (
 
 def test_balanced_superposition_is_vacuum(gas_dense):
     balanced = replace(gas_dense, alpha=math.sqrt(0.5), beta=math.sqrt(0.5))
-    result = refractive_index(balanced, balanced.omega_p - PROBE_DELTA)
-    assert result.n0 == 1.0
-    assert result.dipole_part == 0.0
-    assert result.beyond_dipole_part == 0.0
+    (dipole_part,), (beyond_dipole_part,), _ = index_parts(
+        balanced, [balanced.omega_p - PROBE_DELTA], strict=True
+    )
+    assert 1.0 + dipole_part + beyond_dipole_part == 1.0
+    assert dipole_part == 0.0
+    assert beyond_dipole_part == 0.0
 
 
 def test_empty_cell_is_vacuum():
     empty = documented_gas(rho=0.0)
     probe = empty.omega_p - 2e9
-    assert refractive_index(empty, probe).n0 == 1.0
+    (dipole_part,), (beyond_dipole_part,), _ = index_parts(
+        empty, [probe], strict=True
+    )
+    assert 1.0 + dipole_part + beyond_dipole_part == 1.0
 
 
 def test_documented_value_matches_high_precision_oracle(gas_dense, probe):
-    result = refractive_index(gas_dense, probe)
+    (dipole_part,), (beyond_dipole_part,), _ = index_parts(
+        gas_dense, [probe], strict=True
+    )
+    n0 = 1.0 + dipole_part + beyond_dipole_part
     dipole, beyond = oracles.refractive_index_offset(
         OMEGA0,
         D_SQUARED,
@@ -55,65 +63,70 @@ def test_documented_value_matches_high_precision_oracle(gas_dense, probe):
         gas_dense.population_difference,
         probe,
     )
-    assert result.n0 - 1.0 == pytest.approx(
+    assert n0 - 1.0 == pytest.approx(
         float(dipole + beyond), rel=1e-12
     )
-    assert result.dipole_part == pytest.approx(float(dipole), rel=1e-12)
-    assert result.beyond_dipole_part == pytest.approx(float(beyond), rel=1e-12)
-    assert result.n0 - 1.0 == pytest.approx(
+    assert dipole_part == pytest.approx(float(dipole), rel=1e-12)
+    assert beyond_dipole_part == pytest.approx(float(beyond), rel=1e-12)
+    assert n0 - 1.0 == pytest.approx(
         FROZEN["n0_minus_1_dense"], rel=1e-12
     )
 
 
 def test_decomposition_sums_to_offset(gas_dense, probe):
-    result = refractive_index(gas_dense, probe)
-    assert result.n0 - 1.0 == pytest.approx(
-        result.dipole_part + result.beyond_dipole_part, rel=1e-12
+    (dipole_part,), (beyond_dipole_part,), _ = index_parts(
+        gas_dense, [probe], strict=True
+    )
+    assert 1.0 + dipole_part + beyond_dipole_part - 1.0 == pytest.approx(
+        dipole_part + beyond_dipole_part, rel=1e-12
     )
 
 
 def test_sign_antisymmetry_in_population_difference(gas_dense, probe):
     state = replace(gas_dense, alpha=ALPHA, beta=BETA)
     swapped = replace(gas_dense, alpha=BETA, beta=ALPHA)
-    direct = refractive_index(state, probe)
-    mirrored = refractive_index(swapped, probe)
-    assert mirrored.dipole_part == -direct.dipole_part
-    assert mirrored.beyond_dipole_part == -direct.beyond_dipole_part
+    direct_dipole, direct_beyond, _ = index_parts(state, [probe], strict=True)
+    mirrored_dipole, mirrored_beyond, _ = index_parts(swapped, [probe], strict=True)
+    assert mirrored_dipole[0] == -direct_dipole[0]
+    assert mirrored_beyond[0] == -direct_beyond[0]
 
 
 def test_linearity_in_density(probe):
     base = documented_gas(rho=RHO_DENSE)
     doubled = documented_gas(rho=2.0 * RHO_DENSE)
-    lo = refractive_index(base, probe)
-    hi = refractive_index(doubled, probe)
-    assert hi.dipole_part == 2.0 * lo.dipole_part
-    assert hi.beyond_dipole_part == 2.0 * lo.beyond_dipole_part
-    assert hi.n0 - 1.0 == pytest.approx(2.0 * (lo.n0 - 1.0), rel=1e-12)
+    (lo_dipole,), (lo_beyond,), _ = index_parts(base, [probe], strict=True)
+    (hi_dipole,), (hi_beyond,), _ = index_parts(doubled, [probe], strict=True)
+    assert hi_dipole == 2.0 * lo_dipole
+    assert hi_beyond == 2.0 * lo_beyond
+    assert 1.0 + hi_dipole + hi_beyond - 1.0 == pytest.approx(
+        2.0 * (1.0 + lo_dipole + lo_beyond - 1.0), rel=1e-12
+    )
 
 
 def test_pole_guard_names_offending_denominator(gas_dense):
     gas = replace(gas_dense, guard=1e6)
     omega_prime = gas.omega_prime
     with pytest.raises(ResonancePole) as info:
-        refractive_index(gas, gas.omega_p - omega_prime - 5e5)
+        index_parts(gas, [gas.omega_p - omega_prime - 5e5], strict=True)
     assert info.value.denominator == "omega_p - omega - omega_prime"
     with pytest.raises(ResonancePole) as info:
-        refractive_index(gas, gas.omega_p + omega_prime + 5e5)
+        index_parts(gas, [gas.omega_p + omega_prime + 5e5], strict=True)
     assert info.value.denominator == "omega_p - omega + omega_prime"
 
 
 def test_no_pole_at_rayleigh_degeneracy(gas_dense):
     # The index itself is regular at omega = omega_p.
-    result = refractive_index(gas_dense, gas_dense.omega_p)
-    assert math.isfinite(result.n0)
+    (dipole_part,), (beyond_dipole_part,), _ = index_parts(
+        gas_dense, [gas_dense.omega_p], strict=True
+    )
+    assert math.isfinite(1.0 + dipole_part + beyond_dipole_part)
 
 
 def test_continuity_off_poles(gas_dense, probe):
-    base = refractive_index(gas_dense, probe).n0
-    diffs = [
-        abs(refractive_index(gas_dense, probe + eps).n0 - base)
-        for eps in (1e6, 1e4, 1e2)
-    ]
+    omegas = [probe, probe + 1e6, probe + 1e4, probe + 1e2]
+    dipole_part, beyond_dipole_part, _ = index_parts(gas_dense, omegas, strict=True)
+    base, *shifted = (1.0 + dipole_part + beyond_dipole_part).tolist()
+    diffs = [abs(n0 - base) for n0 in shifted]
     assert diffs[0] > diffs[1] > diffs[2]
 
 
@@ -182,7 +195,9 @@ def test_offset_proportional_to_population_difference(rho, rabi, beta_sq):
         beta=math.sqrt(beta_sq),
     )
     probe_omega = gas.omega_p - PROBE_DELTA
-    result = refractive_index(gas, probe_omega)
-    reference = refractive_index(replace(gas, alpha=1.0, beta=0.0), probe_omega)
-    expected = gas.population_difference * reference.dipole_part
-    assert result.dipole_part == pytest.approx(expected, rel=1e-12, abs=1e-300)
+    (dipole_part,), _, _ = index_parts(gas, [probe_omega], strict=True)
+    (reference,), _, _ = index_parts(
+        replace(gas, alpha=1.0, beta=0.0), [probe_omega], strict=True
+    )
+    expected = gas.population_difference * reference
+    assert dipole_part == pytest.approx(expected, rel=1e-12, abs=1e-300)

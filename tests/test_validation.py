@@ -27,6 +27,7 @@ from dressedprobe import modulation as mod
 from dressedprobe import validation
 from dressedprobe.config import config_from_dict
 from dressedprobe.constants import CGS
+from dressedprobe.errors import ResonancePole
 from dressedprobe.validation import ALL_CHECKS, run_all
 
 from conftest import child_env
@@ -254,7 +255,9 @@ def _reference_oracle_error(gas, probe, steps_per_period):
 def test_oracle_error_matches_per_plane_reference(name):
     config = config_from_dict(BENCH_CONFIGS[name])
     args = (config.gas(), config.probe_omega(), config.steps)
-    assert validation._oracle_error(*args) == _reference_oracle_error(*args)
+    assert validation._oracle_error(
+        config.coefficients, config.steps
+    ) == _reference_oracle_error(*args)
 
 
 def _reference_fd_residuals(config):
@@ -262,7 +265,10 @@ def _reference_fd_residuals(config):
     gas, probe = config.gas(), config.probe_omega()
     period = 2.0 * math.pi / config.omega_prime()
     coefs = mod.derive_coefficients(gas, probe)
-    index = disp.refractive_index(gas, probe).n0 - 1.0
+    (dipole_part,), (beyond_dipole_part,), _ = disp.index_parts(
+        gas, [probe], strict=True
+    )
+    index = 1.0 + dipole_part + beyond_dipole_part - 1.0
     residuals = []
     for n in (64, 128, 256):
         z = np.linspace(0.0, period * CGS.c, n + 1)
@@ -301,6 +307,21 @@ def test_integration_errors_match_per_call_reference(name):
     )
 
 
+@pytest.fixture
+def coefficient_passes(monkeypatch):
+    """The ``rayleigh`` flag of each pole pass derive_coefficients makes,
+    one full pole test (rayleigh=True) per call."""
+    passes = []
+    original = mod.resonance_denominators
+
+    def counted(*args, **kwargs):
+        passes.append(kwargs.get("rayleigh", True))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mod, "resonance_denominators", counted)
+    return passes
+
+
 @pytest.mark.parametrize(
     "call, count",
     [
@@ -313,6 +334,7 @@ def test_integration_errors_match_per_call_reference(name):
         (validation.check_modulation_periods, 1),
         (validation.check_zero_mean_jensen, 1),
         (validation.check_train_stats, 1),
+        (run_all, 21),
     ],
     ids=[
         "oracle_randomized",
@@ -324,25 +346,30 @@ def test_integration_errors_match_per_call_reference(name):
         "modulation_periods",
         "zero_mean_jensen_geometric",
         "train_stats_closed_form",
+        "run_all",
     ],
 )
 def test_one_coefficient_evaluation_per_gas_and_frequency(
-    monkeypatch, call, count
+    coefficient_passes, call, count
 ):
-    # resonance_denominators passes on the documented set: each
-    # derive_coefficients makes one full pole test (rayleigh=True), and
-    # nothing else tests the poles, so a check reads one per (gas, w).
-    rayleigh = []
-    original = disp.resonance_denominators
-
-    def counted(*args, **kwargs):
-        rayleigh.append(kwargs.get("rayleigh", True))
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(disp, "resonance_denominators", counted)
-    monkeypatch.setattr(mod, "resonance_denominators", counted)
+    # On the documented set a config derives its own coefficients once,
+    # however many checks read them, and each of the 20 oracle sets its
+    # own: run_all makes 1 + 20.
     call(config_from_dict({}))
-    assert rayleigh == [True] * count
+    assert coefficient_passes == [True] * count
+
+
+def test_a_config_derives_its_coefficients_once(coefficient_passes):
+    config = config_from_dict({})
+    assert config.coefficients is config.coefficients
+    assert coefficient_passes == [True]
+
+    # A probe in the guard band raises on every read: nothing is kept.
+    guarded = config_from_dict({"guard": 3e9})
+    for _ in range(2):
+        with pytest.raises(ResonancePole):
+            guarded.coefficients
+    assert coefficient_passes == [True] * 3
 
 
 def test_jensen_mean_gain_is_finite_near_the_gain_limit():
