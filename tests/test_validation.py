@@ -308,33 +308,46 @@ def test_integration_errors_match_per_call_reference(name):
 
 
 @pytest.fixture
-def coefficient_passes(monkeypatch):
-    """The ``rayleigh`` flag of each pole pass derive_coefficients makes,
-    one full pole test (rayleigh=True) per call."""
+def pole_passes(monkeypatch):
+    """Each resonance_denominators pass as (binding, rayleigh): the
+    ``modulation`` binding is derive_coefficients' (one full pole test,
+    rayleigh=True, per call), the ``dispersion`` binding every other."""
     passes = []
-    original = mod.resonance_denominators
+    original = disp.resonance_denominators
 
-    def counted(*args, **kwargs):
-        passes.append(kwargs.get("rayleigh", True))
-        return original(*args, **kwargs)
+    def counted(binding):
+        def call(*args, **kwargs):
+            passes.append((binding, kwargs.get("rayleigh", True)))
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(mod, "resonance_denominators", counted)
+        return call
+
+    monkeypatch.setattr(disp, "resonance_denominators", counted("dispersion"))
+    monkeypatch.setattr(mod, "resonance_denominators", counted("modulation"))
     return passes
 
 
+DERIVE = ("modulation", True)
+
+
 @pytest.mark.parametrize(
-    "call, count",
+    "call, expected",
     [
-        (validation.check_oracle_randomized, 20),
-        (validation.check_oracle_agreement, 1),
-        (validation.fd_residuals, 1),
-        (validation.integration_errors, 1),
-        (validation.check_boundary_identity, 1),
-        (validation.check_antiperiodicity, 1),
-        (validation.check_modulation_periods, 1),
-        (validation.check_zero_mean_jensen, 1),
-        (validation.check_train_stats, 1),
-        (run_all, 21),
+        (validation.check_oracle_randomized, [DERIVE] * 20),
+        (validation.check_oracle_agreement, [DERIVE]),
+        (validation.fd_residuals, [DERIVE]),
+        (validation.integration_errors, [DERIVE]),
+        (validation.check_boundary_identity, [DERIVE]),
+        (validation.check_antiperiodicity, [DERIVE]),
+        (validation.check_modulation_periods, [DERIVE]),
+        (validation.check_zero_mean_jensen, [DERIVE]),
+        (validation.check_train_stats, [DERIVE]),
+        (
+            run_all,
+            [DERIVE] * 21
+            + [("dispersion", False)] * 4
+            + [("dispersion", True)],
+        ),
     ],
     ids=[
         "oracle_randomized",
@@ -350,26 +363,28 @@ def coefficient_passes(monkeypatch):
     ],
 )
 def test_one_coefficient_evaluation_per_gas_and_frequency(
-    coefficient_passes, call, count
+    pole_passes, call, expected
 ):
     # On the documented set a config derives its own coefficients once,
     # however many checks read them, and each of the 20 oracle sets its
-    # own: run_all makes 1 + 20.
+    # own: run_all makes 1 + 20.  Besides those, run_all's only passes are
+    # dispersion_identities' four index_parts calls (rayleigh=False) and
+    # guard_behavior's pole probe on a guard-1 gas.
     call(config_from_dict({}))
-    assert coefficient_passes == [True] * count
+    assert pole_passes == expected
 
 
-def test_a_config_derives_its_coefficients_once(coefficient_passes):
+def test_a_config_derives_its_coefficients_once(pole_passes):
     config = config_from_dict({})
     assert config.coefficients is config.coefficients
-    assert coefficient_passes == [True]
+    assert pole_passes == [DERIVE]
 
     # A probe in the guard band raises on every read: nothing is kept.
     guarded = config_from_dict({"guard": 3e9})
     for _ in range(2):
         with pytest.raises(ResonancePole):
             guarded.coefficients
-    assert coefficient_passes == [True] * 3
+    assert pole_passes == [DERIVE] * 3
 
 
 def test_jensen_mean_gain_is_finite_near_the_gain_limit():
