@@ -22,8 +22,9 @@ frequency or an array of them: ``exponent_grid(coefs, z, t)`` gives G and
 ``log_amplitude_grid(coefs, z, t)`` ln A over a (z, t) grid, a single value
 being the [0, 0] cell of a one-point grid, and ``modulation_depth(coefs, z)``
 gives the depth at one plane and frequency.  ``index_parts(gas, omega)``
-gives the dipole and beyond-dipole parts of n0 - 1 over an array of probe
-frequencies.
+gives n0 and its dipole and beyond-dipole parts at one probe frequency or
+an array of them.  One frequency at a pole raises ``ResonancePole``; an
+array marks its poles in a mask.
 
 Units are Gaussian-CGS; every frequency is angular (rad/s).
 

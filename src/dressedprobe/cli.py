@@ -85,7 +85,7 @@ def sweep_frequency_rows(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     gas = config.gas()
     omega_prime = config.omega_prime()
     deltas = config.delta_values()
-    coefs = mod.derive_coefficients(gas, gas.omega_p - deltas, strict=False)
+    coefs = mod.derive_coefficients(gas, gas.omega_p - deltas)
     times = [math.pi / omega_prime, 2.0 * math.pi / omega_prime]
     g = mod.exponent_sweep(coefs, config.z_fixed(), times)
     return np.column_stack((deltas, g.real)), coefs.pole
@@ -151,10 +151,8 @@ def dispersion_rows(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
 
     gas = config.gas()
     omega = gas.omega_p - config.delta_values()
-    dipole, beyond, pole = index_parts(gas, omega)
-    with np.errstate(invalid="ignore"):  # inf - inf where K overflows
-        values = np.column_stack((omega, 1.0 + dipole + beyond, dipole, beyond))
-    return values, pole
+    n0, dipole, beyond, pole = index_parts(gas, omega)
+    return np.column_stack((omega, n0, dipole, beyond)), pole
 
 
 def _emit_table(columns: list[str], rows, args, config: RunConfig, path: Path) -> int:

@@ -14,8 +14,9 @@ rather than regularized.
 
 ``resonance_denominators`` owns the guard rule for these and the
 modulation's denominators, and refuses a non-positive probe frequency.
-It and ``index_parts``, the one evaluation of the index, take arrays of
-probe frequencies and mark poles in a mask.
+It and ``index_parts``, the one evaluation of the index, take one probe
+frequency or an array of them: one at a pole raises ResonancePole, and an
+array marks its poles in a mask.
 """
 
 from __future__ import annotations
@@ -29,22 +30,27 @@ from .dressed import DressedGas, _split_offsets
 from .errors import ResonancePole, ZeroDipole
 
 
+def _as_array(probe_omega) -> tuple[np.ndarray, bool]:
+    """``probe_omega`` as a float array, one frequency as a one-element
+    array, and whether it was one frequency."""
+    scalar = np.ndim(probe_omega) == 0
+    return np.asarray([probe_omega] if scalar else probe_omega, dtype=float), scalar
+
+
 def resonance_denominators(
-    gas: DressedGas,
-    probe_omega,
-    *,
-    rayleigh: bool = True,
-    strict: bool = False,
+    gas: DressedGas, probe_omega, *, rayleigh: bool = True
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
-    """omega_p - omega and omega_p - omega +- omega_prime, and the pole mask.
+    """omega_p - omega and omega_p - omega +- omega_prime, and the pole mask,
+    as arrays (of one element for one probe frequency).
 
     A guarded denominator is at a pole unless |den| > gas.guard (NaN is a
-    pole); omega_p - omega is guarded only if ``rayleigh``.  ``strict``
-    raises ResonancePole for the first pole in the order of the result.
-    A probe frequency that is not strictly positive raises ValueError;
-    every closed-form evaluation passes through here.
+    pole); omega_p - omega is guarded only if ``rayleigh``.  One probe
+    frequency at a pole raises ResonancePole for the first pole in the
+    order of the result; an array marks its poles in the mask.  A probe
+    frequency that is not strictly positive raises ValueError; every
+    closed-form evaluation passes through here.
     """
-    omega = np.asarray(probe_omega, dtype=float)
+    omega, scalar = _as_array(probe_omega)
     if np.any(omega <= 0):
         raise ValueError("probe_omega must be strictly positive")
     delta_po = gas.omega_p - omega
@@ -57,8 +63,8 @@ def resonance_denominators(
     pole = np.zeros(delta_po.shape, dtype=bool)
     for name, den in named[0 if rayleigh else 1 :]:
         inside = ~(np.abs(den) > gas.guard)
-        if strict and inside.any():
-            raise ResonancePole(name, float(np.extract(inside, den)[0]), gas.guard)
+        if scalar and inside[0]:
+            raise ResonancePole(name, float(den[0]), gas.guard)
         pole |= inside
     return tuple(den for _, den in named), pole
 
@@ -75,27 +81,24 @@ def _numerators(gas: DressedGas) -> tuple:
     return dip_plus, dip_minus, beyond
 
 
-def index_parts(
-    gas: DressedGas,
-    probe_omega,
-    *,
-    strict: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dipole and beyond-dipole parts of n0 - 1 at each probe frequency;
-    n0 is ``1.0 + dipole + beyond``, summed in that order.
+def index_parts(gas: DressedGas, probe_omega) -> tuple:
+    """n0 and the dipole and beyond-dipole parts of n0 - 1 at the probe
+    angular frequency ``probe_omega`` in rad/s, a scalar or an array, with
+    the pole mask; the parts are meaningless under it.
 
-    Also returns the pole mask; the parts are meaningless under it.
-    ``strict`` raises ResonancePole instead, naming the first sideband
-    denominator within ``gas.guard`` of zero.
+    One frequency within ``gas.guard`` of a sideband pole raises
+    ResonancePole naming the first such denominator.
     """
-    omega = np.asarray(probe_omega, dtype=float)
-    dens, pole = resonance_denominators(gas, omega, rayleigh=False, strict=strict)
-    return (*_index_terms(gas, omega, dens), pole)
+    omega, scalar = _as_array(probe_omega)
+    dens, pole = resonance_denominators(gas, probe_omega, rayleigh=False)
+    parts = (*_index_terms(gas, omega, dens), pole)
+    return tuple(part[0] for part in parts) if scalar else parts
 
 
 def _index_terms(gas: DressedGas, omega: np.ndarray, dens) -> tuple:
-    """The dipole and beyond-dipole parts of n0 - 1 from the resonance
-    denominators ``dens`` of the probe frequencies ``omega``."""
+    """n0 = 1.0 + dipole + beyond, summed in that order, and the dipole and
+    beyond-dipole parts of n0 - 1, from the resonance denominators ``dens``
+    of the probe frequencies ``omega``."""
     _, den_plus, den_minus = dens
     dip_plus, dip_minus, beyond = _numerators(gas)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -108,7 +111,8 @@ def _index_terms(gas: DressedGas, omega: np.ndarray, dens) -> tuple:
         )
         dipole_part = prefactor * (dip_plus / den_plus - dip_minus / den_minus)
         beyond_part = prefactor * beyond * (1.0 / den_plus - 1.0 / den_minus)
-    return dipole_part, beyond_part
+        n0 = 1.0 + dipole_part + beyond_part  # inf - inf where K overflows
+    return n0, dipole_part, beyond_part
 
 
 def beyond_dipole_fraction(gas: DressedGas) -> float:

@@ -18,8 +18,8 @@ alpha * beta, so a gas prepared in a single dressed state is not modulated
 at all.
 
 The probe frequency enters only through a1 = K conj(alpha) beta b1,
-a2 = K alpha conj(beta) b2 and, in ln A, the index n0 - 1, the sum of the
-parts ``dispersion.index_parts`` gives.  ``derive_coefficients`` evaluates
+a2 = K alpha conj(beta) b2 and, in ln A, the index n0 - 1, with the n0
+``dispersion.index_parts`` gives.  ``derive_coefficients`` evaluates
 them once, at one probe frequency or an array of them, and a config keeps
 those at its probe frequency (``RunConfig.coefficients``); the functions
 below read its result and evaluate nothing else.  ``exponent_grid`` gives
@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .constants import CGS
-from .dispersion import _index_terms, resonance_denominators
+from .dispersion import _as_array, _index_terms, resonance_denominators
 from .dressed import DressedGas, _split_offsets
 from .errors import ConfigError
 
@@ -99,23 +99,20 @@ def k_scale(gas: DressedGas, probe_omega):
     )
 
 
-def derive_coefficients(
-    gas: DressedGas, probe_omega, *, strict: bool = True
-) -> RweCoefficients:
+def derive_coefficients(gas: DressedGas, probe_omega) -> RweCoefficients:
     """The closed form's inputs at the probe angular frequency
     ``probe_omega`` in rad/s, a scalar or an array, with fields of its shape.
 
     One pass over the resonance denominators, Rayleigh first, marks the
-    poles; ``strict`` raises ResonancePole at the first.  A scalar is
+    poles; one frequency raises ResonancePole at the first instead, and is
     evaluated as a one-element array, as the operand shapes of
     ``_exponent`` require.
     """
-    scalar = np.ndim(probe_omega) == 0
-    omega = np.asarray([probe_omega] if scalar else probe_omega, dtype=float)
-    dens, pole = resonance_denominators(gas, omega, strict=strict)
+    omega, scalar = _as_array(probe_omega)
+    dens, pole = resonance_denominators(gas, probe_omega)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        dipole, beyond = _index_terms(gas, omega, dens)
-        index = 1.0 + dipole + beyond - 1.0
+        n0, _, _ = _index_terms(gas, omega, dens)
+        index = n0 - 1.0
         b1, b2 = _brackets(gas, dens)
         scale = k_scale(gas, omega)
         a1 = scale * gas.alpha.conjugate() * gas.beta * b1

@@ -306,11 +306,8 @@ def check_dispersion_identities(config: RunConfig) -> tuple[bool, str]:
 
     def index(**change):
         """n0 and the dipole plus beyond-dipole part of the changed gas."""
-        dipole, beyond, _ = disp.index_parts(
-            replace(gas, **change), [probe_omega], strict=True
-        )
-        dipole, beyond = float(dipole[0]), float(beyond[0])
-        return 1.0 + dipole + beyond, dipole + beyond
+        n0, dipole, beyond, _ = disp.index_parts(replace(gas, **change), probe_omega)
+        return float(n0), float(dipole + beyond)
 
     n_balanced, _ = index(alpha=math.sqrt(0.5), beta=math.sqrt(0.5))
     n_empty, _ = index(rho=0.0)
@@ -385,9 +382,7 @@ def check_guard_behavior(config: RunConfig) -> tuple[bool, str]:
     sign = "" if omega_p > omega_prime else "-"
     delta = -omega_prime if sign else omega_prime
     try:
-        disp.resonance_denominators(
-            replace(gas, guard=1.0), [omega_p - delta], strict=True
-        )
+        disp.resonance_denominators(replace(gas, guard=1.0), omega_p - delta)
         ok = False
         details.append(f"pole at delta = {sign}omega_prime NOT caught")
     except ResonancePole as exc:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import dressedprobe
+import identity
 import refusals
 from dressedprobe import DressedGas, TimeSeries
 from dressedprobe.cli import main
@@ -29,6 +30,9 @@ RABI = 2e10
 PROBE_DELTA = 2e9
 ALPHA = math.sqrt(0.99)
 BETA = 0.1
+
+#: The shipped configs and the bench configs, each as its config dict.
+CONFIGS = identity.default_configs()
 
 FROZEN = {
     "omega_prime": 200997512422.4178054,

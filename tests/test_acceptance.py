@@ -268,14 +268,11 @@ def test_criterion_6_pulse_train_fidelity(gas_train, probe):
 
 def test_criterion_7_dispersion(gas_dense, probe):
     balanced = replace(gas_dense, alpha=math.sqrt(0.5), beta=math.sqrt(0.5))
-    (dipole_part,), (beyond_part,), _ = index_parts(balanced, [probe], strict=True)
-    n_balanced = 1.0 + dipole_part + beyond_part
+    n_balanced, _, _, _ = index_parts(balanced, probe)
     empty = replace(gas_dense, rho=0.0)
-    (dipole_part,), (beyond_part,), _ = index_parts(empty, [probe], strict=True)
-    vacuum = 1.0 + dipole_part + beyond_part
+    vacuum, _, _, _ = index_parts(empty, probe)
 
-    (dipole_part,), (beyond_part,), _ = index_parts(gas_dense, [probe], strict=True)
-    n0 = 1.0 + dipole_part + beyond_part
+    n0, _, _, _ = index_parts(gas_dense, probe)
     dipole, beyond = oracles.refractive_index_offset(
         OMEGA0,
         D_SQUARED,
@@ -293,8 +290,7 @@ def test_criterion_7_dispersion(gas_dense, probe):
     )
 
     doubled = replace(gas_dense, rho=2 * RHO_DENSE)
-    (dipole_part,), (beyond_part,), _ = index_parts(doubled, [probe], strict=True)
-    n0_doubled = 1.0 + dipole_part + beyond_part
+    n0_doubled, _, _, _ = index_parts(doubled, probe)
     linear_err = abs(n0_doubled - 1.0 - 2.0 * (n0 - 1.0)) / abs(n0_doubled - 1.0)
     _report(
         "criterion 7 (dispersion)",

@@ -37,10 +37,7 @@ class TestDeriveCoefficients:
         coefs = derive_coefficients(pure, probe)
         assert coefs.ls == 0.0
         assert coefs.rs == 0.0
-        (dipole_part,), (beyond_dipole_part,), _ = index_parts(
-            pure, [probe], strict=True
-        )
-        n0 = 1.0 + dipole_part + beyond_dipole_part
+        n0, _, _, _ = index_parts(pure, probe)
         assert coefs.d_coef == pytest.approx(
             probe * (n0 - 1.0) / CGS.c, rel=1e-12
         )

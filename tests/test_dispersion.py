@@ -12,6 +12,7 @@ from dressedprobe import (
     ResonancePole,
     ZeroDipole,
     beyond_dipole_fraction,
+    config_from_dict,
     index_parts,
 )
 
@@ -19,6 +20,7 @@ import oracles
 from conftest import (
     ALPHA,
     BETA,
+    CONFIGS,
     D_SQUARED,
     DETUNING,
     FROZEN,
@@ -32,8 +34,8 @@ from conftest import (
 
 def test_balanced_superposition_is_vacuum(gas_dense):
     balanced = replace(gas_dense, alpha=math.sqrt(0.5), beta=math.sqrt(0.5))
-    (dipole_part,), (beyond_dipole_part,), _ = index_parts(
-        balanced, [balanced.omega_p - PROBE_DELTA], strict=True
+    _, dipole_part, beyond_dipole_part, _ = index_parts(
+        balanced, balanced.omega_p - PROBE_DELTA
     )
     assert dipole_part == 0.0
     assert beyond_dipole_part == 0.0
@@ -42,17 +44,12 @@ def test_balanced_superposition_is_vacuum(gas_dense):
 def test_empty_cell_is_vacuum():
     empty = documented_gas(rho=0.0)
     probe = empty.omega_p - 2e9
-    (dipole_part,), (beyond_dipole_part,), _ = index_parts(
-        empty, [probe], strict=True
-    )
-    assert 1.0 + dipole_part + beyond_dipole_part == 1.0
+    n0, _, _, _ = index_parts(empty, probe)
+    assert n0 == 1.0
 
 
 def test_documented_value_matches_high_precision_oracle(gas_dense, probe):
-    (dipole_part,), (beyond_dipole_part,), _ = index_parts(
-        gas_dense, [probe], strict=True
-    )
-    n0 = 1.0 + dipole_part + beyond_dipole_part
+    n0, dipole_part, beyond_dipole_part, _ = index_parts(gas_dense, probe)
     dipole, beyond = oracles.refractive_index_offset(
         OMEGA0,
         D_SQUARED,
@@ -75,44 +72,66 @@ def test_documented_value_matches_high_precision_oracle(gas_dense, probe):
 def test_sign_antisymmetry_in_population_difference(gas_dense, probe):
     state = replace(gas_dense, alpha=ALPHA, beta=BETA)
     swapped = replace(gas_dense, alpha=BETA, beta=ALPHA)
-    direct_dipole, direct_beyond, _ = index_parts(state, [probe], strict=True)
-    mirrored_dipole, mirrored_beyond, _ = index_parts(swapped, [probe], strict=True)
-    assert mirrored_dipole[0] == -direct_dipole[0]
-    assert mirrored_beyond[0] == -direct_beyond[0]
+    _, direct_dipole, direct_beyond, _ = index_parts(state, probe)
+    _, mirrored_dipole, mirrored_beyond, _ = index_parts(swapped, probe)
+    assert mirrored_dipole == -direct_dipole
+    assert mirrored_beyond == -direct_beyond
 
 
 def test_linearity_in_density(probe):
     base = documented_gas(rho=RHO_DENSE)
     doubled = documented_gas(rho=2.0 * RHO_DENSE)
-    (lo_dipole,), (lo_beyond,), _ = index_parts(base, [probe], strict=True)
-    (hi_dipole,), (hi_beyond,), _ = index_parts(doubled, [probe], strict=True)
+    _, lo_dipole, lo_beyond, _ = index_parts(base, probe)
+    _, hi_dipole, hi_beyond, _ = index_parts(doubled, probe)
     assert hi_dipole == 2.0 * lo_dipole
     assert hi_beyond == 2.0 * lo_beyond
 
 
 def test_pole_guard_names_offending_denominator(gas_dense):
+    # One frequency inside a sideband guard band raises; an array marks it.
     gas = replace(gas_dense, guard=1e6)
     omega_prime = gas.omega_prime
+    red, blue = gas.omega_p - omega_prime - 5e5, gas.omega_p + omega_prime + 5e5
     with pytest.raises(ResonancePole) as info:
-        index_parts(gas, [gas.omega_p - omega_prime - 5e5], strict=True)
+        index_parts(gas, red)
     assert info.value.denominator == "omega_p - omega - omega_prime"
     with pytest.raises(ResonancePole) as info:
-        index_parts(gas, [gas.omega_p + omega_prime + 5e5], strict=True)
+        index_parts(gas, blue)
     assert info.value.denominator == "omega_p - omega + omega_prime"
+    *_, pole = index_parts(gas, [red, blue])
+    assert pole.tolist() == [True, True]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_array_equals_scalar_bit_for_bit(name):
+    # Over the config's delta grid: the mask is true exactly where the
+    # scalar call raises, and every other offset has its bits.
+    config = config_from_dict(CONFIGS[name])
+    gas = config.gas()
+    omegas = gas.omega_p - config.delta_values()
+    *parts, pole = index_parts(gas, omegas)
+    for i, omega in enumerate(omegas.tolist()):
+        try:
+            *one, one_pole = index_parts(gas, omega)
+        except ResonancePole:
+            assert pole[i], i
+            continue
+        assert not pole[i] and not one_pole, i
+        for field, array, value in zip(("n0", "dipole", "beyond"), parts, one):
+            assert array[i].tobytes() == value.tobytes(), (i, field)
 
 
 def test_no_pole_at_rayleigh_degeneracy(gas_dense):
     # The index itself is regular at omega = omega_p.
-    (dipole_part,), (beyond_dipole_part,), _ = index_parts(
-        gas_dense, [gas_dense.omega_p], strict=True
-    )
-    assert math.isfinite(1.0 + dipole_part + beyond_dipole_part)
+    n0, _, _, _ = index_parts(gas_dense, gas_dense.omega_p)
+    assert math.isfinite(n0)
 
 
 def test_continuity_off_poles(gas_dense, probe):
     omegas = [probe, probe + 1e6, probe + 1e4, probe + 1e2]
-    dipole_part, beyond_dipole_part, _ = index_parts(gas_dense, omegas, strict=True)
-    base, *shifted = (1.0 + dipole_part + beyond_dipole_part).tolist()
+    n0, _, _, pole = index_parts(gas_dense, omegas)
+    assert not pole.any()
+    base, *shifted = n0.tolist()
     diffs = [abs(n0 - base) for n0 in shifted]
     assert diffs[0] > diffs[1] > diffs[2]
 
@@ -182,9 +201,7 @@ def test_offset_proportional_to_population_difference(rho, rabi, beta_sq):
         beta=math.sqrt(beta_sq),
     )
     probe_omega = gas.omega_p - PROBE_DELTA
-    (dipole_part,), _, _ = index_parts(gas, [probe_omega], strict=True)
-    (reference,), _, _ = index_parts(
-        replace(gas, alpha=1.0, beta=0.0), [probe_omega], strict=True
-    )
+    _, dipole_part, _, _ = index_parts(gas, probe_omega)
+    _, reference, _, _ = index_parts(replace(gas, alpha=1.0, beta=0.0), probe_omega)
     expected = gas.population_difference * reference
     assert dipole_part == pytest.approx(expected, rel=1e-12, abs=1e-300)

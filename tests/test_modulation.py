@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +29,7 @@ import oracles
 from conftest import (
     ALPHA,
     BETA,
+    CONFIGS,
     DETUNING,
     FROZEN,
     PROBE_DELTA,
@@ -39,17 +38,6 @@ from conftest import (
     RHO_TRAIN,
     documented_gas,
 )
-
-TESTS = Path(__file__).resolve().parent
-#: The shipped configs and the bench configs, each as its config dict.
-CONFIGS = {
-    **{
-        path.stem: json.loads(path.read_text())
-        for path in sorted((TESTS.parent / "configs").glob("*.json"))
-    },
-    **json.loads((TESTS / "data" / "bench_configs.json").read_text()),
-}
-
 
 @pytest.fixture(scope="module")
 def geometry(gas_dense):
@@ -99,9 +87,7 @@ class TestSidebandBrackets:
         omega_prime = gas_dense.omega_prime
         omega_p = gas_dense.omega_p
         with pytest.raises(ResonancePole) as info:
-            resonance_denominators(
-                gas_dense, [omega_p - omega_prime], strict=True
-            )
+            resonance_denominators(gas_dense, omega_p - omega_prime)
         assert info.value.denominator == "omega_p - omega - omega_prime"
 
     def test_exact_pole_hit_with_zero_guard(self):
@@ -117,12 +103,12 @@ class TestSidebandBrackets:
             guard=0.0,
         )
         with pytest.raises(ResonancePole):
-            resonance_denominators(toy, [7.0], strict=True)
+            resonance_denominators(toy, 7.0)
 
     def test_rayleigh_pole(self, gas_dense):
         omega_p = gas_dense.omega_p
         with pytest.raises(ResonancePole) as info:
-            resonance_denominators(gas_dense, [omega_p], strict=True)
+            resonance_denominators(gas_dense, omega_p)
         assert info.value.denominator == "omega_p - omega"
 
 
@@ -130,11 +116,11 @@ class TestDeriveCoefficients:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_array_equals_scalar_bit_for_bit(self, name):
         # Over the config's delta grid: the mask is true exactly where the
-        # scalar strict call raises, and every other offset has its bits.
+        # scalar call raises, and every other offset has its bits.
         config = config_from_dict(CONFIGS[name])
         gas = config.gas()
         omegas = gas.omega_p - config.delta_values()
-        coefs = derive_coefficients(gas, omegas, strict=False)
+        coefs = derive_coefficients(gas, omegas)
         for i, omega in enumerate(omegas.tolist()):
             try:
                 one = derive_coefficients(gas, omega)
@@ -201,7 +187,7 @@ class TestExponent:
             modulation_depth(derive_coefficients(gas_dense, probe), -1.0)
         with pytest.raises(ValueError, match="z must be non-negative"):
             exponent_sweep(
-                derive_coefficients(gas_dense, [probe], strict=False), -1.0, [0.0]
+                derive_coefficients(gas_dense, [probe]), -1.0, [0.0]
             )
 
     @pytest.mark.parametrize(
@@ -210,7 +196,7 @@ class TestExponent:
     )
     def test_non_finite_z_rejected(self, gas_dense, probe, name):
         coefs = derive_coefficients(gas_dense, probe)
-        sweep = derive_coefficients(gas_dense, [probe], strict=False)
+        sweep = derive_coefficients(gas_dense, [probe])
         call = {
             "exponent_grid": lambda z: exponent_grid(coefs, z=[z], t=[0.0]),
             "exponent_sweep": lambda z: exponent_sweep(sweep, z, [0.0]),
@@ -228,9 +214,9 @@ class TestExponent:
                 derive_coefficients(gas_dense, omega), z=[0.0], t=[0.0]
             ),
             lambda: exponent_sweep(
-                derive_coefficients(gas_dense, [omega], strict=False), 0.0, [0.0]
+                derive_coefficients(gas_dense, [omega]), 0.0, [0.0]
             ),
-            lambda: derive_coefficients(gas_dense, [omega], strict=False),
+            lambda: derive_coefficients(gas_dense, [omega]),
             lambda: modulation_depth(derive_coefficients(gas_dense, omega), 0.0),
         )
         for call in calls:

@@ -177,7 +177,7 @@ def test_closed_form_is_response_theory_times_one_constant(part):
         chi_s, kappa_sum = chi[s]
         coupling = 2.0 * math.pi * (gas.omega0 / omega) ** 2
         if part == "dipole_part":
-            (closed,), _, _ = index_parts(gas, [omega], strict=True)
+            _, closed, _, _ = index_parts(gas, omega)
             theory = coupling * chi_s
         else:
             closed = getattr(derive_coefficients(gas, omega), part)
