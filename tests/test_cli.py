@@ -828,6 +828,40 @@ class TestValidate:
 
 
 class TestBadConfigRefused:
+    # Named rows of the refusal table on one subcommand each, under test ids
+    # of their own; test_config.py runs every row on every subcommand.
+
+    @pytest.mark.parametrize("name", [
+        "file-utf16", "raw26-ensemble.rho must be finite", "raw27-grids.delta.count must be finite",
+    ], ids=["not_utf8", "huge_density", "huge_count"])
+    @pytest.mark.parametrize("command", refusals.COMMANDS)
+    def test_unparsable_config_refused(self, refused, name, command):
+        refused.config(name, [command])
+
+    @pytest.mark.parametrize("command", ["sweep-frequency", "evolve"])
+    def test_pump_beyond_k_range_refused(self, refused, command):
+        refused.config("rabi-overflow", [command])
+
+    @pytest.mark.parametrize(
+        "name", ["key-z.cm", "raw10-z.theta must be non-negative"], ids=["z.cm", "z.theta"]
+    )
+    @pytest.mark.parametrize("command", ["validate", "sweep-frequency"])
+    def test_negative_plane_refused(self, refused, name, command):
+        refused.config(name, [command])
+
+    @pytest.mark.parametrize("command", refusals.COMMANDS)
+    def test_steps_above_ceiling_refused(self, refused, command):
+        refused.config("steps-ceiling", [command])
+
+    @pytest.mark.parametrize("name", [
+        "omega0-overflow", "d_squared-overflow", "rabi-overflow",
+        "raw30-grids.delta.count must be <= 4194304", "raw31-grids.t.samples_per_period",
+        "raw32-z.theta .* non-finite phase",
+    ], ids=["omega0", "d_squared", "rabi", "delta_count", "t_periods", "z_theta"])
+    @pytest.mark.parametrize("command", refusals.COMMANDS)
+    def test_unevaluable_config_refused(self, refused, name, command):
+        refused.config(name, [command])
+
     @pytest.mark.parametrize("command", ["sweep-frequency", "dispersion-scan"])
     def test_non_finite_table_refused(self, tmp_path, capsys, command):
         # A finite density whose K overflows: every Re G and index cell off

@@ -99,6 +99,27 @@ def test_every_key_named_by_a_refusal():
     assert unnamed == []
 
 
+# Named rows of the refusal table on the load paths, each under a test id of
+# its own; test_invalid_configs_rejected runs every row on every path.
+
+
+@pytest.mark.parametrize("name", [
+    "rho-nan", "omega0-inf", "alpha-nan", "beta-nan", "guard-nan", "theta-inf", "periods-inf",
+], ids=["raw0-ensemble.rho", "raw1-ensemble.omega0", "raw2-state.alpha", "raw3-state.beta",
+        "raw4-guard", "raw5-z.theta", "raw6-grids.t.periods"])
+def test_non_finite_values_rejected(refused, name):
+    refused.at_load(name)
+
+
+@pytest.mark.parametrize("name", [
+    "key-rhoo", "key-guardd", "key-dotted", "key-z.phase", "key-grids.f", "key-grids.delta.n",
+    "key-grids.t.period",
+], ids=["raw0-ensemble.rhoo", "raw1-guardd", "raw2-ensemble.rho", "raw3-z.phase",
+        "raw4-grids.f", "raw5-grids.delta.n", "raw6-grids.t.period"])
+def test_unknown_keys_rejected(refused, name):
+    refused.at_load(name)
+
+
 def test_steps_ceiling():
     # 2**15 steps per period: Simpson's error there is far below rounding.
     with pytest.raises(ConfigError, match=r"steps must be in 1\.\.32768, got 32769"):
