@@ -20,11 +20,12 @@ The envelope is evaluated on arrays from one input, ``coefs =
 derive_coefficients(gas, omega)``, the gas's response at one probe
 frequency or an array of them: ``exponent_grid(coefs, z, t)`` gives G and
 ``log_amplitude_grid(coefs, z, t)`` ln A over a (z, t) grid, a single value
-being the [0, 0] cell of a one-point grid, and ``modulation_depth(coefs, z)``
-gives the depth at one plane and frequency.  ``index_parts(gas, omega)``
-gives n0 and its dipole and beyond-dipole parts at one probe frequency or
-an array of them.  One frequency at a pole raises ``ResonancePole``; an
-array marks its poles in a mask.
+being the [0, 0] cell of a one-point grid; at an array of frequencies
+``exponent_grid`` takes one plane and gives a row per frequency.
+``modulation_depth(coefs, z)`` gives the depth at one plane and frequency.
+``index_parts(gas, omega)`` gives n0 and its dipole and beyond-dipole parts
+at one probe frequency or an array of them.  One frequency at a pole
+raises ``ResonancePole``; an array marks its poles in a mask.
 
 Units are Gaussian-CGS; every frequency is angular (rad/s).
 

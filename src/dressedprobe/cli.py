@@ -87,7 +87,7 @@ def sweep_frequency_rows(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     deltas = config.delta_values()
     coefs = mod.derive_coefficients(gas, gas.omega_p - deltas)
     times = [math.pi / omega_prime, 2.0 * math.pi / omega_prime]
-    g = mod.exponent_sweep(coefs, config.z_fixed(), times)
+    g = mod.exponent_grid(coefs, z=[config.z_fixed()], t=times)
     return np.column_stack((deltas, g.real)), coefs.pole
 
 

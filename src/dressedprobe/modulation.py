@@ -22,9 +22,10 @@ a2 = K alpha conj(beta) b2 and, in ln A, the index n0 - 1, with the n0
 ``dispersion.index_parts`` gives.  ``derive_coefficients`` evaluates
 them once, at one probe frequency or an array of them, and a config keeps
 those at its probe frequency (``RunConfig.coefficients``); the functions
-below read its result and evaluate nothing else.  ``exponent_grid`` gives
-G over a (z, t) grid and ``exponent_sweep`` over an array's frequencies
-and t; a single value is the [0, 0] cell of a one-point grid.
+below read its result and evaluate nothing else.  ``exponent_grid`` is
+the one evaluation of G: over a (z, t) grid at one frequency, or over an
+array's frequencies and t at one plane; a single value is the [0, 0] cell
+of a one-point grid.
 ``modulation_depth`` is the closed-form amplitude of Re G,
 ``intensity_gain`` turns G into exp(2 Re G), and ``gain_series`` samples
 that gain over time at one plane.
@@ -106,7 +107,7 @@ def derive_coefficients(gas: DressedGas, probe_omega) -> RweCoefficients:
     One pass over the resonance denominators, Rayleigh first, marks the
     poles; one frequency raises ResonancePole at the first instead, and is
     evaluated as a one-element array, as the operand shapes of
-    ``_exponent`` require.
+    ``exponent_grid`` require.
     """
     omega, scalar = _as_array(probe_omega)
     dens, pole = resonance_denominators(gas, probe_omega)
@@ -145,38 +146,29 @@ def modulation_depth(coefs: RweCoefficients, z: float) -> float:
     return ramp * float(abs(coefs.a1 - np.conj(coefs.a2)))
 
 
-def _exponent(a1, a2, omega_prime: float, z, t) -> np.ndarray:
-    """G over the (len(z), len(t)) grid; a1 and a2 broadcast against z.
-
-    The operand shapes pick numpy's complex-multiply loop and with it
-    whether a fused multiply-add rounds, so every caller shares them.
-    """
-    theta = omega_prime * np.asarray(z, dtype=float) / CGS.c
-    ramp_red = (1.0 - np.exp(-1j * theta))[:, None]
-    ramp_blue = (1.0 - np.exp(1j * theta))[:, None]
-    wt = np.exp(1j * omega_prime * np.asarray(t, dtype=float))[None, :]
-    with np.errstate(invalid="ignore", over="ignore"):
-        return a1 * ramp_red * wt - a2 * ramp_blue * np.conj(wt)
-
-
 def exponent_grid(coefs: RweCoefficients, z: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Vectorized G over the outer product of z and t grids.
 
-    Returns a complex array of shape (len(z), len(t)) for the one probe
-    frequency of ``coefs``, for residual checks and time series.
+    At the one probe frequency of ``coefs`` the result has shape
+    (len(z), len(t)).  An array of frequencies takes one plane z, and row i
+    is G at the i-th frequency; rows under ``coefs.pole`` are meaningless.
+
+    The operand shapes pick numpy's complex-multiply loop and with it
+    whether a fused multiply-add rounds, so both cases share them.
     """
-    return _exponent(coefs.a1, coefs.a2, coefs.omega_prime, _plane(z), t)
-
-
-def exponent_sweep(coefs: RweCoefficients, z: float, t: np.ndarray) -> np.ndarray:
-    """G at plane z over the probe frequencies of array ``coefs`` and t,
-    shape (len(coefs.a1), len(t)).
-
-    Row i equals ``exponent_grid`` at the i-th frequency; rows under
-    ``coefs.pole`` are meaningless.
-    """
-    a1, a2 = coefs.a1[:, None], coefs.a2[:, None]
-    return _exponent(a1, a2, coefs.omega_prime, _plane([z]), t)
+    z = _plane(z)
+    a1, a2 = coefs.a1, coefs.a2
+    if np.ndim(a1):
+        # Else numpy would pair frequency i with plane i when the lengths match.
+        if z.size != 1:
+            raise ValueError("an array of probe frequencies takes exactly one plane z")
+        a1, a2 = a1[:, None], a2[:, None]
+    theta = coefs.omega_prime * z / CGS.c
+    ramp_red = (1.0 - np.exp(-1j * theta))[:, None]
+    ramp_blue = (1.0 - np.exp(1j * theta))[:, None]
+    wt = np.exp(1j * coefs.omega_prime * np.asarray(t, dtype=float))[None, :]
+    with np.errstate(invalid="ignore", over="ignore"):
+        return a1 * ramp_red * wt - a2 * ramp_blue * np.conj(wt)
 
 
 def intensity_gain(g: np.ndarray) -> np.ndarray:

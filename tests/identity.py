@@ -8,8 +8,12 @@ each config, ``pulse-stats`` on that config's ``evolve`` CSV, and writes the
 manifest: for each config and subcommand, the exit code, the sha256 of
 stderr, and the sha256 of every file the subcommand wrote.  The
 ``pulse-stats`` JSON is digested without ``source`` and the ``validate``
-report without ``elapsed_s``.  Every run is in one fixed work directory,
-since stderr names paths.  A CONFIGS.json maps a name to a config dict;
+report without ``elapsed_s``.  The ``validate`` row also holds the oracle
+digest: the sha256 of the bits of every ``integrate_characteristic``
+result, ``float.hex`` of its real and imaginary parts, or the type name of
+what it raised, so an oracle value that moves shows even where the report
+rounds it away.  Every run is in one fixed work directory, since stderr
+names paths.  A CONFIGS.json maps a name to a config dict;
 without one the configs are ``configs/*.json``, by file stem, and
 ``tests/data/bench_configs.json``.
 
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -75,6 +80,43 @@ def _digest(path: Path, drop: str | None) -> str:
     return _sha256(json.dumps(payload, sort_keys=True).encode())
 
 
+@contextlib.contextmanager
+def recorded_oracle():
+    """Yield a list that gets one entry per ``integrate_characteristic``
+    call: the ``float.hex`` of its result's real and imaginary parts, or the
+    type name of what it raised.  The function is wrapped in every
+    ``dressedprobe`` namespace that binds it, and restored on exit."""
+    from dressedprobe import characteristics
+
+    original = characteristics.integrate_characteristic
+    bits = []
+
+    @functools.wraps(original)
+    def recorded(*args, **kwargs):
+        try:
+            value = original(*args, **kwargs)
+        except Exception as exc:
+            bits.append(type(exc).__name__)
+            raise
+        bits.append(f"{float(value.real).hex()} {float(value.imag).hex()}")
+        return value
+
+    patches = [
+        (module, attr)
+        for name, module in list(sys.modules.items())
+        if name == "dressedprobe" or name.startswith("dressedprobe.")
+        for attr, value in vars(module).items()
+        if value is original
+    ]
+    for module, attr in patches:
+        setattr(module, attr, recorded)
+    try:
+        yield bits
+    finally:
+        for module, attr in patches:
+            setattr(module, attr, original)
+
+
 def run_config(config: dict, work: Path) -> dict:
     """The manifest rows of ``config``, one per subcommand, run in ``work``."""
     from dressedprobe import cli
@@ -90,9 +132,11 @@ def run_config(config: dict, work: Path) -> dict:
         if command == "pulse-stats":
             argv += ["--series", work / COMMANDS["evolve"][0]]
         stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        oracle = recorded_oracle() if command == "validate" else contextlib.nullcontext()
+        with oracle as bits, contextlib.redirect_stderr(stderr):
             try:
-                code = cli.main([str(arg) for arg in argv])
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main([str(arg) for arg in argv])
             except Exception as exc:  # a crash is a row too, not an abort
                 code = type(exc).__name__
                 print(exc, file=sys.stderr)
@@ -104,6 +148,8 @@ def run_config(config: dict, work: Path) -> dict:
                 for path in sorted(set(work.iterdir()) - before)
             },
         }
+        if bits is not None:
+            rows[command]["oracle"] = _sha256("\n".join(bits).encode())
     return rows
 
 

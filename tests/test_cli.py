@@ -838,10 +838,6 @@ class TestBadConfigRefused:
     def test_unparsable_config_refused(self, refused, name, command):
         refused.config(name, [command])
 
-    @pytest.mark.parametrize("command", ["sweep-frequency", "evolve"])
-    def test_pump_beyond_k_range_refused(self, refused, command):
-        refused.config("rabi-overflow", [command])
-
     @pytest.mark.parametrize(
         "name", ["key-z.cm", "raw10-z.theta must be non-negative"], ids=["z.cm", "z.theta"]
     )

@@ -1,12 +1,15 @@
 """The byte-identity tool: one checkout writes the same manifest twice, and
-``--compare`` names each row that differs."""
+``--compare`` names each row that differs, an oracle result's bits too."""
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 
 import identity
 from conftest import CONFIGS
+from dressedprobe import characteristics
 
 SHIPPED = {name: CONFIGS[name] for name in ("default", "pulse_train")}
 
@@ -34,3 +37,25 @@ def test_two_runs_write_the_same_manifest(tmp_path, capsys):
     paths[1].write_text(json.dumps(manifest), encoding="utf-8")
     assert identity.main(["--compare", *map(str, paths)]) == 1
     assert capsys.readouterr().out.startswith("default/validate: ")
+
+
+def test_an_oracle_result_one_ulp_off_differs(tmp_path, monkeypatch):
+    # The second oracle call's result moves by one ulp.  The validate
+    # report reads only the worst error, so its bytes stay; the oracle
+    # digest of the row does not.
+    default = {"default": CONFIGS["default"]}
+    before = identity.write_manifest(default, tmp_path / "work")
+    exact = characteristics.integrate_characteristic
+    calls = itertools.count()
+
+    def moved(*args, **kwargs):
+        value = exact(*args, **kwargs)
+        if next(calls) == 1:
+            value = complex(math.nextafter(value.real, math.inf), value.imag)
+        return value
+
+    monkeypatch.setattr(characteristics, "integrate_characteristic", moved)
+    after = identity.write_manifest(default, tmp_path / "work")
+    assert [line.split(":")[0] for line in identity.compare(before, after)] == ["default/validate"]
+    assert after["default/validate"]["outputs"] == before["default/validate"]["outputs"]
+    assert after["default/validate"]["oracle"] != before["default/validate"]["oracle"]

@@ -23,7 +23,7 @@ from dressedprobe import (
     modulation_depth,
 )
 from dressedprobe.dispersion import resonance_denominators
-from dressedprobe.modulation import exponent_sweep, intensity_gain
+from dressedprobe.modulation import intensity_gain
 
 import oracles
 from conftest import (
@@ -143,6 +143,33 @@ class TestDeriveCoefficients:
         assert info.value.denominator == "omega_p - omega"
 
 
+class TestExponentGrid:
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_array_equals_scalar_bit_for_bit(self, name):
+        # At the config's plane and the sweep's two times: every row off
+        # the poles has the bits of its one-frequency grid.
+        config = config_from_dict(CONFIGS[name])
+        gas = config.gas()
+        omegas = gas.omega_p - config.delta_values()
+        z = [config.z_fixed()]
+        times = [math.pi / config.omega_prime(), 2.0 * math.pi / config.omega_prime()]
+        coefs = derive_coefficients(gas, omegas)
+        rows = exponent_grid(coefs, z=z, t=times)
+        for i, omega in enumerate(omegas.tolist()):
+            try:
+                one = derive_coefficients(gas, omega)
+            except ResonancePole:
+                assert coefs.pole[i], i
+                continue
+            assert rows[i].tobytes() == exponent_grid(one, z=z, t=times)[0].tobytes(), i
+
+    def test_array_takes_one_plane(self, gas_dense, probe):
+        # Two frequencies and two planes would broadcast without the check.
+        coefs = derive_coefficients(gas_dense, [probe, probe + 1e9])
+        with pytest.raises(ValueError, match="exactly one plane"):
+            exponent_grid(coefs, z=[0.0, 1.0], t=[0.0, 1e-12])
+
+
 class TestExponent:
     def test_entry_face_is_exactly_zero(
         self, gas_dense, probe
@@ -186,20 +213,20 @@ class TestExponent:
         with pytest.raises(ValueError):
             modulation_depth(derive_coefficients(gas_dense, probe), -1.0)
         with pytest.raises(ValueError, match="z must be non-negative"):
-            exponent_sweep(
-                derive_coefficients(gas_dense, [probe]), -1.0, [0.0]
+            exponent_grid(
+                derive_coefficients(gas_dense, [probe]), z=[-1.0], t=[0.0]
             )
 
     @pytest.mark.parametrize(
         "name",
-        ["exponent_grid", "exponent_sweep", "modulation_depth", "log_amplitude_grid"],
+        ["exponent_grid", "exponent_grid_sweep", "modulation_depth", "log_amplitude_grid"],
     )
     def test_non_finite_z_rejected(self, gas_dense, probe, name):
         coefs = derive_coefficients(gas_dense, probe)
         sweep = derive_coefficients(gas_dense, [probe])
         call = {
             "exponent_grid": lambda z: exponent_grid(coefs, z=[z], t=[0.0]),
-            "exponent_sweep": lambda z: exponent_sweep(sweep, z, [0.0]),
+            "exponent_grid_sweep": lambda z: exponent_grid(sweep, z=[z], t=[0.0]),
             "modulation_depth": lambda z: modulation_depth(coefs, z),
             "log_amplitude_grid": lambda z: log_amplitude_grid(coefs, [z], [0.0]),
         }[name]
@@ -213,8 +240,8 @@ class TestExponent:
             lambda: exponent_grid(
                 derive_coefficients(gas_dense, omega), z=[0.0], t=[0.0]
             ),
-            lambda: exponent_sweep(
-                derive_coefficients(gas_dense, [omega]), 0.0, [0.0]
+            lambda: exponent_grid(
+                derive_coefficients(gas_dense, [omega]), z=[0.0], t=[0.0]
             ),
             lambda: derive_coefficients(gas_dense, [omega]),
             lambda: modulation_depth(derive_coefficients(gas_dense, omega), 0.0),
